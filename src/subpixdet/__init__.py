@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .optics import (
-    PsfModel, Signature, SignatureBank, bessel_j1, psf_value,
+    PsfModel, EffectivePsf, Signature, SignatureBank, bessel_j1, psf_value,
     render_signature, average_energy, build_signature_bank,
 )
 from .clutter import (

@@ -147,12 +147,12 @@ def _emit_patch(values, stream):
 # subcommands
 
 def cmd_signature(args):
-    model = PsfModel(args.rc)
     offsets = SWEEP_OFFSETS if args.sweep else (_parse_eps(args.eps),)
+    psf = optics.EffectivePsf(PsfModel(args.rc), args.w)
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         for eps in offsets:
-            sig = optics.render_signature(model, eps, args.w, args.q)
+            sig = optics.render_signature(psf, eps, args.w)
             if args.sweep:
                 stream.write(f"# eps={eps[0]},{eps[1]}\n")
             _emit_patch(sig.values, stream)
@@ -190,9 +190,9 @@ def _load_window(path):
 
 
 def _window_context(args, w):
-    model = PsfModel(args.rc)
-    bank = optics.build_signature_bank(model, args.grid_size, w, args.q)
-    bank9 = optics.build_alrt_bank(model, w, args.q)
+    psf = optics.EffectivePsf(PsfModel(args.rc), w)
+    bank = optics.build_signature_bank(psf, args.grid_size, w)
+    bank9 = optics.build_alrt_bank(psf, w)
     if args.acf_file:
         with open(args.acf_file) as fh:
             table = np.array([[float(tok) for tok in row] for row in csv.reader(fh) if row])
@@ -261,7 +261,7 @@ def cmd_theoretical_roc(args):
     if args.noise not in (None, "white"):
         raise ConfigError("theoretical ROC is defined for white noise only")
     model = PsfModel(args.rc)
-    bank = optics.build_signature_bank(model, args.grid_size, args.w, args.q)
+    bank = optics.build_signature_bank(model, args.grid_size, args.w)
     specs = [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")]
     if args.eps:
         specs = [("fixed", _parse_eps(args.eps))]
@@ -299,11 +299,14 @@ def _add_experiment_flags(parser):
             parser.add_argument(flag, type=float)
 
 
+_Q_HELP = "accepted and ignored: rendering no longer uses a quadrature order"
+
+
 def _add_window_flags(parser):
     parser.add_argument("--window", required=True, help="window CSV path")
     parser.add_argument("--rc", type=float, default=2.44)
     parser.add_argument("--grid-size", type=int, default=20)
-    parser.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER)
+    parser.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER, help=_Q_HELP)
     parser.add_argument("--sigma", type=float, default=1.0)
     parser.add_argument("--acf-file", help="autocovariance CSV (else white noise)")
     parser.add_argument("--ridge", type=float, default=1e-6)
@@ -323,7 +326,7 @@ def build_parser():
     p.add_argument("--rc", type=float, default=2.44)
     p.add_argument("--eps", default="0,0", help="subpixel offset 'e1,e2'")
     p.add_argument("--w", type=int, default=2)
-    p.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER)
+    p.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER, help=_Q_HELP)
     p.add_argument("--sweep", action="store_true",
                    help="render the five example offsets instead of --eps")
     p.add_argument("--out")
@@ -360,7 +363,7 @@ def build_parser():
     p.add_argument("--rc", type=float, default=2.44)
     p.add_argument("--w", type=int, default=2)
     p.add_argument("--grid-size", type=int, default=20)
-    p.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER)
+    p.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER, help=_Q_HELP)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--noise", help="must be white (closed form)")
     p.add_argument("--out")

@@ -127,6 +127,8 @@ def assemble_window_covariance(acf, w, lam=1e-6):
     pixels, plus ridge lam * acf(0,0) on the diagonal.  Raises
     IndefiniteCovarianceError if the result is not positive definite.
     """
+    if not lam >= 0:
+        raise ValueError(f"ridge must be >= 0, got {lam}")
     acf = np.asarray(acf, dtype=float)
     max_lag = (acf.shape[0] - 1) // 2
     if max_lag < 2 * w:

@@ -18,7 +18,9 @@ from scipy.stats import norm
 from . import clutter, optics
 from .detectors import DETECTOR_IDS, batch_scores, build_subspace
 from .estimators import ESTIMATOR_IDS, batch_estimates
-from .optics import PsfModel, build_signature_bank, build_alrt_bank, render_signature_batch
+from .optics import (
+    EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, render_signature_batch,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -54,6 +56,8 @@ class ExperimentConfig:
     r_c: float = 2.44
     w: int = 2
     grid_size: int = 20
+    # per-pixel quadrature order of the retired direct renderer: rendering
+    # and the spot energy no longer depend on it
     q: int = optics.DEFAULT_QUAD_ORDER
     noise: str = "white"            # "white" | "fractal"
     sigma: float = 1.0
@@ -76,6 +80,14 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self):
+        for name in ("snr_db", "alpha", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(snr) for snr in self.snr_sweep):
+            raise ConfigError(f"snr_sweep entries must be finite, got {self.snr_sweep}")
+        if not self.ridge >= 0:
+            raise ConfigError(f"ridge must be >= 0, got {self.ridge}")
         if self.noise not in ("white", "fractal"):
             raise ConfigError(f"unknown noise kind {self.noise!r}")
         if self.noise == "fractal" and not (0 < self.hurst < 1):
@@ -150,9 +162,21 @@ def alpha_to_snr(alpha, sigma, energy):
 
 
 @lru_cache(maxsize=None)
-def average_energy_cached(r_c, q=optics.DEFAULT_QUAD_ORDER):
-    """Memoized full-spot average energy (w=25, 20x20 offset grid)."""
-    return optics.average_energy(PsfModel(r_c), w=25, grid_size=20, q=q)
+def _average_energy(r_c):
+    return optics.average_energy(PsfModel(r_c))
+
+
+def average_energy_cached(r_c, q=None):
+    """Memoized full-plane average spot energy E(r_c).
+
+    The cache is keyed on r_c alone; q is accepted for callers that
+    still pass a quadrature order, and ignored (E does not depend on it).
+    """
+    return _average_energy(r_c)
+
+
+average_energy_cached.cache_info = _average_energy.cache_info
+average_energy_cached.cache_clear = _average_energy.cache_clear
 
 
 def empirical_roc_from_scores(scores_h0, scores_h1, detector="custom"):
@@ -188,17 +212,22 @@ def _chunks(total):
 
 
 class _WindowSource:
-    """Draws mean-removed noise windows for one hypothesis stream."""
+    """Draws mean-removed noise windows for one hypothesis stream.
 
-    def __init__(self, config, n_window):
+    Fractal windows are gathered from image: by default the test image,
+    or the training image when train_equals_test is set.  A caller that
+    already holds that image passes it instead of synthesizing it again.
+    """
+
+    def __init__(self, config, n_window, image=None):
         self.config = config
         self.n_window = n_window
         if config.noise == "fractal":
-            test_seed = _STREAM_TRAIN if config.train_equals_test else _STREAM_TEST
-            self.image = clutter.synthesize_fbm(
-                config.hurst, config.image_size,
-                seed=[int(config.seed), test_seed, 0]).values
-            self.image = self.image - self.image.mean()
+            if image is None:
+                stream = _STREAM_TRAIN if config.train_equals_test else _STREAM_TEST
+                image = clutter.synthesize_fbm(config.hurst, config.image_size,
+                                               seed=[int(config.seed), stream, 0])
+            self.image = image.values - image.values.mean()
 
     def noise(self, count, stream, chunk):
         cfg = self.config
@@ -216,37 +245,41 @@ class _WindowSource:
 
 
 def _fractal_covariance(config):
-    """Train-image empirical covariance and its clutter sigma."""
+    """Train-image empirical covariance, its clutter sigma, and the image."""
     train = clutter.synthesize_fbm(config.hurst, config.image_size,
                                    seed=[int(config.seed), _STREAM_TRAIN, 0])
     acf = clutter.estimate_autocovariance(train, 2 * config.w)
     cov = clutter.assemble_window_covariance(acf, config.w, lam=config.ridge)
     sigma_clutter = math.sqrt(acf[2 * config.w, 2 * config.w])
-    return cov, sigma_clutter
+    return cov, sigma_clutter, train
 
 
 def _setup(config):
-    """Shared precomputation: bank, covariance, bound products, amplitude."""
+    """Shared precomputation: the effective-PSF table every signature of
+    the run is read from, banks, covariance, bound products, windows."""
     config.validate()
-    model = PsfModel(config.r_c)
-    bank = build_signature_bank(model, config.grid_size, config.w, config.q)
-    bank9 = build_alrt_bank(model, config.w, config.q)
+    psf = EffectivePsf(PsfModel(config.r_c), config.w)
+    bank = build_signature_bank(psf, config.grid_size, config.w)
+    bank9 = build_alrt_bank(psf, config.w)
+    train = None
     if config.noise == "white":
         cov = clutter.white_covariance(config.sigma, config.w)
         sigma_eff = config.sigma
     else:
-        cov, sigma_eff = _fractal_covariance(config)
+        cov, sigma_eff, train = _fractal_covariance(config)
     bound = bank.bind(cov)
     bound9 = bank9.bind(cov)
     subspace = build_subspace(bank, config.subspace_order)
-    return model, bound, bound9, subspace, sigma_eff
+    source = _WindowSource(config, (2 * config.w + 1) ** 2,
+                           train if config.train_equals_test else None)
+    return psf, bound, bound9, subspace, sigma_eff, source
 
 
 def _resolve_alpha(config, sigma_eff, snr_db=None):
     if config.alpha is not None:
         return config.alpha
     snr = config.snr_db if snr_db is None else snr_db
-    return snr_to_alpha(snr, sigma_eff, average_energy_cached(config.r_c, config.q))
+    return snr_to_alpha(snr, sigma_eff, average_energy_cached(config.r_c))
 
 
 def _draw_offsets(config, count, chunk, stream=_STREAM_EPS):
@@ -271,10 +304,8 @@ def run_roc(config):
     is trained on a separate image from the one windows are drawn from
     (unless train_equals_test).  Thresholds sweep every distinct score.
     """
-    model, bound, bound9, subspace, sigma_eff = _setup(config)
+    psf, bound, bound9, subspace, sigma_eff, source = _setup(config)
     alpha = _resolve_alpha(config, sigma_eff)
-    n_window = (2 * config.w + 1) ** 2
-    source = _WindowSource(config, n_window)
 
     def score_h0(i, span):
         windows = source.noise(span[1] - span[0], _STREAM_H0, i)
@@ -283,7 +314,7 @@ def run_roc(config):
     def score_h1(i, span):
         count = span[1] - span[0]
         eps = _draw_offsets(config, count, i)
-        sig = render_signature_batch(model, eps, config.w, config.q)
+        sig = render_signature_batch(psf, eps, config.w)
         windows = alpha * sig + source.noise(count, _STREAM_H1, i)
         return batch_scores(windows, bound, bound9, subspace, config.detectors)
 
@@ -303,12 +334,10 @@ def run_mse(config):
     Per trial the true offset is continuous-uniform (never grid-snapped),
     so grid quantization of ML/PM is honestly penalized.
     """
-    model, bound, bound9, subspace, sigma_eff = _setup(config)
+    psf, bound, bound9, subspace, sigma_eff, source = _setup(config)
     sweep = config.snr_sweep or (config.snr_db,)
     if sweep == (None,):
         raise ConfigError("MSE run needs snr_db or snr_sweep")
-    n_window = (2 * config.w + 1) ** 2
-    source = _WindowSource(config, n_window)
     rows = []
     for si, snr_db in enumerate(sweep):
         alpha = _resolve_alpha(config, sigma_eff, snr_db)
@@ -317,7 +346,7 @@ def run_mse(config):
             count = span[1] - span[0]
             tag = si * 10_000 + i
             eps = _draw_offsets(config, count, tag)
-            sig = render_signature_batch(model, eps, config.w, config.q)
+            sig = render_signature_batch(psf, eps, config.w)
             windows = alpha * sig + source.noise(count, _STREAM_MSE, tag)
             est = batch_estimates(windows, bound, config.estimators)
             return {name: val - eps for name, val in est.items()}
@@ -352,8 +381,7 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
     """
     if pfa_grid is None:
         pfa_grid = np.logspace(-8, 0, 161)
-    model = PsfModel(bank.r_c)
-    alpha = snr_to_alpha(snr_db, sigma, average_energy_cached(bank.r_c, bank.q))
+    alpha = snr_to_alpha(snr_db, sigma, average_energy_cached(bank.r_c))
     s0 = bank.vectors[bank.center_index]
     scale = sigma * math.sqrt(s0 @ s0)
     if isinstance(eps_star, str):
@@ -362,7 +390,7 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
         cross = bank.vectors[bank.grid_indices] @ s0
         name = "PMF-mean"
     else:
-        sig = render_signature_batch(model, [tuple(eps_star)], bank.w, bank.q)[0]
+        sig = render_signature_batch(PsfModel(bank.r_c), [tuple(eps_star)], bank.w)[0]
         cross = np.array([sig @ s0])
         name = f"PMF({eps_star[0]},{eps_star[1]})"
     deflection = alpha * cross / scale

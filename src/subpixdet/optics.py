@@ -6,22 +6,25 @@ parameterized by a single dimensionless number ``r_c`` (optical cutoff
 frequency over sampling frequency).  A point source at subpixel offset
 ``(eps1, eps2)`` deposits in pixel ``(i, j)`` the integral of the PSF
 over that pixel's unit square; the resulting patch of pixel values is
-the target *signature*.
+the target *signature*.  Signatures are read off one table of the
+pixel-integrated PSF (EffectivePsf), built once per model and window.
 """
 
 import csv
 import itertools
+import math
 
 import numpy as np
 from dataclasses import dataclass, field
 from numpy.polynomial.legendre import leggauss
-from scipy import special
+from scipy import ndimage, special
 
 __all__ = [
     "PsfModel",
     "Signature",
     "SignatureBank",
     "BoundBank",
+    "EffectivePsf",
     "DEFAULT_QUAD_ORDER",
     "bessel_j1",
     "psf_value",
@@ -35,8 +38,9 @@ __all__ = [
     "build_alrt_bank",
 ]
 
-# Gauss-Legendre order per pixel; the Airy integrand is smooth so this
-# is far past the 1e-6 relative accuracy the renderer promises.
+# Per-pixel Gauss-Legendre order of the retired direct renderer.  It is
+# still the default of the `q` config field and bank attribute, but
+# rendering and the spot energy no longer depend on it.
 DEFAULT_QUAD_ORDER = 16
 
 
@@ -109,60 +113,123 @@ def _check_offset(eps):
     return e1, e2
 
 
-def _quad_points(w, q):
-    """Per-axis quadrature abscissas/weights covering pixels [-w, w].
+def _lattice_nodes(r_c):
+    """Table nodes per pixel: the power of two at or above 24 r_c, at least 16.
 
-    Returns (coords, weights) of length (2w+1)*q; coords[k] is an
-    absolute sample position, weights fold back per pixel.
+    g is band-limited to |f| <= r_c cycles per pixel, so a fixed number
+    of nodes per cycle fixes the quintic spline's interpolation error
+    (about 1e-10 at r_c = 2.44, far below the renderer's 1e-6 promise).
     """
-    nodes, weights = leggauss(q)
-    centers = np.arange(-w, w + 1)
-    coords = (centers[:, None] + 0.5 * nodes[None, :]).ravel()
-    wts = np.tile(0.5 * weights, 2 * w + 1)
-    return coords, wts
+    return max(16, 1 << math.ceil(math.log2(24 * r_c)))
 
 
-def render_signature_batch(model, offsets, w, q=DEFAULT_QUAD_ORDER, chunk=None):
+# Lattice nodes beyond the largest |x| a window reads.  The spline
+# prefilter's end transient decays as 0.43^n; 32 nodes put it below
+# 1e-11, where 8 left errors of about 2e-9.
+_SPLINE_MARGIN = 32
+# Gauss-Legendre nodes per axis of one lattice cell.
+_CELL_ORDER = 4
+
+
+class EffectivePsf:
+    """The PSF integrated over a unit pixel, tabulated once for a model.
+
+    g(x, y) is the integral of h over the unit square centred on (x, y),
+    so a source at offset eps puts s[i, j] = g(i - eps1, j - eps2) into
+    pixel (i, j) (the "effective PSF" of Anderson & King 2000, PASP
+    112:1360).  g is even in x and in y, so the table holds the quadrant
+    x, y >= 0 on a 1/K-pixel lattice, for every |x| up to w + 1/2: the
+    windows of half-width <= w at any offset in the closed square
+    [-0.5, 0.5]^2.  It is built by integrating h over the lattice cells
+    (composite Gauss-Legendre), summing whole pixels out of the cells
+    with a summed-area table, and spline-filtering the result; windows
+    are read off it by quintic B-spline interpolation.
+    """
+
+    def __init__(self, model, w):
+        if w < 1:
+            raise ValueError("window half-width must be >= 1")
+        self.model, self.w = model, w
+        k = self.lattice = _lattice_nodes(model.r_c)
+        n_cells = k * (w + 1) + _SPLINE_MARGIN   # cells [a, a+1]/k, a >= 0
+        nodes, weights = leggauss(_CELL_ORDER)
+        pts = ((np.arange(n_cells)[:, None] + 0.5 * (nodes + 1)) / k).ravel()
+        wts = np.tile(0.5 * weights / k, n_cells)
+        cells = np.empty((n_cells, n_cells))
+        rows = max(1, 2**20 // (len(pts) * _CELL_ORDER))   # bound the h block
+        for lo in range(0, n_cells, rows):
+            sl = slice(lo * _CELL_ORDER, min(n_cells, lo + rows) * _CELL_ORDER)
+            h = psf_value(model, pts[sl, None], pts[None, :]) * wts[sl, None] * wts
+            cells[lo:lo + rows] = h.reshape(-1, _CELL_ORDER, n_cells, _CELL_ORDER).sum(axis=(1, 3))
+        g = self._pixel_sums(self._pixel_sums(cells).T).T
+        self.coeffs = ndimage.spline_filter(g, order=5, mode="mirror")
+
+    def _pixel_sums(self, cells):
+        """Sum the k cells of a unit pixel centred on each node, along axis 0.
+
+        Node n sits at x = n/k; its pixel covers cells n - k/2 .. n + k/2 - 1,
+        and the cells at x < 0 mirror those at x > 0.
+        """
+        half = self.lattice // 2
+        cells = np.concatenate([cells[half - 1::-1], cells])
+        table = np.concatenate([np.zeros((1,) + cells.shape[1:]), np.cumsum(cells, axis=0)])
+        return table[self.lattice:] - table[:-self.lattice]
+
+    @property
+    def r_c(self):
+        return self.model.r_c
+
+    def render(self, offsets, w):
+        """Signatures of half-width w for offsets of shape (N, 2), as an
+        (N, (2w+1)**2) array of row-major flattened values."""
+        offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
+        if w < 1 or w > self.w:
+            raise ValueError(f"window half-width {w} outside this table's 1..{self.w}")
+        if not np.all(np.abs(offsets) <= 0.5):
+            raise ValueError("subpixel offsets outside [-0.5, 0.5]^2")
+        n_pix = 2 * w + 1
+        pix = np.arange(-w, w + 1)
+        out = np.empty((len(offsets), n_pix * n_pix))
+        chunk = max(1, 2**18 // n_pix**2)
+        for lo in range(0, len(offsets), chunk):
+            eps = offsets[lo:lo + chunk]
+            # lattice coordinates of pixel (i, j); mirror mode reads x < 0
+            # as -x, which is exact because g is even
+            x = self.lattice * (pix - eps[:, :1])
+            y = self.lattice * (pix - eps[:, 1:])
+            coords = [np.repeat(x, n_pix, axis=1).ravel(), np.tile(y, n_pix).ravel()]
+            vals = ndimage.map_coordinates(self.coeffs, coords, order=5,
+                                           prefilter=False, mode="mirror")
+            out[lo:lo + chunk] = vals.reshape(len(eps), -1)
+        return out
+
+
+def render_signature_batch(psf, offsets, w):
     """Render signatures for many offsets at once.
 
-    offsets: array of shape (N, 2).  Returns an (N, (2w+1)**2) array of
-    row-major flattened signature values.  Offsets are not range-checked
-    here (the ALRT quadrature needs the boundary value +0.5 exactly);
-    use render_signature for the validated single-offset contract.
+    psf is an EffectivePsf covering half-width w, or a PsfModel to
+    tabulate first.  offsets: array of shape (N, 2), each in the closed
+    square [-0.5, 0.5]^2 (the ALRT bank needs the boundary value +0.5;
+    render_signature checks the half-open contract).  Returns an
+    (N, (2w+1)**2) array of row-major flattened signature values.
     """
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
-    n_pix = 2 * w + 1
-    coords, wts = _quad_points(w, q)
-    if chunk is None:
-        # keep the (chunk, Pq, Pq) PSF grid around 2e7 doubles
-        chunk = max(1, int(2e7) // (len(coords) * len(coords)))
-    out = np.empty((len(offsets), n_pix * n_pix))
-    for lo in range(0, len(offsets), chunk):
-        eps = offsets[lo:lo + chunk]
-        du = coords[None, :] - eps[:, 0][:, None]   # (c, Pq)
-        dv = coords[None, :] - eps[:, 1][:, None]
-        h = psf_value(model, du[:, :, None], dv[:, None, :])  # (c, Pq, Pq)
-        h = h.reshape(len(eps), n_pix, len(wts) // n_pix, n_pix, len(wts) // n_pix)
-        vals = np.einsum("a,b,niajb->nij", wts[:len(wts) // n_pix], wts[:len(wts) // n_pix], h)
-        out[lo:lo + chunk] = vals.reshape(len(eps), -1)
-    return out
+    table = psf if isinstance(psf, EffectivePsf) else EffectivePsf(psf, w)
+    return table.render(offsets, w)
 
 
-def render_signature(model, eps, w, q=DEFAULT_QUAD_ORDER):
+def render_signature(psf, eps, w):
     """Pixel-integrate the PSF over a (2w+1) x (2w+1) window.
 
-    Each value is the tensor-product Gauss-Legendre approximation (order
-    q per axis per pixel) of the PSF integral over the pixel's unit
-    square, for a source at subpixel offset eps.
+    Each value is the integral of the PSF over the pixel's unit square,
+    for a source at subpixel offset eps in [-0.5, 0.5[^2, read off the
+    effective-PSF table (psf: an EffectivePsf or a PsfModel).
     """
     if w < 1:
         raise ValueError("window half-width must be >= 1")
-    if q < 2:
-        raise ValueError("quadrature order must be >= 2")
     e1, e2 = _check_offset(eps)
-    vec = render_signature_batch(model, [(e1, e2)], w, q)[0]
+    vec = render_signature_batch(psf, [(e1, e2)], w)[0]
     n_pix = 2 * w + 1
-    return Signature(values=vec.reshape(n_pix, n_pix), offset=(e1, e2), w=w, r_c=model.r_c)
+    return Signature(values=vec.reshape(n_pix, n_pix), offset=(e1, e2), w=w, r_c=psf.r_c)
 
 
 def _grid_offsets(grid_size):
@@ -172,15 +239,27 @@ def _grid_offsets(grid_size):
     return np.column_stack([e1.ravel(), e2.ravel()])
 
 
-def average_energy(model, w=25, grid_size=20, q=DEFAULT_QUAD_ORDER):
+def average_energy(model):
     """Average spot energy E = mean over offsets of sum_ij s[i,j]^2.
 
-    Approximates the integral over the offset square by the grid_size^2
-    cell-center average.  w = 25 captures essentially the whole spot for
-    both sensor designs, so this matches the full-plane value.
+    Averaged over a uniform offset, the full-plane pixel sum becomes the
+    plane integral of g^2 (Poisson summation), and by Parseval
+    E = int_{|f| <= r_c} MTF(f)^2 sinc^2(f1) sinc^2(f2) df, with MTF the
+    circular-pupil OTF (Goodman, Fourier Optics).  Gauss-Legendre in
+    polar coordinates over the eighth of the disc that symmetry allows;
+    the radius is rho = r_c cos(beta), where MTF = (2 beta - sin 2 beta)/pi
+    is smooth up to the cutoff.
     """
-    vecs = render_signature_batch(model, _grid_offsets(grid_size), w, q)
-    return float(np.mean(np.sum(vecs**2, axis=1)))
+    r_c = model.r_c
+    n = 64 + 16 * math.ceil(r_c)   # converged to 1e-15 by 32 + 8 ceil(r_c)
+    nodes, weights = leggauss(n)
+    beta, w_beta = np.pi / 4 * (nodes + 1), np.pi / 4 * weights
+    theta, w_theta = np.pi / 8 * (nodes + 1), np.pi / 8 * weights
+    rho = r_c * np.cos(beta)
+    mtf = (2 * beta - np.sin(2 * beta)) / np.pi
+    ring = (np.sinc(rho[:, None] * np.cos(theta)) * np.sinc(rho[:, None] * np.sin(theta))) ** 2
+    radial = 8 * r_c**2 * np.cos(beta) * np.sin(beta) * mtf**2
+    return float(np.sum(w_beta * radial * (ring @ w_theta)))
 
 
 @dataclass(frozen=True)
@@ -198,7 +277,7 @@ class SignatureBank:
     w: int
     r_c: float
     grid_size: int
-    q: int = DEFAULT_QUAD_ORDER
+    q: int = DEFAULT_QUAD_ORDER      # recorded only; rendering does not read it
     center_index: int = field(default=-1)
 
     @property
@@ -229,8 +308,10 @@ class BoundBank:
     gram: np.ndarray       # (K,)
 
 
-def build_signature_bank(model, grid_size=20, w=2, q=DEFAULT_QUAD_ORDER):
+def build_signature_bank(psf, grid_size=20, w=2):
     """Render the offset-grid signature bank used by all detectors.
+
+    psf is an EffectivePsf covering half-width w, or a PsfModel.
 
     grid_size must be even so the cell centers tile [-0.5, 0.5[ without
     touching the excluded +0.5 boundary; the exact (0, 0) node is then
@@ -240,10 +321,10 @@ def build_signature_bank(model, grid_size=20, w=2, q=DEFAULT_QUAD_ORDER):
         raise ValueError("grid_size must be even and >= 2")
     offsets = _grid_offsets(grid_size)
     offsets = np.vstack([offsets, [0.0, 0.0]])
-    vectors = render_signature_batch(model, offsets, w, q)
+    vectors = render_signature_batch(psf, offsets, w)
     return SignatureBank(
-        offsets=offsets, vectors=vectors, w=w, r_c=model.r_c,
-        grid_size=grid_size, q=q, center_index=len(offsets) - 1,
+        offsets=offsets, vectors=vectors, w=w, r_c=psf.r_c,
+        grid_size=grid_size, center_index=len(offsets) - 1,
     )
 
 
@@ -279,16 +360,17 @@ def alrt_offsets():
     return np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=2)))
 
 
-def build_alrt_bank(model, w=2, q=DEFAULT_QUAD_ORDER):
-    """Bank over the 3x3 half-pixel nodes, rendered exactly.
+def build_alrt_bank(psf, w=2, q=None):
+    """Bank over the 3x3 half-pixel nodes.
 
     The +0.5 boundary lies outside the half-open offset set but the
     trapezoidal rule needs its value; it equals the -0.5 signature
-    shifted by one pixel.
+    shifted by one pixel.  psf is an EffectivePsf or a PsfModel; q is
+    accepted for callers that still pass a quadrature order, and ignored.
     """
     offsets = alrt_offsets()
-    vectors = render_signature_batch(model, offsets, w, q)
+    vectors = render_signature_batch(psf, offsets, w)
     return SignatureBank(
-        offsets=offsets, vectors=vectors, w=w, r_c=model.r_c,
-        grid_size=3, q=q, center_index=4,
+        offsets=offsets, vectors=vectors, w=w, r_c=psf.r_c,
+        grid_size=3, center_index=4,
     )

@@ -27,6 +27,8 @@ from subpixdet.optics import (
 
 JOBS = 4
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(capsys, number, name, ok, detail):
     with capsys.disabled():

@@ -115,6 +115,17 @@ class TestScore:
         assert code == 2
         assert "numerical error" in err
 
+    def test_negative_ridge_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "win.csv"
+        write_window(path, w=1)
+        acf_path = tmp_path / "acf.csv"
+        with open(acf_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(np.eye(5).tolist())
+        code, _, err = run_cli(capsys, "score", "--window", str(path),
+                               "--acf-file", str(acf_path), "--ridge", "-1")
+        assert code == 1
+        assert "ridge" in err
+
     def test_bad_window_shape_exits_1(self, capsys, tmp_path):
         path = tmp_path / "win.csv"
         with open(path, "w", newline="") as fh:
@@ -185,6 +196,20 @@ class TestRocCommand:
         code, _, err = run_cli(capsys, "mse", "--preset", "fig5-high",
                                "--out", str(tmp_path))
         assert code == 1
+
+    def test_nan_snr_exits_1_without_output(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "roc", "--snr-db", "nan", "--n-h0", "200",
+                               "--n-h1", "200", "--out", str(tmp_path))
+        assert code == 1
+        assert "snr_db" in err
+        assert not (tmp_path / "roc.csv").exists()
+
+    def test_negative_ridge_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "roc", "--preset", "fig7", "--ridge", "-1",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert "ridge" in err
+        assert not (tmp_path / "roc.csv").exists()
 
     def test_bad_config_line_reports_lineno(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from subpixdet import clutter, harness
 from subpixdet.harness import (
     ConfigError, ExperimentConfig, alpha_to_snr, average_energy_cached,
     empirical_roc_from_scores, run_mse, run_roc, snr_to_alpha,
@@ -35,6 +36,15 @@ class TestConfig:
             ExperimentConfig(snr_db=15.0, estimators=("MAP",)).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(snr_db=15.0, grid_size=7).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("snr_db", float("nan")), ("snr_db", float("inf")), ("alpha", float("nan")),
+        ("sigma", float("inf")), ("snr_sweep", (10.0, float("nan"))), ("ridge", -1.0),
+    ])
+    def test_rejects_non_finite_and_negative_ridge(self, field, value):
+        fields = {"snr_db": 15.0, field: value}
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**fields).validate()
 
     def test_asdict_round_trip(self):
         cfg = ExperimentConfig(snr_db=12.0, seed=3)
@@ -69,6 +79,12 @@ class TestAverageEnergy:
     def test_cached(self):
         assert average_energy_cached(2.44) is not None
         assert average_energy_cached.cache_info().hits >= 1
+
+    def test_cache_keyed_on_r_c_alone(self):
+        average_energy_cached.cache_clear()
+        average_energy_cached(2.44)
+        average_energy_cached(2.44, 16)
+        assert average_energy_cached.cache_info().misses == 1
 
 
 class TestEmpiricalRoc:
@@ -156,6 +172,27 @@ class TestRunRoc:
                                detectors=("GLRT",))
         curve = run_roc(cfg)[0]
         assert curve.pfa[-1] == 1.0 and np.all(np.isfinite(curve.thresholds[1:]))
+
+    def test_train_equals_test_synthesizes_image_once(self, monkeypatch):
+        cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=128,
+                               alpha=0.3, n_h0=500, n_h1=500, seed=2,
+                               detectors=("GLRT",), train_equals_test=True)
+        seeds = []
+        synthesize = clutter.synthesize_fbm
+
+        def counting(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(clutter, "synthesize_fbm", counting)
+        run_roc(cfg)
+        assert seeds == [[2, 0, 0]]
+        # the reused training image draws the same windows as a fresh
+        # synthesis of it
+        train = synthesize(cfg.hurst, cfg.image_size, seed=[2, 0, 0])
+        reused = harness._WindowSource(cfg, 25, train).noise(300, 2, 0)
+        fresh = harness._WindowSource(cfg, 25).noise(300, 2, 0)
+        np.testing.assert_array_equal(reused, fresh)
 
 
 class TestRunMse:

@@ -1,11 +1,52 @@
 import numpy as np
 import mpmath
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from subpixdet.optics import (
-    PsfModel, bessel_j1, psf_value, render_signature, render_signature_batch,
-    average_energy, build_signature_bank, save_bank_csv, load_bank_csv,
+    EffectivePsf, PsfModel, alrt_offsets, bessel_j1, psf_value, render_signature,
+    render_signature_batch, average_energy, build_signature_bank, save_bank_csv,
+    load_bank_csv,
 )
+
+
+# ---------------------------------------------------------------------------
+# Test-local oracles, independent of the effective-PSF table and of the
+# Parseval energy: direct per-pixel Gauss-Legendre integration of the
+# PSF, and the spot energy averaged over a grid of offsets.
+
+def direct_signature_batch(model, offsets, w, q=16):
+    """Tensor-product Gauss-Legendre (order q per axis per pixel) pixel
+    integrals of the PSF; an (N, (2w+1)**2) array, row-major."""
+    if q < 2:
+        raise ValueError("quadrature order must be >= 2")
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
+    nodes, weights = leggauss(q)
+    coords = (np.arange(-w, w + 1)[:, None] + 0.5 * nodes).ravel()
+    wts = 0.5 * weights
+    n_pix = 2 * w + 1
+    chunk = max(1, int(2e7) // len(coords) ** 2)
+    out = np.empty((len(offsets), n_pix * n_pix))
+    for lo in range(0, len(offsets), chunk):
+        eps = offsets[lo:lo + chunk]
+        du = coords - eps[:, :1]
+        dv = coords - eps[:, 1:]
+        h = psf_value(model, du[:, :, None], dv[:, None, :])
+        h = h.reshape(len(eps), n_pix, q, n_pix, q)
+        out[lo:lo + chunk] = np.einsum("a,b,niajb->nij", wts, wts, h).reshape(len(eps), -1)
+    return out
+
+
+def direct_signature(model, eps, w, q=16):
+    return direct_signature_batch(model, [eps], w, q)[0].reshape(2 * w + 1, 2 * w + 1)
+
+
+def grid_average_energy(model, w=25, grid_size=20, q=16):
+    """Mean of sum_ij s[i,j]^2 over the grid_size^2 cell-center offsets."""
+    e = (np.arange(grid_size) + 0.5) / grid_size - 0.5
+    offsets = np.column_stack([np.repeat(e, grid_size), np.tile(e, grid_size)])
+    vecs = direct_signature_batch(model, offsets, w, q)
+    return float(np.mean(np.sum(vecs**2, axis=1)))
 
 
 def j1_series(x, dps=400):
@@ -121,8 +162,9 @@ class TestRenderSignature:
         np.testing.assert_allclose(a, c[:, ::-1], atol=1e-12)
 
     def test_quadrature_converged(self, model244):
-        a = render_signature(model244, (0.37, -0.11), w=2, q=16).values
-        b = render_signature(model244, (0.37, -0.11), w=2, q=32).values
+        # the direct oracle at q=16 is the reference of TestEffectivePsf
+        a = direct_signature(model244, (0.37, -0.11), w=2, q=16)
+        b = direct_signature(model244, (0.37, -0.11), w=2, q=32)
         assert np.max(np.abs(a - b)) <= 1e-8
 
     def test_offset_validation(self, model244):
@@ -132,14 +174,58 @@ class TestRenderSignature:
         with pytest.raises(ValueError):
             render_signature(model244, (0.0, 0.0), w=0)
         with pytest.raises(ValueError):
-            render_signature(model244, (0.0, 0.0), w=2, q=1)
+            direct_signature(model244, (0.0, 0.0), w=2, q=1)
+
+
+class TestEffectivePsf:
+    @pytest.mark.parametrize("r_c, w", [(2.44, 1), (2.44, 2), (2.44, 4), (0.5, 5)])
+    def test_matches_direct_quadrature(self, r_c, w):
+        model = PsfModel(r_c)
+        offsets = np.vstack([np.random.default_rng(7).uniform(-0.5, 0.5, (2000, 2)),
+                             alrt_offsets()])
+        table = render_signature_batch(EffectivePsf(model, w), offsets, w)
+        assert np.max(np.abs(table - direct_signature_batch(model, offsets, w))) <= 1e-9
+
+    @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5)])
+    def test_lattice_nodes(self, r_c, w):
+        model = PsfModel(r_c)
+        psf = EffectivePsf(model, w)
+        k = psf.lattice
+        e = np.arange(-k // 2, k // 2 + 1, 3) / k
+        offsets = np.column_stack([np.repeat(e, len(e)), np.tile(e, len(e))])
+        err = np.abs(psf.render(offsets, w) - direct_signature_batch(model, offsets, w))
+        assert err.max() <= 1e-12
+
+    def test_narrower_windows_share_one_table(self, model244):
+        psf = EffectivePsf(model244, 4)
+        offsets = [(0.3, -0.2), (-0.5, 0.5)]
+        wide = psf.render(offsets, 4).reshape(2, 9, 9)
+        np.testing.assert_array_equal(psf.render(offsets, 2).reshape(2, 5, 5),
+                                      wide[:, 2:7, 2:7])
+
+    def test_range_checks(self, model244):
+        psf = EffectivePsf(model244, 2)
+        with pytest.raises(ValueError):
+            psf.render([(0.0, 0.0)], 3)
+        for eps in [(0.5 + 1e-9, 0.0), (0.0, -0.7), (np.nan, 0.0)]:
+            with pytest.raises(ValueError):
+                render_signature_batch(psf, [eps], 2)
 
 
 class TestAverageEnergy:
     def test_degenerate_grid_is_single_node_energy(self, model244):
-        sig = render_signature(model244, (0.0, 0.0), w=8)
-        assert average_energy(model244, w=8, grid_size=1) == pytest.approx(
-            float(np.sum(sig.values**2)), rel=1e-12)
+        # the grid-average oracle at one node is that node's energy
+        sig = direct_signature(model244, (0.0, 0.0), w=8)
+        assert grid_average_energy(model244, w=8, grid_size=1) == pytest.approx(
+            float(np.sum(sig**2)), rel=1e-12)
+
+    @pytest.mark.parametrize("r_c, grid_size", [(2.44, 6), (0.5, 2)])
+    def test_parseval_matches_grid_average(self, r_c, grid_size):
+        # by Poisson summation a small offset grid already averages
+        # the full-plane energy exactly, up to the w=25 truncation
+        model = PsfModel(r_c)
+        assert average_energy(model) == pytest.approx(
+            grid_average_energy(model, w=25, grid_size=grid_size), rel=1e-6)
 
 
 class TestSignatureBank:
