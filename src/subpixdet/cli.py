@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import clutter, estimators, harness, optics
+from . import clutter, harness, optics
 from .clutter import IndefiniteCovarianceError
-from .detectors import alrt, build_subspace, elrt, glrt, gpmf, sm_glrt
+from .detectors import DETECTOR_IDS, batch_scores, batch_statistics, build_subspace
+from .estimators import ESTIMATOR_IDS, batch_estimates
 from .harness import ConfigError, ExperimentConfig
 from .optics import PsfModel
 
@@ -45,30 +46,20 @@ PRESETS = {
 }
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
-_TUPLE_KEYS = {"snr_sweep", "detectors", "estimators", "eps_fixed"}
-_INT_KEYS = {"w", "grid_size", "q", "image_size", "n_h0", "n_h1", "n_trials",
-             "seed", "subspace_order", "jobs"}
-_BOOL_KEYS = {"train_equals_test"}
-_STR_KEYS = {"noise", "eps_mode"}
 
 
-def _parse_value(key, raw):
-    if key in _TUPLE_KEYS:
-        items = [tok.strip() for tok in raw.split(",") if tok.strip()]
-        if key in ("detectors", "estimators"):
-            return tuple(items)
-        return tuple(float(tok) for tok in items)
-    if key in _BOOL_KEYS:
+def _parse_value(kind, raw):
+    """Parse raw text as the annotated type of a config field."""
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes"):
             return True
         if raw.lower() in ("0", "false", "no"):
             return False
-        raise ValueError(f"expected a boolean for {key}, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _STR_KEYS:
-        return raw
-    return float(raw)
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    if getattr(kind, "__origin__", None) is tuple:     # tuple[float, ...] etc.
+        item = kind.__args__[0]
+        return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+    return kind(raw)
 
 
 def load_config_file(path):
@@ -91,9 +82,9 @@ def load_config_file(path):
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _parse_value(key, raw)
+            values[key] = _parse_value(_CONFIG_FIELDS[key], raw)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}")
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}")
     return values
 
 
@@ -163,6 +154,8 @@ def cmd_signature(args):
 
 
 def cmd_clutter(args):
+    if args.size < 2:
+        raise ConfigError(f"--size must be >= 2, got {args.size}")
     size = 1
     while size < args.size:
         size *= 2
@@ -199,35 +192,49 @@ def _window_context(args, w):
         cov = clutter.assemble_window_covariance(table, w, lam=args.ridge)
     else:
         cov = clutter.white_covariance(args.sigma, w)
-    return bank.bind(cov), bank9.bind(cov), build_subspace(bank, 1), cov
+    return bank.bind(cov), bank9.bind(cov), build_subspace(bank, 1)
+
+
+def _read_window(args):
+    """The window as a batch of one row vector, and its half-width."""
+    window = _load_window(args.window)
+    z = window.ravel() - (window.mean() if args.remove_mean else 0.0)
+    return z[None, :], (window.shape[0] - 1) // 2
+
+
+def _amplitude_fit(windows, bound):
+    """ML amplitude t_k / d_k and offset of the GPMF node (the center) and
+    of the GLRT/ML node (the argmax), as output fields."""
+    t, ratios = batch_statistics(windows, bound)
+
+    def fit(k):
+        e1, e2 = bound.bank.offsets[k]
+        return repr(float(t[0, k] / bound.gram[k])), repr(float(e1)), repr(float(e2))
+
+    return {"GPMF": fit(bound.bank.center_index), "GLRT": fit(int(np.argmax(ratios[0])))}
 
 
 def cmd_score(args):
-    window = _load_window(args.window)
-    z = window.ravel() - (window.mean() if args.remove_mean else 0.0)
-    w = (window.shape[0] - 1) // 2
-    bound, bound9, subspace, cov = _window_context(args, w)
-    scores = [gpmf(z, bound), glrt(z, bound), elrt(z, bound),
-              alrt(z, bound9), sm_glrt(z, subspace, cov)]
+    windows, w = _read_window(args)
+    bound, bound9, subspace = _window_context(args, w)
+    scores = batch_scores(windows, bound, bound9, subspace)
+    fits = _amplitude_fit(windows, bound)
     print("detector,score,alpha_hat,eps1_hat,eps2_hat")
-    for s in scores:
-        alpha = "" if s.alpha_hat is None else repr(s.alpha_hat)
-        e1, e2 = ("", "") if s.eps_hat is None else (repr(s.eps_hat[0]), repr(s.eps_hat[1]))
-        print(f"{s.detector},{s.score!r},{alpha},{e1},{e2}")
+    for det in DETECTOR_IDS:
+        alpha, e1, e2 = fits.get(det, ("", "", ""))
+        print(f"{det},{float(scores[det][0])!r},{alpha},{e1},{e2}")
     return 0
 
 
 def cmd_estimate(args):
-    window = _load_window(args.window)
-    z = window.ravel() - (window.mean() if args.remove_mean else 0.0)
-    w = (window.shape[0] - 1) // 2
-    bound, _, _, _ = _window_context(args, w)
-    results = [estimators.estimate_ml(z, bound), estimators.estimate_pm(z, bound),
-               estimators.estimate_default()]
+    windows, w = _read_window(args)
+    bound, _, _ = _window_context(args, w)
+    estimates = batch_estimates(windows, bound)
+    alpha = {"ML": _amplitude_fit(windows, bound)["GLRT"][0]}
     print("estimator,eps1,eps2,alpha_hat")
-    for r in results:
-        alpha = "" if r.alpha_hat is None else repr(r.alpha_hat)
-        print(f"{r.estimator},{r.eps_hat[0]!r},{r.eps_hat[1]!r},{alpha}")
+    for name in ESTIMATOR_IDS:
+        e1, e2 = estimates[name][0]
+        print(f"{name},{float(e1)!r},{float(e2)!r},{alpha.get(name, '')}")
     return 0
 
 
@@ -285,18 +292,9 @@ def _add_experiment_flags(parser):
     parser.add_argument("--config", help="key=value config file or meta.json manifest")
     parser.add_argument("--preset", help="built-in preset name")
     parser.add_argument("--out", default=".", help="output directory")
-    for key in _CONFIG_FIELDS:
-        flag = "--" + key.replace("_", "-")
-        if key in _TUPLE_KEYS:
-            parser.add_argument(flag, type=lambda raw, k=key: _parse_value(k, raw))
-        elif key in _BOOL_KEYS:
-            parser.add_argument(flag, type=lambda raw, k=key: _parse_value(k, raw))
-        elif key in _INT_KEYS:
-            parser.add_argument(flag, type=int)
-        elif key in _STR_KEYS:
-            parser.add_argument(flag)
-        else:
-            parser.add_argument(flag, type=float)
+    for key, kind in _CONFIG_FIELDS.items():
+        parser.add_argument("--" + key.replace("_", "-"),
+                            type=lambda raw, kind=kind: _parse_value(kind, raw))
 
 
 _Q_HELP = "accepted and ignored: rendering no longer uses a quadrature order"

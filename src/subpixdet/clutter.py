@@ -15,9 +15,7 @@ __all__ = [
     "NoiseField",
     "CovarianceModel",
     "IndefiniteCovarianceError",
-    "sample_white",
     "synthesize_fbm",
-    "remove_mean",
     "estimate_autocovariance",
     "assemble_window_covariance",
     "white_covariance",
@@ -41,18 +39,6 @@ class NoiseField:
     @property
     def shape(self):
         return self.values.shape
-
-
-def sample_white(sigma, shape, seed):
-    """I.i.d. zero-mean Gaussian field, reproducible from the seed.
-
-    The generator draws unit normals and scales by sigma, so fields with
-    the same seed are exact scalar multiples of each other.
-    """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    rng = np.random.default_rng(seed)
-    return NoiseField(values=sigma * rng.standard_normal(shape), kind="white", sigma=sigma)
 
 
 def synthesize_fbm(hurst, size=256, seed=None, crop=None):
@@ -81,14 +67,6 @@ def synthesize_fbm(hurst, size=256, seed=None, crop=None):
         field = field[:crop, :crop].copy()
         field = (field - field.mean()) / field.std()
     return NoiseField(values=field, kind="fractal", hurst=hurst)
-
-
-def remove_mean(field):
-    """Subtract the scalar empirical mean (idempotent)."""
-    return NoiseField(
-        values=field.values - field.values.mean(),
-        kind=field.kind, sigma=field.sigma, hurst=field.hurst,
-    )
 
 
 def estimate_autocovariance(field, max_lag):
@@ -127,8 +105,8 @@ def assemble_window_covariance(acf, w, lam=1e-6):
     pixels, plus ridge lam * acf(0,0) on the diagonal.  Raises
     IndefiniteCovarianceError if the result is not positive definite.
     """
-    if not lam >= 0:
-        raise ValueError(f"ridge must be >= 0, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"ridge must be finite and >= 0, got {lam}")
     acf = np.asarray(acf, dtype=float)
     max_lag = (acf.shape[0] - 1) // 2
     if max_lag < 2 * w:
@@ -154,7 +132,7 @@ def assemble_window_covariance(acf, w, lam=1e-6):
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Window noise covariance with solve / quadratic-form services.
+    """Window noise covariance with a solve service.
 
     Immutable after construction; the Cholesky factor is stored so every
     statistic shares numerically identical solves.
@@ -176,18 +154,6 @@ class CovarianceModel:
         if self.form == "white":
             return y / self.sigma2
         return cho_solve(self._factor, y)
-
-    def quad(self, x, y):
-        """Quadratic form x^T R^{-1} y."""
-        return float(np.dot(np.asarray(x, dtype=float), self.solve(y)))
-
-    def whiten(self, y):
-        """L^{-1} y with R = L L^T; white noise maps to unit white noise."""
-        y = np.asarray(y, dtype=float)
-        if self.form == "white":
-            return y / np.sqrt(self.sigma2)
-        from scipy.linalg import solve_triangular
-        return solve_triangular(self._factor[0], y, lower=True)
 
 
 def write_pgm(field, path):

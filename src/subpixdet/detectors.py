@@ -1,11 +1,13 @@
-"""The five detection statistics for a single data window.
+"""The five detection statistics, scored on a stack of data windows.
 
-All detectors score a mean-removed window vector z against a signature
+All detectors score mean-removed window vectors z against a signature
 bank bound to a covariance model.  GPMF assumes a pixel-centered target;
 GLRT maximizes over the offset grid; ELRT marginalizes the offset by
 grid quadrature of the flat-amplitude-prior likelihood ratio; ALRT is
 the same integral on a coarse 3x3 half-pixel trapezoidal rule; SM-GLRT
-replaces the signature family by its leading singular subspace.
+replaces the signature family by its leading singular subspace.  One
+window is scored as a batch of one, so a single-window score is the
+statistic the Monte Carlo measured.
 
 ELRT and ALRT scores are reported in the log domain: the likelihood
 ratio integrand grows like exp(t^2/2) and overflows at high amplitude,
@@ -17,17 +19,10 @@ from dataclasses import dataclass
 from scipy.special import logsumexp
 
 __all__ = [
-    "DetectorScore",
     "SubspaceModel",
     "DETECTOR_IDS",
-    "matched_statistic",
-    "gpmf",
-    "glrt",
-    "elrt",
-    "alrt",
     "ALRT_WEIGHTS",
     "build_subspace",
-    "sm_glrt",
     "batch_statistics",
     "batch_scores",
 ]
@@ -37,16 +32,6 @@ DETECTOR_IDS = ("GPMF", "GLRT", "ELRT", "ALRT", "SM-GLRT")
 # trapezoidal rule on [-0.5, 0.5]^2 with nodes {-0.5, 0, 0.5}:
 # (1/4, 1/2, 1/4) per axis, tensorized; sums to 1.
 ALRT_WEIGHTS = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()
-
-
-@dataclass(frozen=True)
-class DetectorScore:
-    """A named statistic value plus optional amplitude/offset byproducts."""
-
-    detector: str
-    score: float
-    alpha_hat: float = None
-    eps_hat: tuple = None
 
 
 @dataclass(frozen=True)
@@ -65,83 +50,6 @@ class SubspaceModel:
         return self.basis.shape[1]
 
 
-def _node_index(bound, eps):
-    match = np.all(np.isclose(bound.bank.offsets, np.asarray(eps, dtype=float),
-                              rtol=0, atol=1e-12), axis=1)
-    idx = np.flatnonzero(match)
-    if len(idx) == 0:
-        raise ValueError(f"offset {eps} is not a bank node")
-    return idx[0]
-
-
-def matched_statistic(z, eps, bound):
-    """Matched filter T_eps(z) = s_eps^T R^{-1} z at a bank node."""
-    k = _node_index(bound, eps)
-    return float(bound.whitened[k] @ np.asarray(z, dtype=float))
-
-
-def gpmf(z, bound):
-    """Generalized pixel matched filter: amplitude-ML filter at eps = (0, 0).
-
-    score = |s0^T R^{-1} z|^2 / (s0^T R^{-1} s0); alpha_hat is the ML
-    amplitude, whose sign is not identified by the modulus-squared score.
-    """
-    k = bound.bank.center_index
-    t = float(bound.whitened[k] @ np.asarray(z, dtype=float))
-    return DetectorScore(detector="GPMF", score=float(t * t / bound.gram[k]),
-                         alpha_hat=float(t / bound.gram[k]),
-                         eps_hat=(float(bound.bank.offsets[k][0]), float(bound.bank.offsets[k][1])))
-
-
-def glrt(z, bound):
-    """GLRT: maximize the amplitude-ML filter over the whole node set.
-
-    Ties resolve to the first node in bank order (np.argmax convention).
-    """
-    t = bound.whitened @ np.asarray(z, dtype=float)
-    ratios = t * t / bound.gram
-    k = int(np.argmax(ratios))
-    return DetectorScore(detector="GLRT", score=float(ratios[k]),
-                         alpha_hat=float(t[k] / bound.gram[k]),
-                         eps_hat=(float(bound.bank.offsets[k][0]), float(bound.bank.offsets[k][1])))
-
-
-def _log_integrand(z, bound, indices):
-    t = bound.whitened[indices] @ np.asarray(z, dtype=float)
-    d = bound.gram[indices]
-    return t * t / (2 * d) - 0.5 * np.log(d)
-
-
-def elrt(z, bound, quad_indices=None):
-    """ELRT: log of the offset-marginalized likelihood ratio.
-
-    Averages the integrand exp(t_k^2 / (2 d_k)) / sqrt(d_k) uniformly
-    over the offset-grid nodes (default: the full grid, excluding the
-    appended exact-center node), stabilized by log-sum-exp.
-    """
-    if quad_indices is None:
-        quad_indices = bound.bank.grid_indices
-    quad_indices = np.asarray(quad_indices)
-    if len(quad_indices) == 0:
-        raise ValueError("ELRT quadrature grid is empty")
-    a = _log_integrand(z, bound, quad_indices)
-    return DetectorScore(detector="ELRT",
-                         score=float(logsumexp(a) - np.log(len(quad_indices))))
-
-
-def alrt(z, bound9):
-    """ALRT: the ELRT integral on the 3x3 half-pixel trapezoidal rule.
-
-    bound9 must be a bound bank over the nine exact half-pixel offsets
-    (see optics.build_alrt_bank).
-    """
-    if bound9.bank.n_nodes != 9:
-        raise ValueError("ALRT needs the 9-node half-pixel bank")
-    a = _log_integrand(z, bound9, np.arange(9))
-    return DetectorScore(detector="ALRT",
-                         score=float(logsumexp(a, b=ALRT_WEIGHTS)))
-
-
 def build_subspace(bank, order=1):
     """SVD of the raw (unwhitened) signature family, top singular vectors.
 
@@ -158,26 +66,8 @@ def build_subspace(bank, order=1):
     return SubspaceModel(basis=basis, singular_values=s[:order].copy())
 
 
-def sm_glrt(z, subspace, cov):
-    """Subspace-model GLRT statistic D(z).
-
-    D(z) = z^T R^{-1} S (S^T R^{-1} S)^{-1} S^T R^{-1} z.  For order 1
-    this reduces algebraically to the GPMF formula with the leading
-    singular vector in place of the centered signature.
-    """
-    z = np.asarray(z, dtype=float)
-    wh = cov.solve(subspace.basis)             # R^{-1} S, (n, P)
-    gram = subspace.basis.T @ wh               # S^T R^{-1} S
-    t = wh.T @ z
-    try:
-        coeff = np.linalg.solve(gram, t)
-    except np.linalg.LinAlgError:
-        raise ValueError("S^T R^{-1} S is singular; subspace basis degenerate")
-    return DetectorScore(detector="SM-GLRT", score=float(t @ coeff))
-
-
 # ---------------------------------------------------------------------------
-# Vectorized scoring used by the Monte Carlo harness.
+# Scoring, shared by the Monte Carlo harness and the CLI.
 
 def batch_statistics(windows, bound):
     """Per-node amplitude-ML filter values for a stack of windows.
@@ -193,8 +83,11 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
                  detectors=DETECTOR_IDS):
     """Score a stack of windows with the selected detectors.
 
-    Returns a dict detector -> (N,) score array.  Each column matches
-    the single-window functions to floating-point roundoff.
+    Returns a dict detector -> (N,) score array.  GPMF is t^2/d at the
+    exact-center node; GLRT is its maximum over the bank; ELRT is the
+    log-mean over the grid nodes of exp(t^2 / (2d)) / sqrt(d); ALRT is
+    the same integrand on the 9-node bank, trapezoid-weighted; SM-GLRT
+    is z^T R^{-1} S (S^T R^{-1} S)^{-1} S^T R^{-1} z.
     """
     windows = np.asarray(windows, dtype=float)
     out = {}

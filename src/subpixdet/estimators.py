@@ -6,45 +6,20 @@ The posterior-mean (PM) estimator averages the grid nodes under the
 amplitude-marginalized posterior; its weights use the same log-domain
 stabilization as the ELRT.  The default estimator always answers the
 pixel center, whose per-axis MSE against a uniform true offset is 1/12.
+One window is estimated as a batch of one.
 """
 
 import numpy as np
-from dataclasses import dataclass
 from scipy.special import logsumexp
 
-from .detectors import batch_statistics, glrt
+from .detectors import batch_statistics
 
 __all__ = [
-    "PositionEstimate",
     "ESTIMATOR_IDS",
-    "estimate_ml",
-    "estimate_pm",
-    "estimate_default",
     "batch_estimates",
 ]
 
 ESTIMATOR_IDS = ("ML", "PM", "DEFAULT")
-
-
-@dataclass(frozen=True)
-class PositionEstimate:
-    """Estimated subpixel offset, with amplitude where the estimator has one.
-
-    PM marginalizes the amplitude, so alpha_hat is None there; weights
-    (PM only) are the posterior masses over the offset grid, summing to 1.
-    """
-
-    estimator: str
-    eps_hat: tuple
-    alpha_hat: float = None
-    weights: np.ndarray = None
-
-
-def estimate_ml(z, bound):
-    """ML offset estimate: the GLRT argmax node, with its ML amplitude."""
-    score = glrt(z, bound)
-    return PositionEstimate(estimator="ML", eps_hat=score.eps_hat,
-                            alpha_hat=score.alpha_hat)
 
 
 def _pm_log_weights(ratios, bound):
@@ -52,31 +27,14 @@ def _pm_log_weights(ratios, bound):
     return ratios[..., gi] / 2 - 0.5 * np.log(bound.gram[gi])
 
 
-def estimate_pm(z, bound):
-    """Posterior-mean offset estimate over the offset grid.
-
-    Weights w_k are proportional to exp(t_k^2 / (2 d_k)) / sqrt(d_k) on
-    the grid nodes; the estimate is the weighted node average, always
-    inside the convex hull of the grid.
-    """
-    t, ratios = batch_statistics(np.asarray(z, dtype=float)[None, :], bound)
-    logw = _pm_log_weights(ratios[0], bound)
-    weights = np.exp(logw - logsumexp(logw))
-    eps_hat = weights @ bound.bank.offsets[bound.bank.grid_indices]
-    return PositionEstimate(estimator="PM", eps_hat=(float(eps_hat[0]), float(eps_hat[1])),
-                            weights=weights)
-
-
-def estimate_default(z=None):
-    """Center-of-pixel default: always (0, 0)."""
-    return PositionEstimate(estimator="DEFAULT", eps_hat=(0.0, 0.0))
-
-
 def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
     """Offset estimates for a stack of windows.
 
-    Returns a dict estimator -> (N, 2) array of offset estimates,
-    matching the single-window functions to roundoff.
+    Returns a dict estimator -> (N, 2) array of offset estimates.  ML is
+    the GLRT argmax node (ties resolve to the first node in bank order);
+    PM averages the grid nodes with weights proportional to
+    exp(t_k^2 / (2 d_k)) / sqrt(d_k), so it stays inside their convex
+    hull; DEFAULT is (0, 0).
     """
     windows = np.asarray(windows, dtype=float)
     out = {}

@@ -2,8 +2,9 @@
 pixel-matched-filter ROC curves, and estimator MSE sweeps.
 
 All randomness flows from a single master seed through fixed
-(stream, chunk) substreams, so results are reproducible bit-for-bit and
-independent of how trials are chunked across workers.
+(stream, chunk) substreams, keyed by the index of each chunk of _CHUNK
+trials, so results are reproducible bit-for-bit and independent of the
+number of worker threads.
 """
 
 import csv
@@ -28,7 +29,6 @@ __all__ = [
     "RocCurve",
     "MseReport",
     "snr_to_alpha",
-    "alpha_to_snr",
     "empirical_roc_from_scores",
     "run_roc",
     "run_mse",
@@ -40,9 +40,14 @@ __all__ = [
 
 _CHUNK = 20_000
 
-# substream tags: one fixed integer per independent random ingredient
-_STREAM_TRAIN, _STREAM_TEST, _STREAM_H0, _STREAM_H1, _STREAM_EPS, \
-    _STREAM_POS0, _STREAM_POS1, _STREAM_MSE = range(8)
+# substream tags: one fixed integer per independent random ingredient.
+# 5 and 6 are retired; renumbering a tag would change every result.
+_STREAM_TRAIN = 0
+_STREAM_TEST = 1
+_STREAM_H0 = 2
+_STREAM_H1 = 3
+_STREAM_EPS = 4
+_STREAM_MSE = 7
 
 
 class ConfigError(ValueError):
@@ -51,7 +56,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a ROC or MSE run needs, with paper-style defaults."""
+    """Everything a ROC or MSE run needs, with paper-style defaults.
+
+    The CLI derives each flag and config-file key from a field and
+    parses its value as the field's annotated type.
+    """
 
     r_c: float = 2.44
     w: int = 2
@@ -68,12 +77,12 @@ class ExperimentConfig:
     n_h0: int = 100_000
     n_h1: int = 100_000
     n_trials: int = 10_000          # per MSE SNR point
-    snr_sweep: tuple = ()
+    snr_sweep: tuple[float, ...] = ()
     seed: int = 0
-    detectors: tuple = DETECTOR_IDS
-    estimators: tuple = ESTIMATOR_IDS
+    detectors: tuple[str, ...] = DETECTOR_IDS
+    estimators: tuple[str, ...] = ESTIMATOR_IDS
     eps_mode: str = "uniform"       # "uniform" | "fixed"
-    eps_fixed: tuple = (0.0, 0.0)
+    eps_fixed: tuple[float, ...] = (0.0, 0.0)
     subspace_order: int = 1
     ridge: float = 1e-6
     train_equals_test: bool = False  # fractal: reuse the training image
@@ -86,8 +95,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not all(math.isfinite(snr) for snr in self.snr_sweep):
             raise ConfigError(f"snr_sweep entries must be finite, got {self.snr_sweep}")
-        if not self.ridge >= 0:
-            raise ConfigError(f"ridge must be >= 0, got {self.ridge}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.noise not in ("white", "fractal"):
             raise ConfigError(f"unknown noise kind {self.noise!r}")
         if self.noise == "fractal" and not (0 < self.hurst < 1):
@@ -155,10 +164,6 @@ def snr_to_alpha(snr_db, sigma, energy):
     if not (sigma > 0 and energy > 0):
         raise ValueError("sigma and energy must be positive")
     return sigma * 10 ** (snr_db / 20) / math.sqrt(energy)
-
-
-def alpha_to_snr(alpha, sigma, energy):
-    return 10 * math.log10(alpha**2 * energy / sigma**2)
 
 
 @lru_cache(maxsize=None)
@@ -390,7 +395,7 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
         cross = bank.vectors[bank.grid_indices] @ s0
         name = "PMF-mean"
     else:
-        sig = render_signature_batch(PsfModel(bank.r_c), [tuple(eps_star)], bank.w)[0]
+        sig = render_signature_batch(bank.psf, [tuple(eps_star)], bank.w)[0]
         cross = np.array([sig @ s0])
         name = f"PMF({eps_star[0]},{eps_star[1]})"
     deflection = alpha * cross / scale

@@ -10,7 +10,6 @@ the target *signature*.  Signatures are read off one table of the
 pixel-integrated PSF (EffectivePsf), built once per model and window.
 """
 
-import csv
 import itertools
 import math
 
@@ -26,14 +25,11 @@ __all__ = [
     "BoundBank",
     "EffectivePsf",
     "DEFAULT_QUAD_ORDER",
-    "bessel_j1",
     "psf_value",
     "render_signature",
     "render_signature_batch",
     "average_energy",
     "build_signature_bank",
-    "save_bank_csv",
-    "load_bank_csv",
     "alrt_offsets",
     "build_alrt_bank",
 ]
@@ -42,15 +38,6 @@ __all__ = [
 # still the default of the `q` config field and bank attribute, but
 # rendering and the spot energy no longer depend on it.
 DEFAULT_QUAD_ORDER = 16
-
-
-def bessel_j1(x):
-    """Bessel function of the first kind J1.
-
-    Absolute error <= 1e-10 over |x| <= 500 (verified against a power
-    series oracle in the test suite).  Accepts scalars or arrays.
-    """
-    return special.j1(x)
 
 
 @dataclass(frozen=True)
@@ -64,15 +51,17 @@ class PsfModel:
     r_c: float
 
     def __post_init__(self):
-        if not (self.r_c > 0):
-            raise ValueError(f"r_c must be > 0, got {self.r_c}")
+        if not (math.isfinite(self.r_c) and self.r_c > 0):
+            raise ValueError(f"r_c must be finite and > 0, got {self.r_c}")
 
 
 def psf_value(model, u, v):
     """Airy PSF h(u, v) = (1/pi) * [J1(pi*rho*r_c)/rho]^2, rho = |(u,v)|.
 
     Vectorized over u, v.  The removable singularity at rho = 0 takes
-    its analytic limit pi * r_c**2 / 4.
+    its analytic limit pi * r_c**2 / 4.  J1 is scipy.special.j1 (absolute
+    error <= 1e-10 over |x| <= 500, checked against a power-series
+    oracle in the test suite).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -204,6 +193,11 @@ class EffectivePsf:
         return out
 
 
+def _table(psf, w):
+    """psf itself if it is an EffectivePsf, else a table of it for half-width w."""
+    return psf if isinstance(psf, EffectivePsf) else EffectivePsf(psf, w)
+
+
 def render_signature_batch(psf, offsets, w):
     """Render signatures for many offsets at once.
 
@@ -213,8 +207,7 @@ def render_signature_batch(psf, offsets, w):
     render_signature checks the half-open contract).  Returns an
     (N, (2w+1)**2) array of row-major flattened signature values.
     """
-    table = psf if isinstance(psf, EffectivePsf) else EffectivePsf(psf, w)
-    return table.render(offsets, w)
+    return _table(psf, w).render(offsets, w)
 
 
 def render_signature(psf, eps, w):
@@ -277,6 +270,7 @@ class SignatureBank:
     w: int
     r_c: float
     grid_size: int
+    psf: EffectivePsf = field(compare=False, repr=False)   # the table rendered from
     q: int = DEFAULT_QUAD_ORDER      # recorded only; rendering does not read it
     center_index: int = field(default=-1)
 
@@ -321,38 +315,11 @@ def build_signature_bank(psf, grid_size=20, w=2):
         raise ValueError("grid_size must be even and >= 2")
     offsets = _grid_offsets(grid_size)
     offsets = np.vstack([offsets, [0.0, 0.0]])
-    vectors = render_signature_batch(psf, offsets, w)
+    table = _table(psf, w)
     return SignatureBank(
-        offsets=offsets, vectors=vectors, w=w, r_c=psf.r_c,
-        grid_size=grid_size, center_index=len(offsets) - 1,
+        offsets=offsets, vectors=render_signature_batch(table, offsets, w), w=w,
+        r_c=psf.r_c, grid_size=grid_size, psf=table, center_index=len(offsets) - 1,
     )
-
-
-def save_bank_csv(bank, path):
-    """Write a bank cache: header comments, then eps1,eps2,values... rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# r_c={bank.r_c!r} w={bank.w} grid_size={bank.grid_size} q={bank.q}\n")
-        writer = csv.writer(fh)
-        for eps, vec in zip(bank.offsets, bank.vectors):
-            writer.writerow([repr(float(eps[0])), repr(float(eps[1]))] + [repr(float(v)) for v in vec])
-
-
-def load_bank_csv(path):
-    """Reload a bank written by save_bank_csv (bit-exact round trip)."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing bank header line")
-        meta = dict(tok.split("=") for tok in header[1:].split())
-        rows = [[float(x) for x in row] for row in csv.reader(fh)]
-    arr = np.array(rows)
-    bank = SignatureBank(
-        offsets=arr[:, :2], vectors=arr[:, 2:],
-        w=int(meta["w"]), r_c=float(meta["r_c"]),
-        grid_size=int(meta["grid_size"]), q=int(meta["q"]),
-        center_index=len(arr) - 1,
-    )
-    return bank
 
 
 def alrt_offsets():
@@ -369,8 +336,8 @@ def build_alrt_bank(psf, w=2, q=None):
     accepted for callers that still pass a quadrature order, and ignored.
     """
     offsets = alrt_offsets()
-    vectors = render_signature_batch(psf, offsets, w)
+    table = _table(psf, w)
     return SignatureBank(
-        offsets=offsets, vectors=vectors, w=w, r_c=psf.r_c,
-        grid_size=3, center_index=4,
+        offsets=offsets, vectors=render_signature_batch(table, offsets, w), w=w,
+        r_c=psf.r_c, grid_size=3, psf=table, center_index=4,
     )

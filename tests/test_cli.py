@@ -1,11 +1,16 @@
 import csv
 import json
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from subpixdet.cli import load_config_file, main
-from subpixdet.harness import ConfigError
+from subpixdet import optics
+from subpixdet.cli import build_parser, load_config_file, main
+from subpixdet.clutter import white_covariance
+from subpixdet.detectors import DETECTOR_IDS, batch_scores, build_subspace
+from subpixdet.harness import ConfigError, ExperimentConfig, theoretical_pmf_roc
 from subpixdet.optics import PsfModel, render_signature
 
 
@@ -67,6 +72,16 @@ class TestClutter:
                                "--out", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("size", ["1", "0", "-3"])
+    def test_size_below_2_exits_1_without_output(self, capsys, tmp_path, size):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "clutter", "--size", size, "--out", str(out))
+        assert code == 1
+        assert "--size" in err
+        assert not out.exists()
+
 
 class TestScore:
     def test_all_five_detectors(self, capsys, tmp_path):
@@ -86,6 +101,27 @@ class TestScore:
                                                         rel=1e-12)
         # ELRT/ALRT report log scores, no amplitude or position fields
         assert table["ELRT"][2] == "" and table["ALRT"][3] == ""
+
+    @pytest.mark.parametrize("w, rc", [(1, 2.44), (2, 2.44), (5, 0.5)])
+    def test_scores_are_batch_scores(self, capsys, tmp_path, w, rc):
+        # every row is the Monte Carlo's batch statistic on a batch of
+        # one, bit for bit
+        rng = np.random.default_rng(w)
+        psf = optics.EffectivePsf(PsfModel(rc), w)
+        bank = optics.build_signature_bank(psf, 20, w)
+        bound = bank.bind(white_covariance(1.0, w))
+        bound9 = optics.build_alrt_bank(psf, w).bind(bound.cov)
+        path = tmp_path / "win.csv"
+        for _ in range(10):
+            window = write_window(path, w=w, eps=rng.uniform(-0.5, 0.5, 2), rc=rc,
+                                  alpha=3.0, noise=rng.standard_normal((2 * w + 1,) * 2))
+            code, out, _ = run_cli(capsys, "score", "--window", str(path), "--rc", str(rc))
+            assert code == 0
+            got = {row.split(",")[0]: float(row.split(",")[1])
+                   for row in out.strip().splitlines()[1:]}
+            expect = batch_scores(window.reshape(1, -1), bound, bound9,
+                                  build_subspace(bank, 1), DETECTOR_IDS)
+            assert got == {det: expect[det][0] for det in DETECTOR_IDS}
 
     def test_acf_covariance_path(self, capsys, tmp_path):
         path = tmp_path / "win.csv"
@@ -251,6 +287,28 @@ class TestTheoreticalRoc:
             rows = list(csv.reader(fh))
         assert {r[0] for r in rows[1:]} == {"fixed"}
 
+    def test_builds_one_table(self, capsys, monkeypatch):
+        builds = []
+        init = optics.EffectivePsf.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(optics.EffectivePsf, "__init__", counting)
+        code, out, _ = run_cli(capsys, "theoretical-roc", "--snr-db", "15")
+        assert code == 0
+        assert len(builds) == 1
+        # the same bytes as each curve rendered through a table of its own
+        monkeypatch.setattr(optics.EffectivePsf, "__init__", init)
+        lines = ["curve,pfa,pd"]
+        for name, eps_star in [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)),
+                               ("mean", "mean")]:
+            bank = optics.build_signature_bank(PsfModel(2.44), 20, 2)
+            curve = theoretical_pmf_roc(15.0, eps_star, bank)
+            lines += [f"{name},{pfa!r},{pd!r}" for pfa, pd in zip(curve.pfa, curve.pd)]
+        assert out == "\n".join(lines) + "\n"
+
     def test_rejects_fractal(self, capsys):
         code, _, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15",
                                "--noise", "fractal")
@@ -267,11 +325,43 @@ class TestConfigHelpers:
         assert values["train_equals_test"] is True
         assert values["noise"] == "fractal"
 
+    @pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_field_default_round_trips(self, tmp_path, field):
+        # every field's flag and config-file key parse its default back,
+        # with the annotated type (snr_db and alpha default to None, which
+        # has no text form, so a value of their type stands in)
+        value = field.default if field.default is not None else 12.5
+        if isinstance(value, bool):
+            text = str(value).lower()
+        elif isinstance(value, tuple):
+            text = ",".join(str(v) for v in value)
+        else:
+            text = str(value)
+        args = build_parser().parse_args(["roc", "--" + field.name.replace("_", "-"), text])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{field.name} = {text}\n")
+        for parsed in (getattr(args, field.name), load_config_file(cfg)[field.name]):
+            assert parsed == value
+            assert type(parsed) is type(value)
+            if isinstance(value, tuple):
+                assert [type(v) for v in parsed] == [type(v) for v in value]
+
     def test_unknown_key_raises(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("snr = 10\n")
         with pytest.raises(ConfigError):
             load_config_file(cfg)
+
+    @pytest.mark.parametrize("argv", [
+        ("signature", "--rc", "inf"),
+        ("theoretical-roc", "--snr-db", "15", "--rc", "inf"),
+        ("roc", "--alpha", "1", "--r-c", "inf", "--n-h0", "200", "--n-h1", "200"),
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_r_c_exits_1(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "r_c must be finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["no-such-command"]) == 1

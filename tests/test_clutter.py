@@ -2,34 +2,10 @@ import numpy as np
 import pytest
 
 from subpixdet.clutter import (
-    NoiseField, IndefiniteCovarianceError, sample_white, synthesize_fbm,
-    remove_mean, estimate_autocovariance, assemble_window_covariance,
+    NoiseField, IndefiniteCovarianceError, synthesize_fbm,
+    estimate_autocovariance, assemble_window_covariance,
     white_covariance, write_pgm,
 )
-
-
-class TestSampleWhite:
-    def test_reproducible(self):
-        a = sample_white(1.0, (16, 16), seed=7)
-        b = sample_white(1.0, (16, 16), seed=7)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.kind == "white" and a.sigma == 1.0
-
-    def test_scale_equivariant(self):
-        a = sample_white(1.0, (16, 16), seed=7)
-        b = sample_white(2.5, (16, 16), seed=7)
-        np.testing.assert_allclose(b.values, 2.5 * a.values, rtol=1e-15)
-
-    def test_moments(self):
-        f = sample_white(3.0, (512, 512), seed=0)
-        assert abs(f.values.mean()) < 0.05
-        assert f.values.std() == pytest.approx(3.0, rel=0.01)
-
-    def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            sample_white(0.0, (8, 8), seed=0)
-        with pytest.raises(ValueError):
-            sample_white(-1.0, (8, 8), seed=0)
 
 
 def radial_psd_slope(field):
@@ -88,16 +64,6 @@ class TestSynthesizeFbm:
                 synthesize_fbm(hurst, size=64, seed=0)
         with pytest.raises(ValueError):
             synthesize_fbm(0.7, size=100, seed=0)
-
-
-class TestRemoveMean:
-    def test_zero_mean_and_idempotent(self):
-        f = NoiseField(values=np.arange(12.0).reshape(3, 4) + 5.0, kind="white",
-                       sigma=1.0)
-        g = remove_mean(f)
-        assert g.values.mean() == pytest.approx(0.0, abs=1e-13)
-        np.testing.assert_allclose(remove_mean(g).values, g.values, atol=1e-13)
-        assert g.kind == f.kind and g.sigma == f.sigma
 
 
 def acf_direct(x, max_lag):
@@ -165,8 +131,7 @@ class TestWhiteCovariance:
         np.testing.assert_array_equal(cov.matrix, 4.0 * np.eye(9))
         y = rng.standard_normal(9)
         np.testing.assert_allclose(cov.solve(y), y / 4.0, rtol=1e-15)
-        assert cov.quad(y, y) == pytest.approx(float(y @ y) / 4.0, rel=1e-13)
-        np.testing.assert_allclose(cov.whiten(y), y / 2.0, rtol=1e-15)
+        assert y @ cov.solve(y) == pytest.approx(float(y @ y) / 4.0, rel=1e-13)
         assert cov.size == 9
 
     def test_validation(self):
@@ -203,9 +168,6 @@ class TestAssembleWindowCovariance:
         cov = assemble_window_covariance(acf, w=1, lam=1e-8)
         y = rng.standard_normal(9)
         np.testing.assert_allclose(cov.matrix @ cov.solve(y), y, atol=1e-10)
-        # whiten is a matrix square-root inverse: |Whiten(y)|^2 = quad
-        assert float(cov.whiten(y) @ cov.whiten(y)) == pytest.approx(
-            cov.quad(y, y), rel=1e-12)
 
     def test_indefinite_raises(self):
         acf = np.zeros((5, 5))

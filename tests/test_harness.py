@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.stats import norm
 
 from subpixdet import clutter, harness
 from subpixdet.harness import (
-    ConfigError, ExperimentConfig, alpha_to_snr, average_energy_cached,
+    ConfigError, ExperimentConfig, average_energy_cached,
     empirical_roc_from_scores, run_mse, run_roc, snr_to_alpha,
     theoretical_pmf_roc, write_mse_csv, write_roc_csv,
 )
@@ -40,6 +41,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("snr_db", float("nan")), ("snr_db", float("inf")), ("alpha", float("nan")),
         ("sigma", float("inf")), ("snr_sweep", (10.0, float("nan"))), ("ridge", -1.0),
+        ("ridge", float("inf")), ("ridge", float("nan")),
     ])
     def test_rejects_non_finite_and_negative_ridge(self, field, value):
         fields = {"snr_db": 15.0, field: value}
@@ -60,7 +62,8 @@ class TestSnrConversion:
     def test_round_trip(self):
         for snr in (-5.0, 0.0, 16.2):
             alpha = snr_to_alpha(snr, 1.3, 0.51)
-            assert alpha_to_snr(alpha, 1.3, 0.51) == pytest.approx(snr, abs=1e-12)
+            back = 10 * math.log10(alpha**2 * 0.51 / 1.3**2)
+            assert back == pytest.approx(snr, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

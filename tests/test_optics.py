@@ -2,11 +2,11 @@ import numpy as np
 import mpmath
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.special import j1
 
 from subpixdet.optics import (
-    EffectivePsf, PsfModel, alrt_offsets, bessel_j1, psf_value, render_signature,
-    render_signature_batch, average_energy, build_signature_bank, save_bank_csv,
-    load_bank_csv,
+    EffectivePsf, PsfModel, alrt_offsets, psf_value, render_signature,
+    render_signature_batch, average_energy, build_signature_bank,
 )
 
 
@@ -66,12 +66,14 @@ def j1_series(x, dps=400):
 
 
 class TestBesselJ1:
+    # psf_value evaluates J1 with scipy.special.j1
+
     def test_zero(self):
-        assert bessel_j1(0.0) == 0.0
+        assert j1(0.0) == 0.0
 
     def test_value_at_one(self):
-        assert bessel_j1(1.0) == pytest.approx(0.4400505857, abs=1e-10)
-        assert bessel_j1(1.0) == pytest.approx(j1_series(1.0), abs=1e-12)
+        assert j1(1.0) == pytest.approx(0.4400505857, abs=1e-10)
+        assert j1(1.0) == pytest.approx(j1_series(1.0), abs=1e-12)
 
     def test_first_zero(self):
         # first positive zero of J1, bracketed by bisection on the series
@@ -84,17 +86,17 @@ class TestBesselJ1:
                 lo = mid
         root = (lo + hi) / 2
         assert root == pytest.approx(3.8317059702, abs=1e-9)
-        assert bessel_j1(3.8317059702) == pytest.approx(0.0, abs=1e-9)
+        assert j1(3.8317059702) == pytest.approx(0.0, abs=1e-9)
 
     def test_accuracy_sweep(self):
         xs = np.linspace(-500, 500, 2001)
         with mpmath.workdps(60):
             ref = np.array([float(mpmath.besselj(1, float(x))) for x in xs])
-        assert np.max(np.abs(bessel_j1(xs) - ref)) <= 1e-10
+        assert np.max(np.abs(j1(xs) - ref)) <= 1e-10
 
     def test_series_agrees_at_moderate_x(self):
         for x in (0.5, 2.0, 7.9, 15.0):
-            assert bessel_j1(x) == pytest.approx(j1_series(x), abs=1e-12)
+            assert j1(x) == pytest.approx(j1_series(x), abs=1e-12)
 
 
 class TestPsfValue:
@@ -123,6 +125,9 @@ class TestPsfValue:
             PsfModel(0.0)
         with pytest.raises(ValueError):
             PsfModel(-1.0)
+        for r_c in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                PsfModel(r_c)
 
 
 def midpoint_pixel_integral(model, i, j, eps, n=2048):
@@ -253,7 +258,7 @@ class TestSignatureBank:
 
         def encircled(radius):
             x = np.pi * radius * 2.44
-            return 1 - j0(x)**2 - bessel_j1(x)**2
+            return 1 - j0(x)**2 - j1(x)**2
 
         assert encircled(0.5) < central < encircled(np.sqrt(2) / 2)
 
@@ -275,15 +280,6 @@ class TestSignatureBank:
         assert bank244.offsets[0] == pytest.approx([-0.475, -0.475])
         assert bank244.offsets[1] == pytest.approx([-0.475, -0.425])
         assert bank244.offsets[20] == pytest.approx([-0.425, -0.475])
-
-    def test_csv_round_trip(self, bank244, tmp_path):
-        path = tmp_path / "bank.csv"
-        save_bank_csv(bank244, path)
-        loaded = load_bank_csv(path)
-        np.testing.assert_array_equal(loaded.offsets, bank244.offsets)
-        np.testing.assert_array_equal(loaded.vectors, bank244.vectors)
-        assert loaded.w == bank244.w and loaded.r_c == bank244.r_c
-        assert loaded.center_index == bank244.center_index
 
 
 class TestAlrtBank:
