@@ -16,7 +16,6 @@ and the log is a monotone transform so thresholding is unaffected.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.special import logsumexp
 
 __all__ = [
     "SubspaceModel",
@@ -79,6 +78,39 @@ def batch_statistics(windows, bound):
     return t, t * t / bound.gram[None, :]
 
 
+def _ratios(windows, bound):
+    """ratios = t^2 / gram of batch_statistics for a float (N, n) array,
+    in one fresh (N, K) buffer (the same IEEE operations, so the same bits)."""
+    r = windows @ bound.whitened.T
+    r *= r
+    r /= bound.gram
+    return r
+
+
+def _shifted_exp(ratios, gram, log_weights):
+    """Turn ratios (N, M) into weights in place and return their log scale.
+
+    Afterwards ratios holds exp(ratio/2 - log(d)/2 + log_weight - m), with
+    m the row max of the exponent, so log sum_k weight_k exp(ratio_k/2) /
+    sqrt(d_k) is m + log(row sum): the shifted log-sum-exp, accurate
+    without overflow (Blanchard, Higham & Higham 2021).  An infinite m is
+    replaced by 0, as scipy.special.logsumexp does.
+    """
+    ratios *= 0.5
+    ratios -= 0.5 * np.log(gram) - log_weights
+    m = ratios.max(axis=1)
+    m[~np.isfinite(m)] = 0.0
+    ratios -= m[:, None]
+    np.exp(ratios, out=ratios)
+    return m
+
+
+def _log_integral(ratios, gram, log_weights):
+    """log sum_k weight_k exp(ratio_k/2) / sqrt(d_k) per row; overwrites ratios."""
+    m = _shifted_exp(ratios, gram, log_weights)
+    return m + np.log(ratios.sum(axis=1))
+
+
 def batch_scores(windows, bound, bound9=None, subspace=None,
                  detectors=DETECTOR_IDS):
     """Score a stack of windows with the selected detectors.
@@ -88,26 +120,27 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
     log-mean over the grid nodes of exp(t^2 / (2d)) / sqrt(d); ALRT is
     the same integrand on the 9-node bank, trapezoid-weighted; SM-GLRT
     is z^T R^{-1} S (S^T R^{-1} S)^{-1} S^T R^{-1} z.
+
+    The full-bank detectors share one (N, K) buffer, which ELRT then
+    overwrites on its leading grid_size^2 columns (the grid nodes, see
+    SignatureBank).
     """
     windows = np.asarray(windows, dtype=float)
     out = {}
-    need_full = any(d in detectors for d in ("GPMF", "GLRT", "ELRT"))
-    if need_full:
-        t, ratios = batch_statistics(windows, bound)
-    if "GPMF" in detectors:
-        out["GPMF"] = ratios[:, bound.bank.center_index]
-    if "GLRT" in detectors:
-        out["GLRT"] = ratios.max(axis=1)
-    if "ELRT" in detectors:
-        gi = bound.bank.grid_indices
-        a = ratios[:, gi] / 2 - 0.5 * np.log(bound.gram[gi])[None, :]
-        out["ELRT"] = logsumexp(a, axis=1) - np.log(len(gi))
+    if any(d in detectors for d in ("GPMF", "GLRT", "ELRT")):
+        ratios = _ratios(windows, bound)
+        if "GPMF" in detectors:
+            out["GPMF"] = ratios[:, bound.bank.center_index].copy()
+        if "GLRT" in detectors:
+            out["GLRT"] = ratios.max(axis=1)
+        if "ELRT" in detectors:
+            g = bound.bank.grid_size ** 2
+            out["ELRT"] = _log_integral(ratios[:, :g], bound.gram[:g], -np.log(g))
     if "ALRT" in detectors:
         if bound9 is None:
             raise ValueError("ALRT selected but no 9-node bank supplied")
-        t9, r9 = batch_statistics(windows, bound9)
-        a9 = r9 / 2 - 0.5 * np.log(bound9.gram)[None, :]
-        out["ALRT"] = logsumexp(a9, b=ALRT_WEIGHTS[None, :], axis=1)
+        out["ALRT"] = _log_integral(_ratios(windows, bound9), bound9.gram,
+                                    np.log(ALRT_WEIGHTS))
     if "SM-GLRT" in detectors:
         if subspace is None:
             raise ValueError("SM-GLRT selected but no subspace supplied")

@@ -3,16 +3,16 @@
 The ML estimator picks the offset-grid node maximizing the same
 amplitude-ML filter the GLRT thresholds, so both share one code path.
 The posterior-mean (PM) estimator averages the grid nodes under the
-amplitude-marginalized posterior; its weights use the same log-domain
-stabilization as the ELRT.  The default estimator always answers the
-pixel center, whose per-axis MSE against a uniform true offset is 1/12.
+amplitude-marginalized posterior; its weights are the ELRT integrand,
+shifted by its row max in place, as in the ELRT.  The default estimator
+always answers the pixel center, whose per-axis MSE against a uniform
+true offset is 1/12.
 One window is estimated as a batch of one.
 """
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .detectors import batch_statistics
+from .detectors import _ratios, _shifted_exp
 
 __all__ = [
     "ESTIMATOR_IDS",
@@ -20,11 +20,6 @@ __all__ = [
 ]
 
 ESTIMATOR_IDS = ("ML", "PM", "DEFAULT")
-
-
-def _pm_log_weights(ratios, bound):
-    gi = bound.bank.grid_indices
-    return ratios[..., gi] / 2 - 0.5 * np.log(bound.gram[gi])
 
 
 def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
@@ -38,14 +33,14 @@ def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
     """
     windows = np.asarray(windows, dtype=float)
     out = {}
-    t, ratios = batch_statistics(windows, bound)
+    ratios = _ratios(windows, bound)
     if "ML" in estimators:
-        k = np.argmax(ratios, axis=1)
-        out["ML"] = bound.bank.offsets[k]
+        out["ML"] = bound.bank.offsets[np.argmax(ratios, axis=1)]
     if "PM" in estimators:
-        logw = _pm_log_weights(ratios, bound)
-        logw -= logsumexp(logw, axis=1, keepdims=True)
-        out["PM"] = np.exp(logw) @ bound.bank.offsets[bound.bank.grid_indices]
+        g = bound.bank.grid_size ** 2
+        weights = ratios[:, :g]
+        _shifted_exp(weights, bound.gram[:g], 0.0)
+        out["PM"] = (weights @ bound.bank.offsets[:g]) / weights.sum(axis=1)[:, None]
     if "DEFAULT" in estimators:
         out["DEFAULT"] = np.zeros((len(windows), 2))
     return out

@@ -8,6 +8,7 @@ number of worker threads.
 """
 
 import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 _CHUNK = 20_000
+# run_mse keys chunk i of sweep point si as si * _SWEEP_STRIDE + i, so a
+# point may hold at most _SWEEP_STRIDE chunks before two points would
+# share a substream
+_SWEEP_STRIDE = 10_000
 
 # substream tags: one fixed integer per independent random ingredient.
 # 5 and 6 are retired; renumbering a tag would change every result.
@@ -107,8 +112,19 @@ class ExperimentConfig:
             raise ConfigError("need alpha, snr_db, or snr_sweep")
         if self.n_h0 < 1 or self.n_h1 < 1 or self.n_trials < 1:
             raise ConfigError("trial counts must be >= 1")
+        if self.n_trials > _SWEEP_STRIDE * _CHUNK:
+            raise ConfigError(f"n_trials must be <= {_SWEEP_STRIDE * _CHUNK}, "
+                              f"got {self.n_trials}")
         if self.eps_mode not in ("uniform", "fixed"):
             raise ConfigError(f"unknown eps_mode {self.eps_mode!r}")
+        if not (len(self.eps_fixed) == 2
+                and all(math.isfinite(e) and -0.5 <= e <= 0.5 for e in self.eps_fixed)):
+            raise ConfigError("eps_fixed must be two finite values in [-0.5, 0.5], "
+                              f"got {self.eps_fixed}")
+        if not self.detectors:
+            raise ConfigError("detectors must name at least one detector")
+        if not self.estimators:
+            raise ConfigError("estimators must name at least one estimator")
         unknown = set(self.detectors) - set(DETECTOR_IDS)
         if unknown:
             raise ConfigError(f"unknown detectors {sorted(unknown)}")
@@ -349,7 +365,7 @@ def run_mse(config):
 
         def one_chunk(i, span):
             count = span[1] - span[0]
-            tag = si * 10_000 + i
+            tag = si * _SWEEP_STRIDE + i
             eps = _draw_offsets(config, count, tag)
             sig = render_signature_batch(psf, eps, config.w)
             windows = alpha * sig + source.noise(count, _STREAM_MSE, tag)
@@ -408,14 +424,24 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
 # ---------------------------------------------------------------------------
 # CSV emission
 
+def _csv_field(text):
+    """text quoted as csv.writer quotes a field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def write_roc_csv(curves, path):
+    """One detector,threshold,pfa,pd row per curve point, as csv.writer
+    writes it, with each value as repr of a Python float."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detector", "threshold", "pfa", "pd"])
+        fh.write("detector,threshold,pfa,pd\r\n")
         for curve in curves:
-            for tau, pfa, pd in zip(curve.thresholds, curve.pfa, curve.pd):
-                writer.writerow([curve.detector, repr(float(tau)),
-                                 repr(float(pfa)), repr(float(pd))])
+            det = _csv_field(curve.detector)
+            cols = (np.asarray(c, dtype=float).tolist()
+                    for c in (curve.thresholds, curve.pfa, curve.pd))
+            fh.write("".join(f"{det},{tau!r},{pfa!r},{pd!r}\r\n"
+                             for tau, pfa, pd in zip(*cols)))
 
 
 def write_mse_csv(report, path):

@@ -363,6 +363,21 @@ class TestConfigHelpers:
         assert "r_c must be finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, field", [
+        (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50", "--detectors", ""),
+         "detectors"),
+        (("mse", "--snr-db", "10", "--n-trials", "50", "--estimators", ""), "estimators"),
+        (("mse", "--snr-db", "20", "--n-trials", "50", "--eps-mode", "fixed",
+          "--eps-fixed", "0.1,0.2,0.3"), "eps_fixed"),
+        (("mse", "--snr-db", "20", "--n-trials", "50", "--eps-mode", "fixed",
+          "--eps-fixed", "0.1"), "eps_fixed"),
+    ], ids=["no-detectors", "no-estimators", "three-offsets", "one-offset"])
+    def test_bad_selection_exits_1_without_output(self, capsys, tmp_path, argv, field):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1

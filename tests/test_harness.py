@@ -48,6 +48,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**fields).validate()
 
+    @pytest.mark.parametrize("eps_fixed", [
+        (0.1, 0.2, 0.3), (0.1,), (), (0.6, 0.0), (0.0, -0.51), (0.0, float("nan")),
+        (float("inf"), 0.0),
+    ])
+    def test_rejects_bad_eps_fixed(self, eps_fixed):
+        with pytest.raises(ConfigError, match="eps_fixed"):
+            ExperimentConfig(snr_db=15.0, eps_mode="fixed", eps_fixed=eps_fixed).validate()
+
+    def test_eps_fixed_closed_square(self):
+        ExperimentConfig(snr_db=15.0, eps_mode="fixed", eps_fixed=(-0.5, 0.5)).validate()
+
+    @pytest.mark.parametrize("field", ["detectors", "estimators"])
+    def test_rejects_empty_selection(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(snr_db=15.0, **{field: ()}).validate()
+
+    def test_n_trials_bounded_by_substream_keys(self):
+        # run_mse keys chunk i of sweep point si as si * _SWEEP_STRIDE + i:
+        # one more chunk per point would reuse the next point's substream
+        limit = harness._SWEEP_STRIDE * harness._CHUNK
+        ExperimentConfig(snr_db=15.0, n_trials=limit).validate()
+        with pytest.raises(ConfigError, match="n_trials"):
+            ExperimentConfig(snr_db=15.0, n_trials=limit + 1).validate()
+
     def test_asdict_round_trip(self):
         cfg = ExperimentConfig(snr_db=12.0, seed=3)
         assert ExperimentConfig(**cfg.asdict()) == cfg
@@ -267,6 +291,30 @@ class TestCsvWriters:
         assert rows[0] == ["detector", "threshold", "pfa", "pd"]
         assert rows[1][0] == "GLRT" and float(rows[1][1]) == np.inf
         assert len(rows) == 1 + len(curve.thresholds)
+
+    def test_roc_csv_bytes_match_row_writer(self, tmp_path, bank244):
+        def row_writer(curves, path):
+            # one csv.writer row per point, each value repr(float(.))
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["detector", "threshold", "pfa", "pd"])
+                for curve in curves:
+                    for tau, pfa, pd in zip(curve.thresholds, curve.pfa, curve.pd):
+                        writer.writerow([curve.detector, repr(float(tau)),
+                                         repr(float(pfa)), repr(float(pd))])
+
+        rng = np.random.default_rng(0)
+        s0 = np.round(rng.standard_normal(300), 1)           # ties
+        s1 = np.round(rng.standard_normal(200) + 1.0, 1)
+        curves = [empirical_roc_from_scores(s0, s1, "ELRT"),
+                  empirical_roc_from_scores(s0 * 1e-300, s1 * 1e300, 'say "x"'),
+                  theoretical_pmf_roc(15.0, (0.5, 0.5), bank244)]
+        assert curves[0].thresholds[0] == np.inf
+        assert len(np.unique(curves[0].pfa)) < len(curves[0].pfa)
+        assert len(np.unique(curves[0].pd)) < len(curves[0].pd)
+        write_roc_csv(curves, tmp_path / "fast.csv")
+        row_writer(curves, tmp_path / "rows.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_mse_csv(self, tmp_path):
         cfg = ExperimentConfig(snr_sweep=(20.0,), n_trials=100, seed=0,
