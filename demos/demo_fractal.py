@@ -36,4 +36,4 @@ curves = {c.detector: c for c in run_roc(config)}
 print(f"\nfractal clutter, amplitude/clutter-sigma = {config.alpha}, "
       f"{config.n_h1:,} trials per hypothesis")
 for name, curve in curves.items():
-    print(f"  {name:<6} Pd@Pfa=0.05 = {float(curve.pd_at_pfa(0.05)):.3f}")
+    print(f"  {name:<6} Pd@Pfa=0.05 = {np.interp(0.05, curve.pfa, curve.pd):.3f}")

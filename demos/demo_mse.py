@@ -11,13 +11,13 @@ from subpixdet.harness import ExperimentConfig, run_mse
 
 config = ExperimentConfig(snr_sweep=(10.0, 15.0, 20.0, 30.0),
                           n_trials=3_000, seed=0, jobs=2)
-report = run_mse(config)
+rows = {(row["estimator"], row["snr_db"]): row for row in run_mse(config)}
 
 print(f"white noise, r_c = {config.r_c}, {config.n_trials:,} trials per point")
 print(f"default baseline: total MSE = 2/12 = {2 / 12:.4f}\n")
 print("  SNR(dB)      ML        PM   DEFAULT")
 for snr in config.snr_sweep:
-    cells = "".join(f"{report.get(name, snr)['mse_total']:10.4f}"
+    cells = "".join(f"{rows[name, snr]['mse_total']:10.4f}"
                     for name in ("ML", "PM", "DEFAULT"))
     print(f"  {snr:7.1f}" + cells)
 

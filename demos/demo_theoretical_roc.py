@@ -26,7 +26,7 @@ print(header)
 for pfa in (1e-6, 1e-4, 1e-2):
     row = f"  {pfa:8.0e}"
     for curve in curves.values():
-        row += f"{float(curve.pd_at_pfa(pfa)):26.4f}"
+        row += f"{np.interp(pfa, curve.pfa, curve.pd):26.4f}"
     print(row)
 
 print("\nAt Pfa = 1e-4 the filter catches a centered target almost surely")

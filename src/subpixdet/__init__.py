@@ -3,17 +3,16 @@
 __version__ = "0.1.0"
 
 from .optics import (
-    PsfModel, EffectivePsf, Signature, SignatureBank, psf_value,
-    render_signature, average_energy, build_signature_bank,
+    PsfModel, EffectivePsf, SignatureBank, psf_value,
+    render_signature_batch, average_energy, build_signature_bank,
 )
 from .clutter import (
     NoiseField, CovarianceModel, IndefiniteCovarianceError,
     synthesize_fbm, estimate_autocovariance,
     assemble_window_covariance, white_covariance,
 )
-from .detectors import SubspaceModel, build_subspace, batch_scores
-from .estimators import batch_estimates
+from .detectors import SubspaceModel, build_subspace, batch_scores, batch_estimates
 from .harness import (
-    ExperimentConfig, RocCurve, MseReport, snr_to_alpha,
+    ExperimentConfig, RocCurve, snr_to_alpha,
     empirical_roc_from_scores, run_roc, run_mse, theoretical_pmf_roc,
 )

@@ -22,8 +22,10 @@ import numpy as np
 from . import __version__
 from . import clutter, harness, optics
 from .clutter import IndefiniteCovarianceError
-from .detectors import DETECTOR_IDS, batch_scores, batch_statistics, build_subspace
-from .estimators import ESTIMATOR_IDS, batch_estimates
+from .detectors import (
+    DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores, batch_statistics,
+    build_subspace,
+)
 from .harness import ConfigError, ExperimentConfig
 from .optics import PsfModel
 
@@ -32,7 +34,6 @@ from .optics import PsfModel
 SWEEP_OFFSETS = ((0.0, 0.0), (0.25, 0.0), (-0.45, 0.2), (0.45, 0.45), (-0.3, -0.4))
 
 PRESETS = {
-    "fig3": {"kind": "theoretical-roc", "snr_db": 15.0},
     "fig5-high": {"kind": "roc", "snr_db": 16.2},
     "fig5-low": {"kind": "roc", "snr_db": 14.1},
     "fig7": {"kind": "roc", "noise": "fractal", "hurst": 0.7, "alpha": 0.12,
@@ -114,6 +115,13 @@ def _parse_eps(raw):
     return float(parts[0]), float(parts[1])
 
 
+def _check_offset(eps):
+    e1, e2 = float(eps[0]), float(eps[1])
+    if not (-0.5 <= e1 < 0.5 and -0.5 <= e2 < 0.5):
+        raise ValueError(f"subpixel offset {eps} outside [-0.5, 0.5[^2")
+    return e1, e2
+
+
 def _write_manifest(out_dir, config, started, outputs):
     manifest = {
         "tool": "subpixdet",
@@ -138,15 +146,16 @@ def _emit_patch(values, stream):
 # subcommands
 
 def cmd_signature(args):
-    offsets = SWEEP_OFFSETS if args.sweep else (_parse_eps(args.eps),)
+    offsets = SWEEP_OFFSETS if args.sweep else (_check_offset(_parse_eps(args.eps)),)
     psf = optics.EffectivePsf(PsfModel(args.rc), args.w)
+    patches = optics.render_signature_batch(psf, offsets, args.w)
+    n_pix = 2 * args.w + 1
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        for eps in offsets:
-            sig = optics.render_signature(psf, eps, args.w)
+        for eps, patch in zip(offsets, patches):
             if args.sweep:
                 stream.write(f"# eps={eps[0]},{eps[1]}\n")
-            _emit_patch(sig.values, stream)
+            _emit_patch(patch.reshape(n_pix, n_pix), stream)
     finally:
         if args.out:
             stream.close()
@@ -297,14 +306,10 @@ def _add_experiment_flags(parser):
                             type=lambda raw, kind=kind: _parse_value(kind, raw))
 
 
-_Q_HELP = "accepted and ignored: rendering no longer uses a quadrature order"
-
-
 def _add_window_flags(parser):
     parser.add_argument("--window", required=True, help="window CSV path")
     parser.add_argument("--rc", type=float, default=2.44)
     parser.add_argument("--grid-size", type=int, default=20)
-    parser.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER, help=_Q_HELP)
     parser.add_argument("--sigma", type=float, default=1.0)
     parser.add_argument("--acf-file", help="autocovariance CSV (else white noise)")
     parser.add_argument("--ridge", type=float, default=1e-6)
@@ -324,7 +329,6 @@ def build_parser():
     p.add_argument("--rc", type=float, default=2.44)
     p.add_argument("--eps", default="0,0", help="subpixel offset 'e1,e2'")
     p.add_argument("--w", type=int, default=2)
-    p.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER, help=_Q_HELP)
     p.add_argument("--sweep", action="store_true",
                    help="render the five example offsets instead of --eps")
     p.add_argument("--out")
@@ -361,7 +365,6 @@ def build_parser():
     p.add_argument("--rc", type=float, default=2.44)
     p.add_argument("--w", type=int, default=2)
     p.add_argument("--grid-size", type=int, default=20)
-    p.add_argument("--q", type=int, default=optics.DEFAULT_QUAD_ORDER, help=_Q_HELP)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--noise", help="must be white (closed form)")
     p.add_argument("--out")

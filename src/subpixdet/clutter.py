@@ -29,16 +29,10 @@ class IndefiniteCovarianceError(Exception):
 
 @dataclass(frozen=True)
 class NoiseField:
-    """A rectangular noise image plus the parameters that generated it."""
+    """A rectangular clutter image and the Hurst exponent that generated it."""
 
     values: np.ndarray
-    kind: str                 # "white" | "fractal"
-    sigma: float = None       # white only
-    hurst: float = None       # fractal only
-
-    @property
-    def shape(self):
-        return self.values.shape
+    hurst: float = None
 
 
 def synthesize_fbm(hurst, size=256, seed=None, crop=None):
@@ -66,7 +60,7 @@ def synthesize_fbm(hurst, size=256, seed=None, crop=None):
     if crop is not None:
         field = field[:crop, :crop].copy()
         field = (field - field.mean()) / field.std()
-    return NoiseField(values=field, kind="fractal", hurst=hurst)
+    return NoiseField(values=field, hurst=hurst)
 
 
 def estimate_autocovariance(field, max_lag):
@@ -143,10 +137,6 @@ class CovarianceModel:
     matrix: np.ndarray
     sigma2: float
     _factor: tuple
-
-    @property
-    def size(self):
-        return (2 * self.w + 1) ** 2
 
     def solve(self, y):
         """R^{-1} y for a vector or a (n, k) stack of columns."""

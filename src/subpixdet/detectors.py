@@ -1,13 +1,23 @@
-"""The five detection statistics, scored on a stack of data windows.
+"""The five detection statistics and the three position estimators,
+computed on a stack of data windows.
 
 All detectors score mean-removed window vectors z against a signature
 bank bound to a covariance model.  GPMF assumes a pixel-centered target;
 GLRT maximizes over the offset grid; ELRT marginalizes the offset by
 grid quadrature of the flat-amplitude-prior likelihood ratio; ALRT is
 the same integral on a coarse 3x3 half-pixel trapezoidal rule; SM-GLRT
-replaces the signature family by its leading singular subspace.  One
-window is scored as a batch of one, so a single-window score is the
-statistic the Monte Carlo measured.
+replaces the signature family by its leading singular subspace.
+
+The ML estimator picks the offset-grid node maximizing the same
+amplitude-ML filter the GLRT thresholds, so both share one code path.
+The posterior-mean (PM) estimator averages the grid nodes under the
+amplitude-marginalized posterior; its weights are the ELRT integrand,
+shifted by its row max in place, as in the ELRT.  The default estimator
+always answers the pixel center, whose per-axis MSE against a uniform
+true offset is 1/12.
+
+One window is scored or estimated as a batch of one, so a single-window
+score is the statistic the Monte Carlo measured.
 
 ELRT and ALRT scores are reported in the log domain: the likelihood
 ratio integrand grows like exp(t^2/2) and overflows at high amplitude,
@@ -20,13 +30,16 @@ from dataclasses import dataclass
 __all__ = [
     "SubspaceModel",
     "DETECTOR_IDS",
+    "ESTIMATOR_IDS",
     "ALRT_WEIGHTS",
     "build_subspace",
     "batch_statistics",
     "batch_scores",
+    "batch_estimates",
 ]
 
 DETECTOR_IDS = ("GPMF", "GLRT", "ELRT", "ALRT", "SM-GLRT")
+ESTIMATOR_IDS = ("ML", "PM", "DEFAULT")
 
 # trapezoidal rule on [-0.5, 0.5]^2 with nodes {-0.5, 0, 0.5}:
 # (1/4, 1/2, 1/4) per axis, tensorized; sums to 1.
@@ -43,10 +56,6 @@ class SubspaceModel:
 
     basis: np.ndarray
     singular_values: np.ndarray
-
-    @property
-    def order(self):
-        return self.basis.shape[1]
 
 
 def build_subspace(bank, order=1):
@@ -66,7 +75,7 @@ def build_subspace(bank, order=1):
 
 
 # ---------------------------------------------------------------------------
-# Scoring, shared by the Monte Carlo harness and the CLI.
+# Scoring and estimation, shared by the Monte Carlo harness and the CLI.
 
 def batch_statistics(windows, bound):
     """Per-node amplitude-ML filter values for a stack of windows.
@@ -149,4 +158,28 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
         tsub = windows @ wh                    # (N, P)
         out["SM-GLRT"] = np.einsum("np,np->n", tsub,
                                    np.linalg.solve(gram, tsub.T).T)
+    return out
+
+
+def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
+    """Offset estimates for a stack of windows.
+
+    Returns a dict estimator -> (N, 2) array of offset estimates.  ML is
+    the GLRT argmax node (ties resolve to the first node in bank order);
+    PM averages the grid nodes with weights proportional to
+    exp(t_k^2 / (2 d_k)) / sqrt(d_k), so it stays inside their convex
+    hull; DEFAULT is (0, 0).
+    """
+    windows = np.asarray(windows, dtype=float)
+    out = {}
+    ratios = _ratios(windows, bound)
+    if "ML" in estimators:
+        out["ML"] = bound.bank.offsets[np.argmax(ratios, axis=1)]
+    if "PM" in estimators:
+        g = bound.bank.grid_size ** 2
+        weights = ratios[:, :g]
+        _shifted_exp(weights, bound.gram[:g], 0.0)
+        out["PM"] = (weights @ bound.bank.offsets[:g]) / weights.sum(axis=1)[:, None]
+    if "DEFAULT" in estimators:
+        out["DEFAULT"] = np.zeros((len(windows), 2))
     return out

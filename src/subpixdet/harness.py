@@ -18,8 +18,9 @@ import numpy as np
 from scipy.stats import norm
 
 from . import clutter, optics
-from .detectors import DETECTOR_IDS, batch_scores, build_subspace
-from .estimators import ESTIMATOR_IDS, batch_estimates
+from .detectors import (
+    DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores, build_subspace,
+)
 from .optics import (
     EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, render_signature_batch,
 )
@@ -28,7 +29,6 @@ __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "RocCurve",
-    "MseReport",
     "snr_to_alpha",
     "empirical_roc_from_scores",
     "run_roc",
@@ -150,30 +150,6 @@ class RocCurve:
     n_h0: int = 0
     n_h1: int = 0
 
-    def pd_at_pfa(self, pfa):
-        """Interpolated Pd at the requested false-alarm rate(s)."""
-        return np.interp(pfa, self.pfa, self.pd)
-
-    def pfa_at_pd(self, pd_target):
-        """Smallest observed Pfa whose Pd reaches the target (curve walk)."""
-        idx = np.flatnonzero(self.pd >= pd_target)
-        if len(idx) == 0:
-            return 1.0
-        return float(self.pfa[idx[0]])
-
-
-@dataclass(frozen=True)
-class MseReport:
-    """Per-(estimator, SNR) mean square error and bias rows."""
-
-    rows: tuple   # of dicts with keys matching the mse.csv header
-
-    def get(self, estimator, snr_db):
-        for row in self.rows:
-            if row["estimator"] == estimator and math.isclose(row["snr_db"], snr_db):
-                return row
-        raise KeyError((estimator, snr_db))
-
 
 def snr_to_alpha(snr_db, sigma, energy):
     """Amplitude from SNR = 10 log10(alpha^2 E / sigma^2)."""
@@ -194,10 +170,6 @@ def average_energy_cached(r_c, q=None):
     still pass a quadrature order, and ignored (E does not depend on it).
     """
     return _average_energy(r_c)
-
-
-average_energy_cached.cache_info = _average_energy.cache_info
-average_energy_cached.cache_clear = _average_energy.cache_clear
 
 
 def empirical_roc_from_scores(scores_h0, scores_h1, detector="custom"):
@@ -352,7 +324,8 @@ def run_roc(config):
 def run_mse(config):
     """Estimator MSE/bias across the configured SNR sweep.
 
-    Per trial the true offset is continuous-uniform (never grid-snapped),
+    Returns a tuple of per-(estimator, SNR) row dicts, keyed as the
+    mse.csv header.  Per trial the true offset is continuous-uniform (never grid-snapped),
     so grid quantization of ML/PM is honestly penalized.
     """
     psf, bound, bound9, subspace, sigma_eff, source = _setup(config)
@@ -384,7 +357,7 @@ def run_mse(config):
                 "bias_eps1": float(bias[0]), "bias_eps2": float(bias[1]),
                 "n_trials": len(err),
             })
-    return MseReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
@@ -444,12 +417,12 @@ def write_roc_csv(curves, path):
                              for tau, pfa, pd in zip(*cols)))
 
 
-def write_mse_csv(report, path):
+def write_mse_csv(rows, path):
     header = ["estimator", "snr_db", "mse_eps1", "mse_eps2", "mse_total",
               "bias_eps1", "bias_eps2", "n_trials"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in report.rows:
+        for row in rows:
             writer.writerow([row[k] if k in ("estimator", "n_trials")
                              else repr(row[k]) for k in header])

@@ -20,13 +20,11 @@ from scipy import ndimage, special
 
 __all__ = [
     "PsfModel",
-    "Signature",
     "SignatureBank",
     "BoundBank",
     "EffectivePsf",
     "DEFAULT_QUAD_ORDER",
     "psf_value",
-    "render_signature",
     "render_signature_batch",
     "average_energy",
     "build_signature_bank",
@@ -73,33 +71,6 @@ def psf_value(model, u, v):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Pixel-integrated spot for one subpixel offset.
-
-    values[i + w, j + w] is the fraction of source intensity landing in
-    pixel (i, j) for i, j in [-w, w].  Values are nonnegative and sum to
-    at most 1 (the full-plane sum is exactly 1).
-    """
-
-    values: np.ndarray
-    offset: tuple
-    w: int
-    r_c: float
-
-    @property
-    def vector(self):
-        """Row-major flattening, index order (i, j)."""
-        return self.values.ravel()
-
-
-def _check_offset(eps):
-    e1, e2 = float(eps[0]), float(eps[1])
-    if not (-0.5 <= e1 < 0.5 and -0.5 <= e2 < 0.5):
-        raise ValueError(f"subpixel offset {eps} outside [-0.5, 0.5[^2")
-    return e1, e2
 
 
 def _lattice_nodes(r_c):
@@ -199,30 +170,16 @@ def _table(psf, w):
 
 
 def render_signature_batch(psf, offsets, w):
-    """Render signatures for many offsets at once.
+    """Pixel-integrate the PSF over a (2w+1) x (2w+1) window, for many offsets.
 
+    Each value is the integral of the PSF over the pixel's unit square.
     psf is an EffectivePsf covering half-width w, or a PsfModel to
     tabulate first.  offsets: array of shape (N, 2), each in the closed
-    square [-0.5, 0.5]^2 (the ALRT bank needs the boundary value +0.5;
-    render_signature checks the half-open contract).  Returns an
-    (N, (2w+1)**2) array of row-major flattened signature values.
+    square [-0.5, 0.5]^2 (the ALRT bank needs the boundary value +0.5).
+    Returns an (N, (2w+1)**2) array of row-major flattened signature
+    values; one signature is a batch of one.
     """
     return _table(psf, w).render(offsets, w)
-
-
-def render_signature(psf, eps, w):
-    """Pixel-integrate the PSF over a (2w+1) x (2w+1) window.
-
-    Each value is the integral of the PSF over the pixel's unit square,
-    for a source at subpixel offset eps in [-0.5, 0.5[^2, read off the
-    effective-PSF table (psf: an EffectivePsf or a PsfModel).
-    """
-    if w < 1:
-        raise ValueError("window half-width must be >= 1")
-    e1, e2 = _check_offset(eps)
-    vec = render_signature_batch(psf, [(e1, e2)], w)[0]
-    n_pix = 2 * w + 1
-    return Signature(values=vec.reshape(n_pix, n_pix), offset=(e1, e2), w=w, r_c=psf.r_c)
 
 
 def _grid_offsets(grid_size):

@@ -18,10 +18,9 @@ from subpixdet.harness import (
     ExperimentConfig, average_energy_cached, empirical_roc_from_scores,
     run_mse, run_roc, theoretical_pmf_roc,
 )
-from subpixdet.optics import (
-    PsfModel, build_alrt_bank, build_signature_bank, psf_value,
-    render_signature,
-)
+from subpixdet.optics import PsfModel, build_alrt_bank, build_signature_bank, psf_value
+
+from helpers import mse_row, pd_at_pfa, pfa_at_pd, signature
 
 JOBS = 4
 
@@ -91,8 +90,8 @@ def test_2_theoretical_pmf_anchor(capsys):
     bank = build_signature_bank(PsfModel(2.44), grid_size=20, w=2)
     ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), bank)
     mean = theoretical_pmf_roc(15.0, "mean", bank)
-    pd_ideal = float(ideal.pd_at_pfa(1e-4))
-    pd_mean = float(mean.pd_at_pfa(1e-4))
+    pd_ideal = float(pd_at_pfa(ideal, 1e-4))
+    pd_mean = float(pd_at_pfa(mean, 1e-4))
     ok = pd_ideal >= 0.99 and abs(pd_mean - 0.80) <= 0.05
     report(capsys, 2, "closed-form matched-filter anchor", ok,
            f"Pd(ideal)={pd_ideal:.4f} (want >=0.99), "
@@ -100,7 +99,7 @@ def test_2_theoretical_pmf_anchor(capsys):
 
 
 def test_3_default_estimator_baseline(capsys, mse_report_15db):
-    row = mse_report_15db.get("DEFAULT", 15.0)
+    row = mse_row(mse_report_15db, "DEFAULT", 15.0)
     # per-axis variance of eps^2 for eps ~ U(-1/2, 1/2): 1/80 - 1/144
     se = np.sqrt((1 / 80 - 1 / 144) / row["n_trials"])
     dev = max(abs(row["mse_eps1"] - 1 / 12), abs(row["mse_eps2"] - 1 / 12))
@@ -111,9 +110,9 @@ def test_3_default_estimator_baseline(capsys, mse_report_15db):
 
 
 def test_4_estimator_ordering_15db(capsys, mse_report_15db):
-    ml = mse_report_15db.get("ML", 15.0)["mse_total"]
-    pm = mse_report_15db.get("PM", 15.0)["mse_total"]
-    default = mse_report_15db.get("DEFAULT", 15.0)["mse_total"]
+    ml = mse_row(mse_report_15db, "ML", 15.0)["mse_total"]
+    pm = mse_row(mse_report_15db, "PM", 15.0)["mse_total"]
+    default = mse_row(mse_report_15db, "DEFAULT", 15.0)["mse_total"]
     ok = abs(ml - default) <= 0.30 * default and pm <= 0.65 * default
     report(capsys, 4, "estimator ordering at 15 dB", ok,
            f"MSE ML/DEFAULT={ml/default:.3f} (want within ±0.30), "
@@ -125,7 +124,7 @@ def test_5_detector_ordering_16_2db(capsys, roc_16_2db):
     # be met near Pfa=0.1.  Ask instead that each of the trio at least
     # halves GPMF's miss rate 1-Pd at every Pfa on the grid.
     pfa_grid = np.logspace(-3, -1, 41)
-    pd = {name: curve.pd_at_pfa(pfa_grid)
+    pd = {name: pd_at_pfa(curve, pfa_grid)
           for name, curve in roc_16_2db.items()}
     trio = ("GLRT", "ELRT", "ALRT")
     miss = {name: 1 - pd[name] for name in ("GPMF",) + trio}
@@ -152,7 +151,7 @@ def poisson_interval(count, level=0.95):
 
 def h0_count_at_pd(curve, pd_target):
     """H0 scores at or above the threshold where Pd first reaches target."""
-    return round(curve.pfa_at_pd(pd_target) * curve.n_h0)
+    return round(pfa_at_pd(curve, pd_target) * curve.n_h0)
 
 
 def test_6_sensor_design_gain(capsys, roc_15db_both_designs):
@@ -188,7 +187,7 @@ def test_6_sensor_design_gain(capsys, roc_15db_both_designs):
 
     # (c) once correctly sampled, all five detectors perform alike
     pfa_grid = np.logspace(-3, -1, 41)
-    pd_sampled = np.array([sampled[name].pd_at_pfa(pfa_grid) for name in sampled])
+    pd_sampled = np.array([pd_at_pfa(sampled[name], pfa_grid) for name in sampled])
     spread = float(np.max(pd_sampled.max(axis=0) - pd_sampled.min(axis=0)))
 
     ok = gpmf_ok and gain_ok and spread <= 0.1
@@ -219,7 +218,7 @@ def test_7_fractal_clutter(capsys, roc_fractal):
     slope_ok = abs(slope - (-3.4)) <= 0.3
 
     pfa_grid = np.logspace(-2, -1, 21)
-    pd = {name: curve.pd_at_pfa(pfa_grid) for name, curve in roc_fractal.items()}
+    pd = {name: pd_at_pfa(curve, pfa_grid) for name, curve in roc_fractal.items()}
     gap = (np.minimum(np.minimum(pd["GLRT"], pd["ELRT"]), pd["ALRT"])
            - pd["GPMF"])
     dom_ok = bool(np.all(gap >= 0.02))
@@ -237,7 +236,7 @@ def test_8_oracle_suites(capsys):
     # smallest pixels, so remove it by Richardson extrapolation against
     # the 1024^2 sum
     eps = (0.31, -0.17)
-    sig = render_signature(model, eps, w=1)
+    sig = signature(model, eps, w=1)
     worst = 0.0
     for i in (-1, 0, 1):
         for j in (-1, 0, 1):
@@ -248,7 +247,7 @@ def test_8_oracle_suites(capsys):
                 refs[n] = psf_value(model, (u - eps[0])[:, None],
                                     (v - eps[1])[None, :]).sum() / n**2
             ref = (4 * refs[2048] - refs[1024]) / 3
-            worst = max(worst, abs(sig.values[i + 1, j + 1] - ref) / ref)
+            worst = max(worst, abs(sig[i + 1, j + 1] - ref) / ref)
     quad_ok = worst <= 1e-6
     details.append(f"quad rel err {worst:.2e}")
 

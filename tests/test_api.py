@@ -4,7 +4,7 @@ import pytest
 
 import subpixdet
 
-MODULES = ["optics", "clutter", "detectors", "estimators", "harness"]
+MODULES = ["optics", "clutter", "detectors", "harness"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from subpixdet import optics
-from subpixdet.cli import build_parser, load_config_file, main
+from subpixdet.cli import SWEEP_OFFSETS, build_parser, load_config_file, main
 from subpixdet.clutter import white_covariance
 from subpixdet.detectors import DETECTOR_IDS, batch_scores, build_subspace
 from subpixdet.harness import ConfigError, ExperimentConfig, theoretical_pmf_roc
-from subpixdet.optics import PsfModel, render_signature
+from subpixdet.optics import PsfModel
+
+from helpers import signature
 
 
 def run_cli(capsys, *argv):
@@ -21,8 +23,7 @@ def run_cli(capsys, *argv):
 
 
 def write_window(path, w=2, eps=(0.0, 0.0), alpha=5.0, rc=2.44, noise=None):
-    sig = render_signature(PsfModel(rc), eps, w=w)
-    window = alpha * sig.values
+    window = alpha * signature(PsfModel(rc), eps, w)
     if noise is not None:
         window = window + noise
     with open(path, "w", newline="") as fh:
@@ -37,7 +38,7 @@ class TestSignature:
         rows = [line.split(",") for line in out.strip().splitlines()]
         vals = np.array([[float(v) for v in row] for row in rows])
         assert vals.shape == (3, 3)
-        ref = render_signature(PsfModel(2.44), (0.0, 0.0), w=1).values
+        ref = signature(PsfModel(2.44), (0.0, 0.0), w=1)
         np.testing.assert_array_equal(vals, ref)
 
     def test_sweep_to_file(self, capsys, tmp_path):
@@ -46,11 +47,21 @@ class TestSignature:
         assert code == 0
         text = out.read_text()
         assert text.count("# eps=") == 5
+        # one batch render gives each offset's single-offset patch, bit for bit
+        blocks = text.split("# eps=")[1:]
+        psf = optics.EffectivePsf(PsfModel(2.44), 2)
+        for block, eps in zip(blocks, SWEEP_OFFSETS):
+            head, *rows = block.strip().splitlines()
+            assert head == f"{eps[0]},{eps[1]}"
+            vals = np.array([[float(v) for v in row.split(",")] for row in rows])
+            np.testing.assert_array_equal(vals, signature(psf, eps, 2))
 
     def test_bad_offset_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "signature", "--eps", "0.7,0")
-        assert code == 1
-        assert "error" in err
+        # --eps must lie in the half-open square [-0.5, 0.5[^2
+        for eps in ("0.7,0", "0.5,0", "0,-0.6"):
+            code, _, err = run_cli(capsys, "signature", "--eps", eps)
+            assert code == 1
+            assert "error" in err
 
 
 class TestClutter:

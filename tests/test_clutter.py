@@ -7,6 +7,8 @@ from subpixdet.clutter import (
     white_covariance, write_pgm,
 )
 
+from helpers import covariance_size
+
 
 def radial_psd_slope(field):
     """Log-log slope of the radially binned power spectrum."""
@@ -32,7 +34,7 @@ class TestSynthesizeFbm:
         assert f.values.shape == (256, 256)
         assert f.values.mean() == pytest.approx(0.0, abs=1e-12)
         assert f.values.std() == pytest.approx(1.0, rel=1e-12)
-        assert f.kind == "fractal" and f.hurst == 0.7
+        assert f.hurst == 0.7
 
     def test_crop(self):
         f = synthesize_fbm(0.7, size=256, seed=3, crop=200)
@@ -85,20 +87,20 @@ def acf_direct(x, max_lag):
 class TestEstimateAutocovariance:
     def test_matches_direct_oracle(self, rng):
         x = rng.standard_normal((14, 17))
-        f = NoiseField(values=x, kind="white", sigma=1.0)
+        f = NoiseField(values=x)
         got = estimate_autocovariance(f, max_lag=4)
         ref = acf_direct(x, max_lag=4)
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_center_is_variance(self, rng):
         x = rng.standard_normal((32, 32))
-        f = NoiseField(values=x, kind="white", sigma=1.0)
+        f = NoiseField(values=x)
         acf = estimate_autocovariance(f, max_lag=3)
         assert acf[3, 3] == pytest.approx(np.var(x), rel=1e-12)
 
     def test_even_symmetry(self, rng):
         x = rng.standard_normal((24, 24))
-        acf = estimate_autocovariance(NoiseField(x, "white", 1.0), max_lag=5)
+        acf = estimate_autocovariance(NoiseField(x), max_lag=5)
         np.testing.assert_allclose(acf, acf[::-1, ::-1], atol=1e-13)
 
     def test_separable_exponential_field(self):
@@ -112,7 +114,7 @@ class TestEstimateAutocovariance:
             x[i] = a * x[i - 1] + e[i]
         for j in range(1, 64):
             x[:, j] = a * x[:, j - 1] + np.sqrt(1 - a**2) * x[:, j]
-        f = NoiseField(values=x[:, 32:], kind="white", sigma=1.0)
+        f = NoiseField(values=x[:, 32:])
         acf = estimate_autocovariance(f, max_lag=2)
         ratio = acf / acf[2, 2]
         l = np.arange(-2, 3)
@@ -120,7 +122,7 @@ class TestEstimateAutocovariance:
         np.testing.assert_allclose(ratio, expect, atol=0.03)
 
     def test_max_lag_validation(self):
-        f = NoiseField(values=np.zeros((10, 10)), kind="white", sigma=1.0)
+        f = NoiseField(values=np.zeros((10, 10)))
         with pytest.raises(ValueError):
             estimate_autocovariance(f, max_lag=5)
 
@@ -132,7 +134,7 @@ class TestWhiteCovariance:
         y = rng.standard_normal(9)
         np.testing.assert_allclose(cov.solve(y), y / 4.0, rtol=1e-15)
         assert y @ cov.solve(y) == pytest.approx(float(y @ y) / 4.0, rel=1e-13)
-        assert cov.size == 9
+        assert covariance_size(cov) == 9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -151,7 +153,7 @@ class TestAssembleWindowCovariance:
         # build a guaranteed-PD stationary acf from a random spectral mix
         w = 1
         base = rng.standard_normal((12, 12))
-        acf = estimate_autocovariance(NoiseField(base, "white", 1.0), 2 * w)
+        acf = estimate_autocovariance(NoiseField(base), 2 * w)
         cov = assemble_window_covariance(acf, w=w, lam=0.05)
         coords = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
         for a, (i1, j1) in enumerate(coords):
@@ -185,7 +187,7 @@ class TestAssembleWindowCovariance:
 
 class TestWritePgm:
     def test_header_and_payload(self, tmp_path, rng):
-        f = NoiseField(values=rng.standard_normal((7, 5)), kind="white", sigma=1.0)
+        f = NoiseField(values=rng.standard_normal((7, 5)))
         path = tmp_path / "out.pgm"
         write_pgm(f, path)
         data = path.read_bytes()
@@ -193,7 +195,7 @@ class TestWritePgm:
         assert len(data) == len(b"P5\n5 7\n255\n") + 35
 
     def test_constant_field(self, tmp_path):
-        f = NoiseField(values=np.ones((3, 3)), kind="white", sigma=1.0)
+        f = NoiseField(values=np.ones((3, 3)))
         path = tmp_path / "flat.pgm"
         write_pgm(f, path)
         assert path.read_bytes().endswith(bytes(9))

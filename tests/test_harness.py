@@ -12,6 +12,8 @@ from subpixdet.harness import (
     theoretical_pmf_roc, write_mse_csv, write_roc_csv,
 )
 
+from helpers import energy_cache, mse_row, pd_at_pfa, pfa_at_pd
+
 
 class TestConfig:
     def test_defaults_validate(self):
@@ -105,13 +107,13 @@ class TestAverageEnergy:
 
     def test_cached(self):
         assert average_energy_cached(2.44) is not None
-        assert average_energy_cached.cache_info().hits >= 1
+        assert energy_cache().cache_info().hits >= 1
 
     def test_cache_keyed_on_r_c_alone(self):
-        average_energy_cached.cache_clear()
+        energy_cache().cache_clear()
         average_energy_cached(2.44)
         average_energy_cached(2.44, 16)
-        assert average_energy_cached.cache_info().misses == 1
+        assert energy_cache().cache_info().misses == 1
 
 
 class TestEmpiricalRoc:
@@ -135,7 +137,7 @@ class TestEmpiricalRoc:
         s = rng.standard_normal(20_000)
         t = rng.standard_normal(20_000)
         curve = empirical_roc_from_scores(s, t)
-        assert abs(curve.pd_at_pfa(0.3) - 0.3) < 0.02
+        assert abs(pd_at_pfa(curve, 0.3) - 0.3) < 0.02
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -143,8 +145,8 @@ class TestEmpiricalRoc:
 
     def test_query_helpers(self):
         curve = empirical_roc_from_scores([1.0, 2.0, 3.0, 4.0], [3.5, 4.5, 5.0])
-        assert curve.pfa_at_pd(1.0) == 0.25
-        assert 0 < curve.pd_at_pfa(0.1) <= 1
+        assert pfa_at_pd(curve, 1.0) == 0.25
+        assert 0 < pd_at_pfa(curve, 0.1) <= 1
 
 
 class TestRunRoc:
@@ -156,9 +158,9 @@ class TestRunRoc:
         assert [c.detector for c in curves] == ["GPMF", "GLRT"]
         for c in curves:
             assert c.n_h0 == 4000 and c.n_h1 == 4000
-            assert 0 <= c.pd_at_pfa(0.1) <= 1
+            assert 0 <= pd_at_pfa(c, 0.1) <= 1
         # at this SNR the GLRT is a strong detector
-        assert curves[1].pd_at_pfa(0.1) > 0.9
+        assert pd_at_pfa(curves[1], 0.1) > 0.9
 
     def test_reproducible(self):
         a = run_roc(ExperimentConfig(**self.CFG))
@@ -190,8 +192,8 @@ class TestRunRoc:
         # centered target: the pixel matched filter is the optimal test,
         # so its Pd at moderate Pfa matches the closed-form ideal curve
         ref = theoretical_pmf_roc(16.0, (0.0, 0.0), self.bank)
-        assert curve.pd_at_pfa(0.1) == pytest.approx(
-            float(ref.pd_at_pfa(0.1)), abs=0.03)
+        assert pd_at_pfa(curve, 0.1) == pytest.approx(
+            float(pd_at_pfa(ref, 0.1)), abs=0.03)
 
     def test_fractal_smoke(self):
         cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=128,
@@ -226,8 +228,8 @@ class TestRunMse:
     def test_default_estimator_hits_uniform_variance(self):
         cfg = ExperimentConfig(snr_sweep=(20.0,), n_trials=20_000, seed=9,
                                estimators=("DEFAULT",))
-        report = run_mse(cfg)
-        row = report.get("DEFAULT", 20.0)
+        rows = run_mse(cfg)
+        row = mse_row(rows, "DEFAULT", 20.0)
         assert row["mse_eps1"] == pytest.approx(1 / 12, rel=0.03)
         assert row["mse_eps2"] == pytest.approx(1 / 12, rel=0.03)
         assert row["mse_total"] == pytest.approx(row["mse_eps1"] + row["mse_eps2"],
@@ -238,17 +240,17 @@ class TestRunMse:
     def test_ml_beats_default_at_high_snr(self):
         cfg = ExperimentConfig(snr_sweep=(30.0,), n_trials=4000, seed=4,
                                estimators=("ML", "DEFAULT"))
-        report = run_mse(cfg)
-        assert (report.get("ML", 30.0)["mse_total"]
-                < 0.5 * report.get("DEFAULT", 30.0)["mse_total"])
+        rows = run_mse(cfg)
+        assert (mse_row(rows, "ML", 30.0)["mse_total"]
+                < 0.5 * mse_row(rows, "DEFAULT", 30.0)["mse_total"])
 
     def test_sweep_rows(self):
         cfg = ExperimentConfig(snr_sweep=(10.0, 20.0), n_trials=500, seed=1,
                                estimators=("PM", "DEFAULT"))
-        report = run_mse(cfg)
-        assert len(report.rows) == 4
+        rows = run_mse(cfg)
+        assert len(rows) == 4
         with pytest.raises(KeyError):
-            report.get("PM", 15.0)
+            mse_row(rows, "PM", 15.0)
 
     def test_needs_some_snr(self):
         with pytest.raises(ConfigError):
@@ -263,13 +265,13 @@ class TestTheoreticalRoc:
         deflection = alpha * float(s0 @ s0) / np.sqrt(float(s0 @ s0))
         for pfa in (1e-4, 1e-2, 0.1):
             expect = norm.sf(norm.isf(pfa) - deflection)
-            assert float(curve.pd_at_pfa(pfa)) == pytest.approx(expect, rel=1e-6)
+            assert float(pd_at_pfa(curve, pfa)) == pytest.approx(expect, rel=1e-6)
 
     def test_mean_curve_below_ideal(self, bank244):
         ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), bank244)
         mean = theoretical_pmf_roc(15.0, "mean", bank244)
         assert np.all(mean.pd <= ideal.pd + 1e-12)
-        assert mean.pd_at_pfa(1e-3) < ideal.pd_at_pfa(1e-3)
+        assert pd_at_pfa(mean, 1e-3) < pd_at_pfa(ideal, 1e-3)
 
     def test_monotone(self, bank244):
         curve = theoretical_pmf_roc(10.0, "mean", bank244)
@@ -319,9 +321,9 @@ class TestCsvWriters:
     def test_mse_csv(self, tmp_path):
         cfg = ExperimentConfig(snr_sweep=(20.0,), n_trials=100, seed=0,
                                estimators=("DEFAULT",))
-        report = run_mse(cfg)
+        rows = run_mse(cfg)
         path = tmp_path / "mse.csv"
-        write_mse_csv(report, path)
+        write_mse_csv(rows, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["estimator", "snr_db", "mse_eps1", "mse_eps2",

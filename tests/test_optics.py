@@ -5,9 +5,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import j1
 
 from subpixdet.optics import (
-    EffectivePsf, PsfModel, alrt_offsets, psf_value, render_signature,
+    EffectivePsf, PsfModel, alrt_offsets, psf_value,
     render_signature_batch, average_energy, build_signature_bank,
 )
+
+from helpers import signature
 
 
 # ---------------------------------------------------------------------------
@@ -142,28 +144,28 @@ class TestRenderSignature:
     def test_quadrature_vs_midpoint_oracle(self, model244):
         for eps, (i, j) in [((0.0, 0.0), (0, 0)), ((0.3, -0.2), (0, 0)),
                             ((0.3, -0.2), (1, -1))]:
-            sig = render_signature(model244, eps, w=2)
+            sig = signature(model244, eps, w=2)
             ref = midpoint_pixel_integral(model244, i, j, eps)
-            assert sig.values[i + 2, j + 2] == pytest.approx(ref, rel=1e-6)
+            assert sig[i + 2, j + 2] == pytest.approx(ref, rel=1e-6)
 
     def test_window_sum_bounds(self, model244):
-        sig = render_signature(model244, (0.0, 0.0), w=25)
-        assert 0.99 <= sig.values.sum() <= 1.0
+        sig = signature(model244, (0.0, 0.0), w=25)
+        assert 0.99 <= sig.sum() <= 1.0
 
     def test_sum_monotone_in_window(self, model244):
-        sums = [render_signature(model244, (0.2, 0.1), w=w).values.sum()
+        sums = [signature(model244, (0.2, 0.1), w=w).sum()
                 for w in (1, 2, 4, 8)]
         assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
 
     def test_nonnegative(self, model244):
-        sig = render_signature(model244, (0.49, -0.5 + 1e-9), w=3)
-        assert np.all(sig.values >= 0)
+        sig = signature(model244, (0.49, -0.5 + 1e-9), w=3)
+        assert np.all(sig >= 0)
 
     def test_mirror_symmetry(self, model244):
-        a = render_signature(model244, (0.3, -0.2), w=2).values
-        b = render_signature(model244, (-0.3, -0.2), w=2).values
+        a = signature(model244, (0.3, -0.2), w=2)
+        b = signature(model244, (-0.3, -0.2), w=2)
         np.testing.assert_allclose(a, b[::-1, :], atol=1e-12)
-        c = render_signature(model244, (0.3, 0.2), w=2).values
+        c = signature(model244, (0.3, 0.2), w=2)
         np.testing.assert_allclose(a, c[:, ::-1], atol=1e-12)
 
     def test_quadrature_converged(self, model244):
@@ -173,11 +175,13 @@ class TestRenderSignature:
         assert np.max(np.abs(a - b)) <= 1e-8
 
     def test_offset_validation(self, model244):
-        for eps in [(0.5, 0.0), (0.0, -0.6), (0.7, 0.0)]:
+        # the half-open [-0.5, 0.5[^2 check on a user's offset is the
+        # CLI's (tests/test_cli.py); the renderer takes the closed square
+        for eps in [(0.0, -0.6), (0.7, 0.0)]:
             with pytest.raises(ValueError):
-                render_signature(model244, eps, w=2)
+                signature(model244, eps, w=2)
         with pytest.raises(ValueError):
-            render_signature(model244, (0.0, 0.0), w=0)
+            signature(model244, (0.0, 0.0), w=0)
         with pytest.raises(ValueError):
             direct_signature(model244, (0.0, 0.0), w=2, q=1)
 

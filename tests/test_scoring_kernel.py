@@ -16,9 +16,9 @@ from scipy.special import logsumexp
 
 from subpixdet import clutter
 from subpixdet.detectors import (
-    ALRT_WEIGHTS, DETECTOR_IDS, batch_scores, batch_statistics, build_subspace,
+    ALRT_WEIGHTS, DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores,
+    batch_statistics, build_subspace,
 )
-from subpixdet.estimators import ESTIMATOR_IDS, batch_estimates
 from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, render_signature_batch,
 )
