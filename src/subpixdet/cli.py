@@ -188,6 +188,8 @@ def _load_window(path):
     arr = np.array(rows)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 == 0:
         raise ConfigError(f"{path}: expected a square odd-sized window, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}: window entries must be finite")
     return arr
 
 
@@ -213,14 +215,22 @@ def _read_window(args):
 
 def _amplitude_fit(windows, bound):
     """ML amplitude t_k / d_k and offset of the GPMF node (the center) and
-    of the GLRT/ML node (the argmax), as output fields."""
+    of the GLRT/ML node (the argmax)."""
     t, ratios = batch_statistics(windows, bound)
 
     def fit(k):
         e1, e2 = bound.bank.offsets[k]
-        return repr(float(t[0, k] / bound.gram[k])), repr(float(e1)), repr(float(e2))
+        return float(t[0, k] / bound.gram[k]), float(e1), float(e2)
 
     return {"GPMF": fit(bound.bank.center_index), "GLRT": fit(int(np.argmax(ratios[0])))}
+
+
+def _check_finite(path, outputs):
+    """Fail with a numerical error rather than print a non-finite result
+    for a window of finite entries (t^2 can overflow)."""
+    bad = [name for name, value in outputs.items() if not np.all(np.isfinite(value))]
+    if bad:
+        raise FloatingPointError(f"{path}: non-finite result for {', '.join(bad)}")
 
 
 def cmd_score(args):
@@ -228,9 +238,11 @@ def cmd_score(args):
     bound, bound9, subspace = _window_context(args, w)
     scores = batch_scores(windows, bound, bound9, subspace)
     fits = _amplitude_fit(windows, bound)
+    _check_finite(args.window, scores)
+    _check_finite(args.window, fits)
     print("detector,score,alpha_hat,eps1_hat,eps2_hat")
     for det in DETECTOR_IDS:
-        alpha, e1, e2 = fits.get(det, ("", "", ""))
+        alpha, e1, e2 = (repr(v) for v in fits[det]) if det in fits else ("", "", "")
         print(f"{det},{float(scores[det][0])!r},{alpha},{e1},{e2}")
     return 0
 
@@ -239,7 +251,9 @@ def cmd_estimate(args):
     windows, w = _read_window(args)
     bound, _, _ = _window_context(args, w)
     estimates = batch_estimates(windows, bound)
-    alpha = {"ML": _amplitude_fit(windows, bound)["GLRT"][0]}
+    fit = _amplitude_fit(windows, bound)["GLRT"]
+    _check_finite(args.window, {**estimates, "alpha_hat": fit})
+    alpha = {"ML": repr(fit[0])}
     print("estimator,eps1,eps2,alpha_hat")
     for name in ESTIMATOR_IDS:
         e1, e2 = estimates[name][0]

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from subpixdet import optics
-from subpixdet.cli import SWEEP_OFFSETS, build_parser, load_config_file, main
+from subpixdet.cli import (
+    PRESETS, SWEEP_OFFSETS, build_parser, load_config_file, main, resolve_config,
+)
 from subpixdet.clutter import white_covariance
 from subpixdet.detectors import DETECTOR_IDS, batch_scores, build_subspace
 from subpixdet.harness import ConfigError, ExperimentConfig, theoretical_pmf_roc
@@ -181,6 +183,32 @@ class TestScore:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["score", "estimate"])
+class TestNonFiniteWindow:
+    def test_nan_entry_exits_1(self, capsys, tmp_path, command):
+        path = tmp_path / "win.csv"
+        window = np.zeros((5, 5))
+        window[1, 3] = np.nan
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(window.tolist())
+        code, out, err = run_cli(capsys, command, "--window", str(path))
+        assert code == 1
+        assert str(path) in err and "finite" in err
+        assert out == ""
+
+    def test_overflowing_window_exits_2(self, capsys, tmp_path, command):
+        # finite entries whose t^2 overflows
+        path = tmp_path / "win.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(np.full((5, 5), 1e200).tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(capsys, command, "--window", str(path))
+        assert code == 2
+        assert "numerical error" in err and str(path) in err
+        assert out == ""
+
+
 class TestEstimate:
     def test_three_estimators(self, capsys, tmp_path):
         path = tmp_path / "win.csv"
@@ -233,6 +261,14 @@ class TestRocCommand:
         manifest = json.loads((tmp_path / "meta.json").read_text())
         assert manifest["config"]["snr_db"] == 18.0
         assert manifest["config"]["n_h0"] == 800
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_resolves_through_its_command(self, name):
+        preset = dict(PRESETS[name])
+        kind = preset.pop("kind")
+        args = build_parser().parse_args([kind, "--preset", name])
+        config = resolve_config(args, kind)
+        assert {key: getattr(config, key) for key in preset} == preset
 
     def test_unknown_preset_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "roc", "--preset", "fig99",

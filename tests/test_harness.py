@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from subpixdet import clutter, harness
@@ -142,6 +143,22 @@ class TestEmpiricalRoc:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             empirical_roc_from_scores([], [1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(s0=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+           s1=st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+    def test_monotone_under_tied_scores(self, s0, s1):
+        # integer scores on a narrow range: most thresholds are shared ties
+        curve = empirical_roc_from_scores(s0, s1)
+        thr = curve.thresholds
+        assert thr[0] == np.inf and np.all(np.isfinite(thr[1:]))
+        assert np.all(np.diff(thr) < 0)
+        assert np.all(np.diff(curve.pfa) >= 0) and np.all(np.diff(curve.pd) >= 0)
+        assert (curve.pfa[0], curve.pd[0]) == (0.0, 0.0)
+        assert (curve.pfa[-1], curve.pd[-1]) == (1.0, 1.0)
+        for scores, rates in ((s0, curve.pfa), (s1, curve.pd)):
+            counts = np.array([np.sum(np.asarray(scores) >= tau) for tau in thr])
+            np.testing.assert_array_equal(rates, counts / len(scores))
 
     def test_query_helpers(self):
         curve = empirical_roc_from_scores([1.0, 2.0, 3.0, 4.0], [3.5, 4.5, 5.0])
