@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
@@ -88,6 +88,9 @@ class TestProperties:
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 30.0),
            log_c=st.floats(-3.0, 3.0), empirical=st.booleans())
+    # t^2/d reaches 1.5e5 here; a kernel that adds -log(d)/2 before it
+    # shifts by the row max loses PM to 4e-13 on it
+    @example(seed=38367, amplitude=15.0, log_c=1.0, empirical=True)
     def test_covariance_scale_invariance(self, bank244, bank9_244, subspace244,
                                          seed, amplitude, log_c, empirical):
         """(z, R) -> (cz, c^2 R) keeps every score and estimate, except
@@ -154,6 +157,17 @@ class TestOracle:
         sig = render_signature_batch(bank244.psf, eps, 2)
         amplitude = rng.uniform(0, 3, (2000, 1)) * noise.std() / sig.std()
         self.check(amplitude * sig + noise, bound, bound9, subspace244)
+
+    def test_empirical_w2_large_ratios(self, bank244, bank9_244, subspace244):
+        # spots in white noise scored against the fBm covariance, whose
+        # whitening takes t^2/d past 1e5: there every exponent of the
+        # log-sum-exp carries an absolute rounding of about ulp(t^2/(2d))
+        cov = clutter.assemble_window_covariance(fractal_acf(2), 2)
+        bound, bound9 = bank244.bind(cov), bank9_244.bind(cov)
+        rng = np.random.default_rng(11)
+        windows = spots(bound, 11, rng.uniform(0, 30, (2000, 1)), n=2000)
+        assert batch_statistics(windows, bound)[1].max() >= 1e5
+        self.check(windows, bound, bound9, subspace244)
 
 
 def test_peak_memory_is_one_buffer(sampled_w5):
