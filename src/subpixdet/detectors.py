@@ -99,15 +99,13 @@ def _ratios(windows, bound):
 def _shifted_exp(ratios, gram, log_weights):
     """Turn ratios (N, M) into weights in place and return their log scale.
 
-    With c_k = log(weight_k) - log(d_k)/2, afterwards ratios holds
-    exp(ratio/2 - m0 + c - max(c)), m0 being the row max of ratio/2, so
+    With c_k = log(weight_k) - log(d_k)/2 and m0 the row max of ratio/2,
+    afterwards ratios holds exp(ratio/2 - m0 + c - max(c)), so
     log sum_k weight_k exp(ratio_k/2) / sqrt(d_k) is m0 + max(c) +
     log(row sum): the shifted log-sum-exp, accurate without overflow
-    (Blanchard, Higham & Higham 2021).  m0 is taken off before c goes
-    on: at large t^2/d, adding c to ratio/2 first would round every
-    exponent at the scale of ulp(ratio/2).  max(c) is a constant of the
-    bank, so the largest exponent stays near 0.  An infinite m0 is
-    replaced by 0, as scipy.special.logsumexp does.
+    (Blanchard, Higham & Higham 2021).  m0 goes off before c goes on, so
+    at large t^2/d no exponent is rounded at the scale of ulp(ratio/2).
+    An infinite m0 is replaced by 0, as scipy.special.logsumexp does.
     """
     ratios *= 0.5
     m = ratios.max(axis=1)

@@ -325,8 +325,9 @@ def run_mse(config):
     """Estimator MSE/bias across the configured SNR sweep.
 
     Returns a tuple of per-(estimator, SNR) row dicts, keyed as the
-    mse.csv header.  Per trial the true offset is continuous-uniform (never grid-snapped),
-    so grid quantization of ML/PM is honestly penalized.
+    mse.csv header.  Per trial the true offset is continuous-uniform
+    (never grid-snapped), so grid quantization of ML/PM is honestly
+    penalized.
     """
     psf, bound, bound9, subspace, sigma_eff, source = _setup(config)
     sweep = config.snr_sweep or (config.snr_db,)

@@ -175,6 +175,12 @@ class TestScore:
         assert code == 1
         assert "ridge" in err
 
+    def test_missing_window_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "no-such.csv"
+        code, out, err = run_cli(capsys, "score", "--window", str(path))
+        assert code == 1
+        assert str(path) in err and out == ""
+
     def test_bad_window_shape_exits_1(self, capsys, tmp_path):
         path = tmp_path / "win.csv"
         with open(path, "w", newline="") as fh:
