@@ -9,6 +9,7 @@ giving a block-Toeplitz matrix with Toeplitz blocks.
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.fft import irfft2, next_fast_len, rfft2
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
 __all__ = [
@@ -51,11 +52,11 @@ def synthesize_fbm(hurst, size=256, seed=None, crop=None):
         raise ValueError(f"size must be a power of two, got {size}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((size, size))
-    f1 = np.fft.fftfreq(size)
-    radius2 = f1[:, None] ** 2 + f1[None, :] ** 2
+    # the shaped spectrum is Hermitian, so its half plane carries it all
+    radius2 = np.fft.fftfreq(size)[:, None] ** 2 + np.fft.rfftfreq(size)[None, :] ** 2
     with np.errstate(divide="ignore"):
         amp = np.where(radius2 > 0, radius2 ** (-(hurst + 1) / 2), 0.0)
-    field = np.fft.ifft2(np.fft.fft2(noise) * amp).real
+    field = irfft2(rfft2(noise) * amp, s=(size, size))
     field = (field - field.mean()) / field.std()
     if crop is not None:
         field = field[:crop, :crop].copy()
@@ -75,10 +76,12 @@ def estimate_autocovariance(field, max_lag):
     if not (max_lag < min(h, wdt) / 2):
         raise ValueError(f"max_lag {max_lag} too large for a {h}x{wdt} field")
     x = field.values - field.values.mean()
-    # full linear autocorrelation via zero-padded FFT
-    fh, fw = 2 * h, 2 * wdt
-    spec = np.fft.rfft2(x, s=(fh, fw))
-    corr = np.fft.irfft2(spec * np.conj(spec), s=(fh, fw)) / x.size
+    # Linear correlation by a zero-padded FFT.  With at least max_lag
+    # zeros after each axis, the circular wrap-around reaches no lag in
+    # [-max_lag, max_lag].
+    fh, fw = (next_fast_len(n + max_lag, real=True) for n in (h, wdt))
+    spec = rfft2(x, s=(fh, fw))
+    corr = irfft2(spec.real**2 + spec.imag**2, s=(fh, fw)) / x.size
     lags = np.arange(-max_lag, max_lag + 1)
     return corr[np.ix_(lags % fh, lags % fw)]
 

@@ -66,7 +66,7 @@ def psf_value(model, u, v):
     rho = np.hypot(u, v)
     t = np.pi * rho * model.r_c
     # J1(t)/t -> 1/2 as t -> 0; divide only where safe.
-    ratio = np.where(t > 0, special.j1(np.where(t > 0, t, 1.0)) / np.where(t > 0, t, 1.0), 0.5)
+    ratio = np.divide(special.j1(t), t, out=np.full_like(t, 0.5), where=t > 0)
     out = np.pi * model.r_c**2 * ratio**2
     if out.ndim == 0:
         return float(out)
@@ -115,12 +115,20 @@ class EffectivePsf:
         nodes, weights = leggauss(_CELL_ORDER)
         pts = ((np.arange(n_cells)[:, None] + 0.5 * (nodes + 1)) / k).ravel()
         wts = np.tile(0.5 * weights / k, n_cells)
-        cells = np.empty((n_cells, n_cells))
-        rows = max(1, 2**20 // (len(pts) * _CELL_ORDER))   # bound the h block
-        for lo in range(0, n_cells, rows):
-            sl = slice(lo * _CELL_ORDER, min(n_cells, lo + rows) * _CELL_ORDER)
-            h = psf_value(model, pts[sl, None], pts[None, :]) * wts[sl, None] * wts
-            cells[lo:lo + rows] = h.reshape(-1, _CELL_ORDER, n_cells, _CELL_ORDER).sum(axis=(1, 3))
+        # h is symmetric on this square node grid: evaluate its upper
+        # triangle in blocks of n/16 rows, which keeps the psf_value
+        # temporaries small and the overlap past the diagonal near 1/32,
+        # and mirror each block below the diagonal.
+        n = len(pts)
+        h = np.empty((n, n))
+        rows = max(1, n // 16)
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            h[lo:hi, lo:] = psf_value(model, pts[lo:hi, None], pts[None, lo:])
+            h[hi:, lo:hi] = h[lo:hi, hi:].T
+        h *= wts[:, None]
+        h *= wts
+        cells = h.reshape(n_cells, _CELL_ORDER, n_cells, _CELL_ORDER).sum(axis=(1, 3))
         g = self._pixel_sums(self._pixel_sums(cells).T).T
         self.coeffs = ndimage.spline_filter(g, order=5, mode="mirror")
 

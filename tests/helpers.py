@@ -4,8 +4,10 @@ never makes."""
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy import ndimage, special
 
-from subpixdet import harness
+from subpixdet import harness, optics
 from subpixdet.optics import render_signature_batch
 
 
@@ -48,3 +50,35 @@ def covariance_size(cov):
 def energy_cache():
     """The lru_cache behind harness.average_energy_cached."""
     return harness._average_energy
+
+
+def acf_padded_2x(field, max_lag):
+    """estimate_autocovariance by a complex power spectrum, each axis
+    zero-padded to twice its length."""
+    x = field.values - field.values.mean()
+    fh, fw = 2 * x.shape[0], 2 * x.shape[1]
+    spec = np.fft.rfft2(x, s=(fh, fw))
+    corr = np.fft.irfft2(spec * np.conj(spec), s=(fh, fw)) / x.size
+    lags = np.arange(-max_lag, max_lag + 1)
+    return corr[np.ix_(lags % fh, lags % fw)]
+
+
+def effective_psf_coeffs_rowblocks(psf):
+    """EffectivePsf's spline coefficients, with h evaluated on the whole
+    node grid (no symmetry), one block of cell rows at a time."""
+    r_c, order, k = psf.r_c, optics._CELL_ORDER, psf.lattice
+    n_cells = k * (psf.w + 1) + optics._SPLINE_MARGIN
+    nodes, weights = leggauss(order)
+    pts = ((np.arange(n_cells)[:, None] + 0.5 * (nodes + 1)) / k).ravel()
+    wts = np.tile(0.5 * weights / k, n_cells)
+    cells = np.empty((n_cells, n_cells))
+    rows = max(1, 2**20 // (len(pts) * order))
+    for lo in range(0, n_cells, rows):
+        sl = slice(lo * order, min(n_cells, lo + rows) * order)
+        t = np.pi * np.hypot(pts[sl, None], pts[None, :]) * r_c
+        safe = np.where(t > 0, t, 1.0)
+        ratio = np.where(t > 0, special.j1(safe) / safe, 0.5)
+        h = np.pi * r_c**2 * ratio**2 * wts[sl, None] * wts
+        cells[lo:lo + rows] = h.reshape(-1, order, n_cells, order).sum(axis=(1, 3))
+    g = psf._pixel_sums(psf._pixel_sums(cells).T).T
+    return ndimage.spline_filter(g, order=5, mode="mirror")

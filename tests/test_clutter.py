@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from subpixdet import clutter
 from subpixdet.clutter import (
     NoiseField, IndefiniteCovarianceError, synthesize_fbm,
     estimate_autocovariance, assemble_window_covariance,
     white_covariance, write_pgm,
 )
+from subpixdet.harness import ExperimentConfig, run_roc
 
-from helpers import covariance_size
+from helpers import acf_padded_2x, covariance_size
 
 
 def radial_psd_slope(field):
@@ -28,7 +30,30 @@ def radial_psd_slope(field):
     return np.polyfit(logr, logp, 1)[0]
 
 
+def fbm_complex(hurst, size=256, seed=None, crop=None):
+    """synthesize_fbm with the whole-plane spectrum: the same noise draw,
+    shaped by the full complex FFT, and the real part of its inverse."""
+    noise = np.random.default_rng(seed).standard_normal((size, size))
+    f = np.fft.fftfreq(size)
+    radius2 = f[:, None] ** 2 + f[None, :] ** 2
+    with np.errstate(divide="ignore"):
+        amp = np.where(radius2 > 0, radius2 ** (-(hurst + 1) / 2), 0.0)
+    field = np.fft.ifft2(np.fft.fft2(noise) * amp).real
+    field = (field - field.mean()) / field.std()
+    if crop is not None:
+        field = field[:crop, :crop]
+        field = (field - field.mean()) / field.std()
+    return NoiseField(values=field, hurst=hurst)
+
+
 class TestSynthesizeFbm:
+    @pytest.mark.parametrize("size, crop", [(2, None), (4, None), (64, None),
+                                            (256, None), (256, 200)])
+    def test_matches_complex_fft(self, size, crop):
+        got = synthesize_fbm(0.7, size, seed=[5, 0, 0], crop=crop).values
+        ref = fbm_complex(0.7, size, seed=[5, 0, 0], crop=crop).values
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
     def test_standardized(self):
         f = synthesize_fbm(0.7, size=256, seed=3)
         assert f.values.shape == (256, 256)
@@ -92,6 +117,20 @@ class TestEstimateAutocovariance:
         ref = acf_direct(x, max_lag=4)
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(14, 23), (25, 14)])
+    def test_matches_direct_oracle_at_largest_lag(self, rng, shape):
+        # the FFT pads each axis to its own fast length (20 and 30, 32
+        # and 20), and 14 + 6 = 20 leaves no spare zero on that axis
+        max_lag = (min(shape) - 1) // 2
+        x = rng.standard_normal(shape)
+        got = estimate_autocovariance(NoiseField(x), max_lag)
+        np.testing.assert_allclose(got, acf_direct(x, max_lag), rtol=0, atol=1e-13)
+
+    def test_matches_2x_padded_fft(self):
+        field = synthesize_fbm(0.7, 256, seed=[4, 0, 0])
+        np.testing.assert_allclose(estimate_autocovariance(field, 4),
+                                   acf_padded_2x(field, 4), rtol=0, atol=1e-14)
+
     def test_center_is_variance(self, rng):
         x = rng.standard_normal((32, 32))
         f = NoiseField(values=x)
@@ -125,6 +164,35 @@ class TestEstimateAutocovariance:
         f = NoiseField(values=np.zeros((10, 10)))
         with pytest.raises(ValueError):
             estimate_autocovariance(f, max_lag=5)
+
+
+def roc_steps(curve, rtol=1e-9):
+    """The points of a RocCurve that end a run of thresholds equal within
+    rtol.  Fractal windows repeat when two draws hit one image position,
+    and the batched product can score such twins an ulp apart, depending
+    on their rows in the batch: one step of the curve then splits in two."""
+    t = curve.thresholds
+    last = np.r_[~np.isclose(t[1:], t[:-1], rtol=rtol, atol=0), True]
+    return t[last], curve.pfa[last], curve.pd[last]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_fractal_roc_matches_complex_fft_clutter(monkeypatch, seed):
+    """A fractal ROC run on the whole-plane fBm and the 2x-padded ACF
+    takes the same Pfa/Pd steps; only the thresholds move, by rounding."""
+    cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=128, alpha=0.3,
+                           n_h0=2000, n_h1=2000, seed=seed)
+    new = run_roc(cfg)
+    monkeypatch.setattr(clutter, "synthesize_fbm", fbm_complex)
+    monkeypatch.setattr(clutter, "estimate_autocovariance", acf_padded_2x)
+    old = run_roc(cfg)
+    assert [c.detector for c in new] == [c.detector for c in old]
+    for a, b in zip(new, old):
+        (ta, pfa_a, pd_a), (tb, pfa_b, pd_b) = roc_steps(a), roc_steps(b)
+        np.testing.assert_array_equal(pfa_a, pfa_b)
+        np.testing.assert_array_equal(pd_a, pd_b)
+        # scores cross 0, so the relative check needs an absolute floor
+        np.testing.assert_allclose(ta, tb, rtol=1e-9, atol=1e-9)
 
 
 class TestWhiteCovariance:

@@ -9,7 +9,7 @@ from subpixdet.optics import (
     render_signature_batch, average_energy, build_signature_bank,
 )
 
-from helpers import signature
+from helpers import effective_psf_coeffs_rowblocks, signature
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,11 @@ class TestEffectivePsf:
         offsets = np.column_stack([np.repeat(e, len(e)), np.tile(e, len(e))])
         err = np.abs(psf.render(offsets, w) - direct_signature_batch(model, offsets, w))
         assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5), (2.44, 5), (0.3, 1)])
+    def test_symmetric_build_matches_row_blocks(self, r_c, w):
+        psf = EffectivePsf(PsfModel(r_c), w)
+        assert np.array_equal(psf.coeffs, effective_psf_coeffs_rowblocks(psf))
 
     def test_narrower_windows_share_one_table(self, model244):
         psf = EffectivePsf(model244, 4)
