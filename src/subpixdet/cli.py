@@ -182,14 +182,27 @@ def cmd_clutter(args):
     return 0
 
 
-def _load_window(path):
+def _load_table(path, what):
+    """A square, odd-sized CSV table of finite numbers; anything else is a
+    ConfigError that names the file."""
+    rows = []
     with open(path) as fh:
-        rows = [[float(tok) for tok in row] for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                rows.append([float(tok) for tok in row])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ConfigError(f"{path}: rows differ in length ({lengths})")
     arr = np.array(rows)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 == 0:
-        raise ConfigError(f"{path}: expected a square odd-sized window, got {arr.shape}")
+        raise ConfigError(f"{path}: expected a square odd-sized {what}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}: window entries must be finite")
+        raise ConfigError(f"{path}: {what} entries must be finite")
     return arr
 
 
@@ -198,8 +211,7 @@ def _window_context(args, w):
     bank = optics.build_signature_bank(psf, args.grid_size, w)
     bank9 = optics.build_alrt_bank(psf, w)
     if args.acf_file:
-        with open(args.acf_file) as fh:
-            table = np.array([[float(tok) for tok in row] for row in csv.reader(fh) if row])
+        table = _load_table(args.acf_file, "autocovariance table")
         cov = clutter.assemble_window_covariance(table, w, lam=args.ridge)
     else:
         cov = clutter.white_covariance(args.sigma, w)
@@ -208,7 +220,7 @@ def _window_context(args, w):
 
 def _read_window(args):
     """The window as a batch of one row vector, and its half-width."""
-    window = _load_window(args.window)
+    window = _load_table(args.window, "window")
     z = window.ravel() - (window.mean() if args.remove_mean else 0.0)
     return z[None, :], (window.shape[0] - 1) // 2
 

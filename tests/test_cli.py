@@ -215,6 +215,28 @@ class TestNonFiniteWindow:
         assert out == ""
 
 
+BAD_TABLES = {
+    "text": "0,0,0\n0,abc,0\n0,0,0\n",
+    "ragged": "0,0,0\n0,0\n0,0,0\n",
+    "non-square": "0,0,0\n" * 2 + "0,1,0\n" + "0,0,0\n" * 2,   # 5 x 3
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_TABLES))
+@pytest.mark.parametrize("which", ["--window", "--acf-file"])
+def test_bad_input_file_exits_1_naming_it(capsys, tmp_path, which, defect):
+    window = tmp_path / "win.csv"
+    write_window(window, w=1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(BAD_TABLES[defect])
+    argv = ["score", "--window", str(window), "--acf-file", str(bad)]
+    if which == "--window":
+        argv = ["score", "--window", str(bad)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}")
+
+
 class TestEstimate:
     def test_three_estimators(self, capsys, tmp_path):
         path = tmp_path / "win.csv"
