@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -24,7 +25,6 @@ from . import clutter, harness, optics
 from .clutter import IndefiniteCovarianceError
 from .detectors import (
     DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores, batch_statistics,
-    build_subspace,
 )
 from .harness import ConfigError, ExperimentConfig
 from .optics import PsfModel
@@ -136,6 +136,11 @@ def _write_manifest(out_dir, config, started, outputs):
     return path
 
 
+def _open_out(path):
+    """The file at path for writing, or stdout (left open) when path is None."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _emit_patch(values, stream):
     writer = csv.writer(stream)
     for row in values:
@@ -150,15 +155,11 @@ def cmd_signature(args):
     psf = optics.EffectivePsf(PsfModel(args.rc), args.w)
     patches = optics.render_signature_batch(psf, offsets, args.w)
     n_pix = 2 * args.w + 1
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _open_out(args.out) as stream:
         for eps, patch in zip(offsets, patches):
             if args.sweep:
                 stream.write(f"# eps={eps[0]},{eps[1]}\n")
             _emit_patch(patch.reshape(n_pix, n_pix), stream)
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 
@@ -170,13 +171,13 @@ def cmd_clutter(args):
         size *= 2
     crop = args.size if args.size != size else None
     field = clutter.synthesize_fbm(args.hurst, size, seed=args.seed, crop=crop)
+    table = clutter.estimate_autocovariance(field, args.max_lag) if args.acf else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     clutter.write_pgm(field, out_dir / "clutter.pgm")
     with open(out_dir / "clutter.csv", "w", newline="") as fh:
         _emit_patch(field.values, fh)
     if args.acf:
-        table = clutter.estimate_autocovariance(field, args.max_lag)
         with open(out_dir / "acf.csv", "w", newline="") as fh:
             _emit_patch(table, fh)
     return 0
@@ -207,15 +208,13 @@ def _load_table(path, what):
 
 
 def _window_context(args, w):
-    psf = optics.EffectivePsf(PsfModel(args.rc), w)
-    bank = optics.build_signature_bank(psf, args.grid_size, w)
-    bank9 = optics.build_alrt_bank(psf, w)
     if args.acf_file:
         table = _load_table(args.acf_file, "autocovariance table")
         cov = clutter.assemble_window_covariance(table, w, lam=args.ridge)
     else:
         cov = clutter.white_covariance(args.sigma, w)
-    return bank.bind(cov), bank9.bind(cov), build_subspace(bank, 1)
+    return harness.bind_detectors(optics.EffectivePsf(PsfModel(args.rc), w), cov,
+                                  args.grid_size)
 
 
 def _read_window(args):
@@ -273,75 +272,40 @@ def cmd_estimate(args):
     return 0
 
 
-def cmd_roc(args):
+def cmd_experiment(args):
+    """roc or mse, after the subcommand: run it, write <kind>.csv and meta.json."""
     started = time.time()
-    config = resolve_config(args, "roc")
-    curves = harness.run_roc(config)
+    kind = args.command
+    config = resolve_config(args, kind)
+    # looked up per call, so that wrappers installed on harness take effect
+    result = getattr(harness, f"run_{kind}")(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    roc_path = out_dir / "roc.csv"
-    harness.write_roc_csv(curves, roc_path)
-    _write_manifest(out_dir, config, started, [roc_path])
-    print(f"wrote {roc_path}")
-    return 0
-
-
-def cmd_mse(args):
-    started = time.time()
-    config = resolve_config(args, "mse")
-    report = harness.run_mse(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mse_path = out_dir / "mse.csv"
-    harness.write_mse_csv(report, mse_path)
-    _write_manifest(out_dir, config, started, [mse_path])
-    print(f"wrote {mse_path}")
+    path = out_dir / f"{kind}.csv"
+    getattr(harness, f"write_{kind}_csv")(result, path)
+    _write_manifest(out_dir, config, started, [path])
+    print(f"wrote {path}")
     return 0
 
 
 def cmd_theoretical_roc(args):
-    if args.noise not in (None, "white"):
-        raise ConfigError("theoretical ROC is defined for white noise only")
-    model = PsfModel(args.rc)
-    bank = optics.build_signature_bank(model, args.grid_size, args.w)
+    bank = optics.build_signature_bank(PsfModel(args.rc), args.grid_size, args.w)
     specs = [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")]
     if args.eps:
         specs = [("fixed", _parse_eps(args.eps))]
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    # every curve first, so that a refused input writes nothing
+    curves = [(name, harness.theoretical_pmf_roc(args.snr_db, eps_star, bank,
+                                                 sigma=args.sigma))
+              for name, eps_star in specs]
+    with _open_out(args.out) as stream:
         stream.write("curve,pfa,pd\n")
-        for name, eps_star in specs:
-            curve = harness.theoretical_pmf_roc(args.snr_db, eps_star, bank,
-                                                sigma=args.sigma)
-            for pfa, pd in zip(curve.pfa, curve.pd):
+        for name, curve in curves:
+            for pfa, pd in zip(curve.pfa.tolist(), curve.pd.tolist()):
                 stream.write(f"{name},{pfa!r},{pd!r}\n")
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 
 # ---------------------------------------------------------------------------
-
-def _add_experiment_flags(parser):
-    parser.add_argument("--config", help="key=value config file or meta.json manifest")
-    parser.add_argument("--preset", help="built-in preset name")
-    parser.add_argument("--out", default=".", help="output directory")
-    for key, kind in _CONFIG_FIELDS.items():
-        parser.add_argument("--" + key.replace("_", "-"),
-                            type=lambda raw, kind=kind: _parse_value(kind, raw))
-
-
-def _add_window_flags(parser):
-    parser.add_argument("--window", required=True, help="window CSV path")
-    parser.add_argument("--rc", type=float, default=2.44)
-    parser.add_argument("--grid-size", type=int, default=20)
-    parser.add_argument("--sigma", type=float, default=1.0)
-    parser.add_argument("--acf-file", help="autocovariance CSV (else white noise)")
-    parser.add_argument("--ridge", type=float, default=1e-6)
-    parser.add_argument("--remove-mean", action="store_true",
-                        help="subtract the window's empirical mean first")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -352,9 +316,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("signature", help="render a pixel-integrated spot")
-    p.add_argument("--rc", type=float, default=2.44)
+    p.add_argument("--rc", type=float, default=ExperimentConfig.r_c)
     p.add_argument("--eps", default="0,0", help="subpixel offset 'e1,e2'")
-    p.add_argument("--w", type=int, default=2)
+    p.add_argument("--w", type=int, default=ExperimentConfig.w)
     p.add_argument("--sweep", action="store_true",
                    help="render the five example offsets instead of --eps")
     p.add_argument("--out")
@@ -369,30 +333,36 @@ def build_parser():
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_clutter)
 
-    p = sub.add_parser("score", help="run all five detectors on a window CSV")
-    _add_window_flags(p)
-    p.set_defaults(func=cmd_score)
+    for name, func, what in (("score", cmd_score, "run all five detectors"),
+                             ("estimate", cmd_estimate, "run the position estimators")):
+        p = sub.add_parser(name, help=f"{what} on a window CSV")
+        p.add_argument("--window", required=True, help="window CSV path")
+        p.add_argument("--rc", type=float, default=ExperimentConfig.r_c)
+        p.add_argument("--grid-size", type=int, default=ExperimentConfig.grid_size)
+        p.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
+        p.add_argument("--acf-file", help="autocovariance CSV (else white noise)")
+        p.add_argument("--ridge", type=float, default=ExperimentConfig.ridge)
+        p.add_argument("--remove-mean", action="store_true",
+                       help="subtract the window's empirical mean first")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("estimate", help="run the position estimators on a window CSV")
-    _add_window_flags(p)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("roc", help="Monte Carlo ROC experiment")
-    _add_experiment_flags(p)
-    p.set_defaults(func=cmd_roc)
-
-    p = sub.add_parser("mse", help="Monte Carlo estimator MSE experiment")
-    _add_experiment_flags(p)
-    p.set_defaults(func=cmd_mse)
+    for name, what in (("roc", "ROC"), ("mse", "estimator MSE")):
+        p = sub.add_parser(name, help=f"Monte Carlo {what} experiment")
+        p.add_argument("--config", help="key=value config file or meta.json manifest")
+        p.add_argument("--preset", help="built-in preset name")
+        p.add_argument("--out", default=".", help="output directory")
+        for key, kind in _CONFIG_FIELDS.items():
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=lambda raw, kind=kind: _parse_value(kind, raw))
+        p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("theoretical-roc", help="closed-form PMF ROC curves")
     p.add_argument("--snr-db", type=float, required=True)
     p.add_argument("--eps", help="fixed true offset 'e1,e2' (default: the trio)")
-    p.add_argument("--rc", type=float, default=2.44)
-    p.add_argument("--w", type=int, default=2)
-    p.add_argument("--grid-size", type=int, default=20)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--noise", help="must be white (closed form)")
+    p.add_argument("--rc", type=float, default=ExperimentConfig.r_c)
+    p.add_argument("--w", type=int, default=ExperimentConfig.w)
+    p.add_argument("--grid-size", type=int, default=ExperimentConfig.grid_size)
+    p.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
     p.add_argument("--out")
     p.set_defaults(func=cmd_theoretical_roc)
 

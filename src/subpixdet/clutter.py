@@ -73,6 +73,8 @@ def estimate_autocovariance(field, max_lag):
     spectral density nonnegative.
     """
     h, wdt = field.values.shape
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     if not (max_lag < min(h, wdt) / 2):
         raise ValueError(f"max_lag {max_lag} too large for a {h}x{wdt} field")
     x = field.values - field.values.mean()
@@ -105,6 +107,8 @@ def assemble_window_covariance(acf, w, lam=1e-6):
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"ridge must be finite and >= 0, got {lam}")
     acf = np.asarray(acf, dtype=float)
+    if acf.ndim != 2 or acf.shape[0] != acf.shape[1] or acf.shape[0] % 2 == 0:
+        raise ValueError(f"acf must be a square table with odd sides, got {acf.shape}")
     max_lag = (acf.shape[0] - 1) // 2
     if max_lag < 2 * w:
         raise ValueError(f"acf covers lags up to {max_lag}, need {2 * w}")

@@ -13,9 +13,10 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
-from scipy.stats import norm
+from scipy import special
 
 from . import clutter, optics
 from .detectors import (
@@ -28,6 +29,7 @@ from .optics import (
 __all__ = [
     "ExperimentConfig",
     "ConfigError",
+    "bind_detectors",
     "RocCurve",
     "snr_to_alpha",
     "empirical_roc_from_scores",
@@ -67,12 +69,12 @@ class ExperimentConfig:
     parses its value as the field's annotated type.
     """
 
+    # not a field (no flag, config key or manifest entry); see DEFAULT_QUAD_ORDER
+    q: ClassVar[int] = optics.DEFAULT_QUAD_ORDER
+
     r_c: float = 2.44
     w: int = 2
     grid_size: int = 20
-    # per-pixel quadrature order of the retired direct renderer: rendering
-    # and the spot energy no longer depend on it
-    q: int = optics.DEFAULT_QUAD_ORDER
     noise: str = "white"            # "white" | "fractal"
     sigma: float = 1.0
     hurst: float = 0.7
@@ -153,6 +155,8 @@ class RocCurve:
 
 def snr_to_alpha(snr_db, sigma, energy):
     """Amplitude from SNR = 10 log10(alpha^2 E / sigma^2)."""
+    if not (math.isfinite(snr_db) and math.isfinite(sigma)):
+        raise ValueError(f"snr_db and sigma must be finite, got {snr_db} and {sigma}")
     if not (sigma > 0 and energy > 0):
         raise ValueError("sigma and energy must be positive")
     return sigma * 10 ** (snr_db / 20) / math.sqrt(energy)
@@ -166,8 +170,8 @@ def _average_energy(r_c):
 def average_energy_cached(r_c, q=None):
     """Memoized full-plane average spot energy E(r_c).
 
-    The cache is keyed on r_c alone; q is accepted for callers that
-    still pass a quadrature order, and ignored (E does not depend on it).
+    The cache is keyed on r_c alone; q is ignored (E does not depend on
+    it) and stays only while bench/run.py and bench/selftest.py pass it.
     """
     return _average_energy(r_c)
 
@@ -247,22 +251,28 @@ def _fractal_covariance(config):
     return cov, sigma_clutter, train
 
 
+def bind_detectors(psf, cov, grid_size, subspace_order=1):
+    """The detectors' precomputation for one design and covariance: the
+    offset-grid bank and the ALRT bank bound to cov, and the SM-GLRT
+    subspace.  psf is an EffectivePsf covering the window of cov."""
+    bank = build_signature_bank(psf, grid_size, cov.w)
+    bank9 = build_alrt_bank(psf, cov.w)
+    return bank.bind(cov), bank9.bind(cov), build_subspace(bank, subspace_order)
+
+
 def _setup(config):
     """Shared precomputation: the effective-PSF table every signature of
-    the run is read from, banks, covariance, bound products, windows."""
+    the run is read from, covariance, bound banks, windows."""
     config.validate()
     psf = EffectivePsf(PsfModel(config.r_c), config.w)
-    bank = build_signature_bank(psf, config.grid_size, config.w)
-    bank9 = build_alrt_bank(psf, config.w)
     train = None
     if config.noise == "white":
         cov = clutter.white_covariance(config.sigma, config.w)
         sigma_eff = config.sigma
     else:
         cov, sigma_eff, train = _fractal_covariance(config)
-    bound = bank.bind(cov)
-    bound9 = bank9.bind(cov)
-    subspace = build_subspace(bank, config.subspace_order)
+    bound, bound9, subspace = bind_detectors(psf, cov, config.grid_size,
+                                             config.subspace_order)
     source = _WindowSource(config, (2 * config.w + 1) ** 2,
                            train if config.train_equals_test else None)
     return psf, bound, bound9, subspace, sigma_eff, source
@@ -389,8 +399,8 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
         cross = np.array([sig @ s0])
         name = f"PMF({eps_star[0]},{eps_star[1]})"
     deflection = alpha * cross / scale
-    tau_std = norm.isf(pfa_grid)
-    pd = norm.sf(tau_std[:, None] - deflection[None, :]).mean(axis=1)
+    tau_std = -special.ndtri(pfa_grid)                   # Q^{-1}(Pfa)
+    pd = special.ndtr(deflection[None, :] - tau_std[:, None]).mean(axis=1)
     return RocCurve(detector=name, thresholds=tau_std * scale,
                     pfa=pfa_grid, pd=pd)
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from dataclasses import dataclass, field
+from typing import ClassVar
 from numpy.polynomial.legendre import leggauss
 from scipy import ndimage, special
 
@@ -32,9 +33,10 @@ __all__ = [
     "build_alrt_bank",
 ]
 
-# Per-pixel Gauss-Legendre order of the retired direct renderer.  It is
-# still the default of the `q` config field and bank attribute, but
-# rendering and the spot energy no longer depend on it.
+# Per-pixel Gauss-Legendre order of the retired direct renderer, kept as
+# the constant ExperimentConfig.q and SignatureBank.q only because
+# bench/run.py and bench/selftest.py read them.  Rendering and the spot
+# energy do not depend on it.
 DEFAULT_QUAD_ORDER = 16
 
 
@@ -236,7 +238,7 @@ class SignatureBank:
     r_c: float
     grid_size: int
     psf: EffectivePsf = field(compare=False, repr=False)   # the table rendered from
-    q: int = DEFAULT_QUAD_ORDER      # recorded only; rendering does not read it
+    q: ClassVar[int] = DEFAULT_QUAD_ORDER       # a constant; see DEFAULT_QUAD_ORDER
     center_index: int = field(default=-1)
 
     @property
@@ -298,7 +300,7 @@ def build_alrt_bank(psf, w=2, q=None):
     The +0.5 boundary lies outside the half-open offset set but the
     trapezoidal rule needs its value; it equals the -0.5 signature
     shifted by one pixel.  psf is an EffectivePsf or a PsfModel; q is
-    accepted for callers that still pass a quadrature order, and ignored.
+    ignored, and stays only while bench/run.py passes it.
     """
     offsets = alrt_offsets()
     table = _table(psf, w)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 
@@ -79,6 +82,14 @@ class TestClutter:
         with open(tmp_path / "acf.csv") as fh:
             acf = list(csv.reader(fh))
         assert len(acf) == 7
+
+    def test_negative_max_lag_exits_1_without_output(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "clutter", "--size", "40", "--acf",
+                               "--max-lag", "-1", "--out", str(out))
+        assert code == 1
+        assert "max_lag" in err
+        assert not out.exists()
 
     def test_invalid_hurst_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "clutter", "--hurst", "1.5",
@@ -362,6 +373,20 @@ class TestTheoreticalRoc:
             rows = list(csv.reader(fh))
         assert {r[0] for r in rows[1:]} == {"fixed"}
 
+    @pytest.mark.parametrize("argv", [
+        ("--snr-db", "nan"), ("--snr-db", "inf"), ("--snr-db", "15", "--sigma", "inf"),
+    ], ids=["snr-nan", "snr-inf", "sigma-inf"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_non_finite_input_exits_1_without_output(self, capsys, tmp_path, argv,
+                                                     to_file):
+        out_path = tmp_path / "t.csv"
+        extra = ("--out", str(out_path)) if to_file else ()
+        code, out, err = run_cli(capsys, "theoretical-roc", *argv, *extra)
+        assert code == 1
+        assert "must be finite" in err
+        assert out == ""
+        assert not out_path.exists()
+
     def test_builds_one_table(self, capsys, monkeypatch):
         builds = []
         init = optics.EffectivePsf.__init__
@@ -381,8 +406,13 @@ class TestTheoreticalRoc:
                                ("mean", "mean")]:
             bank = optics.build_signature_bank(PsfModel(2.44), 20, 2)
             curve = theoretical_pmf_roc(15.0, eps_star, bank)
-            lines += [f"{name},{pfa!r},{pd!r}" for pfa, pd in zip(curve.pfa, curve.pd)]
+            lines += [f"{name},{float(pfa)!r},{float(pd)!r}"
+                      for pfa, pd in zip(curve.pfa, curve.pd)]
         assert out == "\n".join(lines) + "\n"
+        # every field parses back as a number
+        rows = list(csv.reader(out.splitlines()[1:]))
+        assert len(rows) == 3 * 161
+        assert all(np.isfinite([float(pfa), float(pd)]).all() for _, pfa, pd in rows)
 
     def test_rejects_fractal(self, capsys):
         code, _, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15",
@@ -427,6 +457,31 @@ class TestConfigHelpers:
         with pytest.raises(ConfigError):
             load_config_file(cfg)
 
+    def test_q_is_neither_key_nor_flag(self, capsys, tmp_path):
+        # the quadrature order of the retired renderer: a key=value file
+        # holding it exits 1 naming the key, and --q is not a flag
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("snr_db = 15\nq = 16\n")
+        code, _, err = run_cli(capsys, "roc", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "c.cfg:2: unknown config key 'q'" in err
+        assert main(["roc", "--snr-db", "15", "--q", "16", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "roc.csv").exists()
+
+    def test_manifest_with_q_replays(self, capsys, tmp_path):
+        # manifests written while q was a config field still replay
+        args = ("roc", "--snr-db", "16", "--n-h0", "300", "--n-h1", "300",
+                "--detectors", "GPMF,ELRT", "--seed", "4")
+        assert main([*args, "--out", str(tmp_path / "a")]) == 0
+        meta = tmp_path / "a" / "meta.json"
+        manifest = json.loads(meta.read_text())
+        assert "q" not in manifest["config"]
+        manifest["config"]["q"] = 16
+        meta.write_text(json.dumps(manifest))
+        assert main(["roc", "--config", str(meta), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "roc.csv").read_bytes()
+                == (tmp_path / "b" / "roc.csv").read_bytes())
+
     @pytest.mark.parametrize("argv", [
         ("signature", "--rc", "inf"),
         ("theoretical-roc", "--snr-db", "15", "--rc", "inf"),
@@ -459,3 +514,12 @@ class TestConfigHelpers:
 
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second of the import
+    code = "import sys, subpixdet.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert res.stdout.strip() == "False"

@@ -164,6 +164,8 @@ class TestEstimateAutocovariance:
         f = NoiseField(values=np.zeros((10, 10)))
         with pytest.raises(ValueError):
             estimate_autocovariance(f, max_lag=5)
+        with pytest.raises(ValueError, match="max_lag must be >= 0"):
+            estimate_autocovariance(f, max_lag=-1)
 
 
 def roc_steps(curve, rtol=1e-9):
@@ -251,6 +253,12 @@ class TestAssembleWindowCovariance:
     def test_short_acf_rejected(self):
         with pytest.raises(ValueError):
             assemble_window_covariance(np.eye(5), w=2, lam=1e-6)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (6, 6), (25,), (5, 5, 1)])
+    def test_table_not_square_and_odd_rejected(self, shape):
+        acf = np.zeros(shape)
+        with pytest.raises(ValueError, match="square table with odd sides"):
+            assemble_window_covariance(acf, w=1)
 
 
 class TestWritePgm:

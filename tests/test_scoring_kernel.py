@@ -58,6 +58,21 @@ def fractal_acf(w, seed=0):
     return clutter.estimate_autocovariance(image, 2 * w)
 
 
+def fbm_spots(psf, seed, n=2000):
+    """n w = 2 windows drawn from a 128^2 fBm image, each plus a spot at a
+    random offset with amplitude up to three times the clutter level."""
+    image = clutter.synthesize_fbm(0.7, 128, seed=[seed, 1, 0]).values
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(2, 126, (2, n))
+    off = np.arange(-2, 3)
+    noise = image[rows[:, None, None] + off[:, None], cols[:, None, None] + off]
+    noise = noise.reshape(n, 25) - image.mean()
+    eps = rng.uniform(-0.5, 0.5, (n, 2))
+    sig = render_signature_batch(psf, eps, 2)
+    amplitude = rng.uniform(0, 3, (n, 1)) * noise.std() / sig.std()
+    return amplitude * sig + noise
+
+
 @pytest.fixture(scope="module")
 def sampled_w5():
     psf = EffectivePsf(PsfModel(0.5), 5)
@@ -150,16 +165,7 @@ class TestOracle:
     def test_empirical_w2(self, bank244, bank9_244, subspace244):
         cov = clutter.assemble_window_covariance(fractal_acf(2, seed=3), 2)
         bound, bound9 = bank244.bind(cov), bank9_244.bind(cov)
-        image = clutter.synthesize_fbm(0.7, 128, seed=[3, 1, 0]).values
-        rng = np.random.default_rng(3)
-        rows, cols = rng.integers(2, 126, (2, 2000))
-        off = np.arange(-2, 3)
-        noise = image[rows[:, None, None] + off[:, None], cols[:, None, None] + off]
-        noise = noise.reshape(2000, 25) - image.mean()
-        eps = rng.uniform(-0.5, 0.5, (2000, 2))
-        sig = render_signature_batch(bank244.psf, eps, 2)
-        amplitude = rng.uniform(0, 3, (2000, 1)) * noise.std() / sig.std()
-        self.check(amplitude * sig + noise, bound, bound9, subspace244)
+        self.check(fbm_spots(bank244.psf, 3), bound, bound9, subspace244)
 
     def test_empirical_w2_large_ratios(self, bank244, bank9_244, subspace244):
         # spots in white noise scored against the fBm covariance, whose
@@ -171,6 +177,31 @@ class TestOracle:
         windows = spots(bound, 11, rng.uniform(0, 30, (2000, 1)), n=2000)
         assert batch_statistics(windows, bound)[1].max() >= 1e5
         self.check(windows, bound, bound9, subspace244)
+
+
+@pytest.mark.parametrize("noise", ["white-w5", "fbm-w2"])
+def test_batch_of_one_matches_batch_of_many(sampled_w5, bank244, bank9_244, subspace244,
+                                            noise):
+    """score and estimate run one window as a batch of one, which BLAS
+    multiplies by gemv; the Monte Carlo's batches of thousands go through
+    gemm.  The two round differently: the same window's score differs in
+    its last bits with its batch and its row in it, within this bound."""
+    if noise == "white-w5":
+        bound, bound9, subspace = sampled_w5
+        windows = spots(bound, 5, np.random.default_rng(5).uniform(0, 20, (2000, 1)),
+                        n=2000)
+    else:
+        cov = clutter.assemble_window_covariance(fractal_acf(2, seed=4), 2)
+        bound, bound9, subspace = bank244.bind(cov), bank9_244.bind(cov), subspace244
+        windows = fbm_spots(bank244.psf, 4)
+    many = batch_scores(windows, bound, bound9, subspace, DETECTOR_IDS)
+    many["PM"] = batch_estimates(windows, bound, ("PM",))["PM"]
+    for i in range(0, 2000, 20):
+        one = batch_scores(windows[i:i + 1], bound, bound9, subspace, DETECTOR_IDS)
+        one["PM"] = batch_estimates(windows[i:i + 1], bound, ("PM",))["PM"]
+        for name, value in one.items():
+            s = many[name][i]
+            assert np.all(np.abs(value[0] - s) <= 1e-12 * (1 + np.abs(s))), (name, i)
 
 
 def test_peak_memory_is_one_buffer(sampled_w5):
