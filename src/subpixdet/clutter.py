@@ -92,9 +92,13 @@ def white_covariance(sigma, w):
     """Exact white-noise covariance R = sigma^2 I for a (2w+1)^2 window."""
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    try:
+        sigma2 = float(sigma) ** 2
+    except OverflowError:
+        raise ValueError(f"sigma**2 overflows, got sigma = {sigma}") from None
     n = (2 * w + 1) ** 2
-    return CovarianceModel(w=w, form="white", matrix=sigma**2 * np.eye(n),
-                           sigma2=sigma**2, _factor=None)
+    return CovarianceModel(w=w, form="white", matrix=sigma2 * np.eye(n),
+                           sigma2=sigma2, _factor=None)
 
 
 def assemble_window_covariance(acf, w, lam=1e-6):

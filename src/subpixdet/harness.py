@@ -159,7 +159,14 @@ def snr_to_alpha(snr_db, sigma, energy):
         raise ValueError(f"snr_db and sigma must be finite, got {snr_db} and {sigma}")
     if not (sigma > 0 and energy > 0):
         raise ValueError("sigma and energy must be positive")
-    return sigma * 10 ** (snr_db / 20) / math.sqrt(energy)
+    try:
+        alpha = sigma * 10 ** (snr_db / 20) / math.sqrt(energy)
+    except OverflowError:
+        alpha = math.inf
+    if not math.isfinite(alpha):
+        raise ValueError(f"snr_db = {snr_db} at sigma = {sigma} gives an amplitude "
+                         "that overflows")
+    return alpha
 
 
 @lru_cache(maxsize=None)
@@ -198,57 +205,10 @@ def empirical_roc_from_scores(scores_h0, scores_h1, detector="custom"):
 
 
 # ---------------------------------------------------------------------------
-# Window generation
+# Monte Carlo runs
 
 def _rng(seed, stream, chunk):
     return np.random.default_rng([int(seed), int(stream), int(chunk)])
-
-
-def _chunks(total):
-    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-
-
-class _WindowSource:
-    """Draws mean-removed noise windows for one hypothesis stream.
-
-    Fractal windows are gathered from image: by default the test image,
-    or the training image when train_equals_test is set.  A caller that
-    already holds that image passes it instead of synthesizing it again.
-    """
-
-    def __init__(self, config, n_window, image=None):
-        self.config = config
-        self.n_window = n_window
-        if config.noise == "fractal":
-            if image is None:
-                stream = _STREAM_TRAIN if config.train_equals_test else _STREAM_TEST
-                image = clutter.synthesize_fbm(config.hurst, config.image_size,
-                                               seed=[int(config.seed), stream, 0])
-            self.image = image.values - image.values.mean()
-
-    def noise(self, count, stream, chunk):
-        cfg = self.config
-        rng = _rng(cfg.seed, stream, chunk)
-        if cfg.noise == "white":
-            return cfg.sigma * rng.standard_normal((count, self.n_window))
-        side = 2 * cfg.w + 1
-        size = cfg.image_size
-        rows = rng.integers(cfg.w, size - cfg.w, count)
-        cols = rng.integers(cfg.w, size - cfg.w, count)
-        off = np.arange(-cfg.w, cfg.w + 1)
-        ri = rows[:, None, None] + off[None, :, None]
-        ci = cols[:, None, None] + off[None, None, :]
-        return self.image[ri, ci].reshape(count, side * side)
-
-
-def _fractal_covariance(config):
-    """Train-image empirical covariance, its clutter sigma, and the image."""
-    train = clutter.synthesize_fbm(config.hurst, config.image_size,
-                                   seed=[int(config.seed), _STREAM_TRAIN, 0])
-    acf = clutter.estimate_autocovariance(train, 2 * config.w)
-    cov = clutter.assemble_window_covariance(acf, config.w, lam=config.ridge)
-    sigma_clutter = math.sqrt(acf[2 * config.w, 2 * config.w])
-    return cov, sigma_clutter, train
 
 
 def bind_detectors(psf, cov, grid_size, subspace_order=1):
@@ -260,113 +220,132 @@ def bind_detectors(psf, cov, grid_size, subspace_order=1):
     return bank.bind(cov), bank9.bind(cov), build_subspace(bank, subspace_order)
 
 
-def _setup(config):
-    """Shared precomputation: the effective-PSF table every signature of
-    the run is read from, covariance, bound banks, windows."""
-    config.validate()
-    psf = EffectivePsf(PsfModel(config.r_c), config.w)
-    train = None
-    if config.noise == "white":
-        cov = clutter.white_covariance(config.sigma, config.w)
-        sigma_eff = config.sigma
-    else:
-        cov, sigma_eff, train = _fractal_covariance(config)
-    bound, bound9, subspace = bind_detectors(psf, cov, config.grid_size,
-                                             config.subspace_order)
-    source = _WindowSource(config, (2 * config.w + 1) ** 2,
-                           train if config.train_equals_test else None)
-    return psf, bound, bound9, subspace, sigma_eff, source
+class _Run:
+    """One run's set-up and its chunk driver.
 
+    Holds the effective-PSF table every signature of the run is read
+    from, the bound detectors, sigma_eff (the noise sigma an SNR refers
+    to: the clutter's own for fractal noise) and, for fractal noise, the
+    mean-removed image windows are gathered from.  The covariance is
+    trained on image (seed, 0, 0); windows come from image (seed, 1, 0),
+    or from the training image itself when train_equals_test.
+    """
 
-def _resolve_alpha(config, sigma_eff, snr_db=None):
-    if config.alpha is not None:
-        return config.alpha
-    snr = config.snr_db if snr_db is None else snr_db
-    return snr_to_alpha(snr, sigma_eff, average_energy_cached(config.r_c))
+    def __init__(self, config):
+        self.config = config
+        self.psf = EffectivePsf(PsfModel(config.r_c), config.w)
+        if config.noise == "white":
+            cov = clutter.white_covariance(config.sigma, config.w)
+            self.sigma_eff = config.sigma
+        else:
+            train = clutter.synthesize_fbm(config.hurst, config.image_size,
+                                           seed=[int(config.seed), _STREAM_TRAIN, 0])
+            acf = clutter.estimate_autocovariance(train, 2 * config.w)
+            cov = clutter.assemble_window_covariance(acf, config.w, lam=config.ridge)
+            self.sigma_eff = math.sqrt(acf[2 * config.w, 2 * config.w])
+            image = train if config.train_equals_test else clutter.synthesize_fbm(
+                config.hurst, config.image_size, seed=[int(config.seed), _STREAM_TEST, 0])
+            self.image = image.values - image.values.mean()
+        self.bound, self.bound9, self.subspace = bind_detectors(
+            self.psf, cov, config.grid_size, config.subspace_order)
 
+    def alpha(self, snr_db):
+        return snr_to_alpha(snr_db, self.sigma_eff, average_energy_cached(self.config.r_c))
 
-def _draw_offsets(config, count, chunk, stream=_STREAM_EPS):
-    if config.eps_mode == "fixed":
-        return np.tile(np.asarray(config.eps_fixed, dtype=float), (count, 1))
-    rng = _rng(config.seed, stream, chunk)
-    return rng.uniform(-0.5, 0.5, (count, 2))
+    def trials(self, fn, total, stream, alpha=None, first_chunk=0):
+        """fn(windows, eps) over total trials, in chunks of _CHUNK.
 
+        Chunk i draws its noise from substream (seed, stream, key) with
+        key = first_chunk + i.  With alpha, each window is alpha * s_eps
+        + noise, the offsets eps drawn from (seed, _STREAM_EPS, key) (or
+        all eps_fixed); without it, windows are noise and eps is None.
+        Returns fn's {name: column} dicts concatenated over the chunks.
+        """
+        cfg = self.config
 
-def _map_chunks(fn, chunks, jobs):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(len(chunks)), chunks))
-    return [fn(i, c) for i, c in enumerate(chunks)]
+        def chunk(i):
+            count = min(_CHUNK, total - i * _CHUNK)
+            key = first_chunk + i
+            rng = _rng(cfg.seed, stream, key)
+            if cfg.noise == "white":
+                noise = cfg.sigma * rng.standard_normal((count, (2 * cfg.w + 1) ** 2))
+            else:
+                off = np.arange(-cfg.w, cfg.w + 1)
+                rows = rng.integers(cfg.w, cfg.image_size - cfg.w, count)[:, None, None]
+                cols = rng.integers(cfg.w, cfg.image_size - cfg.w, count)[:, None, None]
+                noise = self.image[rows + off[None, :, None],
+                                   cols + off[None, None, :]].reshape(count, -1)
+            if alpha is None:
+                return fn(noise, None)
+            if cfg.eps_mode == "fixed":
+                eps = np.tile(np.asarray(cfg.eps_fixed, dtype=float), (count, 1))
+            else:
+                eps = _rng(cfg.seed, _STREAM_EPS, key).uniform(-0.5, 0.5, (count, 2))
+            return fn(alpha * render_signature_batch(self.psf, eps, cfg.w) + noise, eps)
+
+        n_chunks = -(-total // _CHUNK)
+        if cfg.jobs > 1:
+            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+                parts = list(pool.map(chunk, range(n_chunks)))
+        else:
+            parts = [chunk(i) for i in range(n_chunks)]
+        return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
 def run_roc(config):
     """Empirical ROC curves for the configured detectors.
 
     H0 windows are pure noise; H1 windows are alpha * s_eps + noise with
-    a fresh uniform offset per trial.  For fractal noise the covariance
-    is trained on a separate image from the one windows are drawn from
-    (unless train_equals_test).  Thresholds sweep every distinct score.
+    a fresh uniform offset per trial, alpha given or set by snr_db.
+    Thresholds sweep every distinct score.
     """
-    psf, bound, bound9, subspace, sigma_eff, source = _setup(config)
-    alpha = _resolve_alpha(config, sigma_eff)
+    config.validate()
+    if config.alpha is None and config.snr_db is None:
+        raise ConfigError("roc needs alpha or snr_db (snr_sweep is for mse)")
+    run = _Run(config)
+    alpha = run.alpha(config.snr_db) if config.alpha is None else config.alpha
 
-    def score_h0(i, span):
-        windows = source.noise(span[1] - span[0], _STREAM_H0, i)
-        return batch_scores(windows, bound, bound9, subspace, config.detectors)
+    def score(windows, eps):
+        return batch_scores(windows, run.bound, run.bound9, run.subspace, config.detectors)
 
-    def score_h1(i, span):
-        count = span[1] - span[0]
-        eps = _draw_offsets(config, count, i)
-        sig = render_signature_batch(psf, eps, config.w)
-        windows = alpha * sig + source.noise(count, _STREAM_H1, i)
-        return batch_scores(windows, bound, bound9, subspace, config.detectors)
-
-    parts0 = _map_chunks(score_h0, _chunks(config.n_h0), config.jobs)
-    parts1 = _map_chunks(score_h1, _chunks(config.n_h1), config.jobs)
-    curves = []
-    for det in config.detectors:
-        s0 = np.concatenate([p[det] for p in parts0])
-        s1 = np.concatenate([p[det] for p in parts1])
-        curves.append(empirical_roc_from_scores(s0, s1, detector=det))
-    return curves
+    s0 = run.trials(score, config.n_h0, _STREAM_H0)
+    s1 = run.trials(score, config.n_h1, _STREAM_H1, alpha)
+    return [empirical_roc_from_scores(s0[det], s1[det], detector=det)
+            for det in config.detectors]
 
 
 def run_mse(config):
-    """Estimator MSE/bias across the configured SNR sweep.
+    """Estimator MSE/bias at each snr_sweep point (or at snr_db alone).
 
     Returns a tuple of per-(estimator, SNR) row dicts, keyed as the
-    mse.csv header.  Per trial the true offset is continuous-uniform
-    (never grid-snapped), so grid quantization of ML/PM is honestly
-    penalized.
+    mse.csv header.  Rows are labelled by SNR, so alpha is refused.  Per
+    trial the true offset is continuous-uniform (never grid-snapped), so
+    grid quantization of ML/PM is honestly penalized.
     """
-    psf, bound, bound9, subspace, sigma_eff, source = _setup(config)
+    config.validate()
+    if config.alpha is not None:
+        raise ConfigError("mse rows are labelled by SNR: "
+                          "give snr_db or snr_sweep, not alpha")
+    run = _Run(config)
     sweep = config.snr_sweep or (config.snr_db,)
-    if sweep == (None,):
-        raise ConfigError("MSE run needs snr_db or snr_sweep")
+    alphas = [run.alpha(snr_db) for snr_db in sweep]
+
+    def error(windows, eps):
+        est = batch_estimates(windows, run.bound, config.estimators)
+        return {name: val - eps for name, val in est.items()}
+
     rows = []
-    for si, snr_db in enumerate(sweep):
-        alpha = _resolve_alpha(config, sigma_eff, snr_db)
-
-        def one_chunk(i, span):
-            count = span[1] - span[0]
-            tag = si * _SWEEP_STRIDE + i
-            eps = _draw_offsets(config, count, tag)
-            sig = render_signature_batch(psf, eps, config.w)
-            windows = alpha * sig + source.noise(count, _STREAM_MSE, tag)
-            est = batch_estimates(windows, bound, config.estimators)
-            return {name: val - eps for name, val in est.items()}
-
-        parts = _map_chunks(one_chunk, _chunks(config.n_trials), config.jobs)
+    for si, (snr_db, alpha) in enumerate(zip(sweep, alphas)):
+        err = run.trials(error, config.n_trials, _STREAM_MSE, alpha, si * _SWEEP_STRIDE)
         for name in config.estimators:
-            err = np.concatenate([p[name] for p in parts])
-            mse = np.mean(err**2, axis=0)
-            bias = np.mean(err, axis=0)
+            mse = np.mean(err[name]**2, axis=0)
+            bias = np.mean(err[name], axis=0)
             rows.append({
                 "estimator": name, "snr_db": float(snr_db),
                 "mse_eps1": float(mse[0]), "mse_eps2": float(mse[1]),
                 "mse_total": float(mse.sum()),
                 "bias_eps1": float(bias[0]), "bias_eps2": float(bias[1]),
-                "n_trials": len(err),
+                "n_trials": len(err[name]),
             })
     return tuple(rows)
 

@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from subpixdet import optics
+from subpixdet import clutter, harness, optics
 from subpixdet.cli import (
     PRESETS, SWEEP_OFFSETS, build_parser, load_config_file, main, resolve_config,
 )
@@ -506,6 +506,38 @@ class TestConfigHelpers:
         code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 1
         assert field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (("roc", "--snr-db", "1e4", "--n-h0", "50", "--n-h1", "50"), "snr_db"),
+        (("theoretical-roc", "--snr-db", "1e5"), "snr_db"),
+        (("roc", "--snr-db", "15", "--sigma", "1e300", "--n-h0", "50", "--n-h1", "50"),
+         "sigma"),
+    ], ids=["roc-snr-db", "theoretical-roc-snr-db", "roc-sigma"])
+    def test_overflow_exits_1_without_output(self, capsys, tmp_path, argv, field):
+        # 10 ** (snr_db / 20) and sigma ** 2 overflow a float
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("roc", "--snr-sweep", "5,10", "--n-h0", "50", "--n-h1", "50"),
+         "roc needs alpha or snr_db"),
+        (("mse", "--alpha", "1", "--snr-sweep", "5,40", "--n-trials", "50"), "not alpha"),
+    ], ids=["roc-sweep-only", "mse-alpha"])
+    def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
+                                                  argv, message):
+        built = []
+        for owner, name in ((harness, "EffectivePsf"), (harness, "build_signature_bank"),
+                            (clutter, "white_covariance"), (clutter, "synthesize_fbm")):
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **k: built.append(name))
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert message in err
+        assert built == []
         assert not (tmp_path / "out").exists()
 
     def test_usage_error_exits_1(self, capsys):

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from subpixdet import clutter, harness
+from subpixdet.detectors import batch_estimates, batch_scores
 from subpixdet.harness import (
-    ConfigError, ExperimentConfig, average_energy_cached,
+    ConfigError, ExperimentConfig, average_energy_cached, bind_detectors,
     empirical_roc_from_scores, run_mse, run_roc, snr_to_alpha,
     theoretical_pmf_roc, write_mse_csv, write_roc_csv,
 )
+from subpixdet.optics import EffectivePsf, PsfModel, render_signature_batch
 
 from helpers import energy_cache, mse_row, pd_at_pfa, pfa_at_pd
 
@@ -219,6 +222,18 @@ class TestRunRoc:
         curve = run_roc(cfg)[0]
         assert curve.pfa[-1] == 1.0 and np.all(np.isfinite(curve.thresholds[1:]))
 
+    def test_fractal_jobs_invariant(self):
+        # H0 spans two chunks, so two threads gather windows at once
+        cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=128, alpha=0.3,
+                               n_h0=harness._CHUNK + 1, n_h1=500, seed=3,
+                               detectors=("GPMF", "GLRT"))
+        a = run_roc(cfg)
+        b = run_roc(replace(cfg, jobs=3))
+        for ca, cb in zip(a, b):
+            np.testing.assert_array_equal(ca.thresholds, cb.thresholds)
+            np.testing.assert_array_equal(ca.pfa, cb.pfa)
+            np.testing.assert_array_equal(ca.pd, cb.pd)
+
     def test_train_equals_test_synthesizes_image_once(self, monkeypatch):
         cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=128,
                                alpha=0.3, n_h0=500, n_h1=500, seed=2,
@@ -233,12 +248,71 @@ class TestRunRoc:
         monkeypatch.setattr(clutter, "synthesize_fbm", counting)
         run_roc(cfg)
         assert seeds == [[2, 0, 0]]
+        seeds.clear()
+        reused = harness._Run(cfg)
+        assert seeds == [[2, 0, 0]]
         # the reused training image draws the same windows as a fresh
-        # synthesis of it
-        train = synthesize(cfg.hurst, cfg.image_size, seed=[2, 0, 0])
-        reused = harness._WindowSource(cfg, 25, train).noise(300, 2, 0)
-        fresh = harness._WindowSource(cfg, 25).noise(300, 2, 0)
-        np.testing.assert_array_equal(reused, fresh)
+        # synthesis of it, served as the test image
+        def train_image(*args, **kwargs):
+            return synthesize(*args, **{**kwargs, "seed": [2, 0, 0]})
+
+        monkeypatch.setattr(clutter, "synthesize_fbm", train_image)
+        fresh = harness._Run(replace(cfg, train_equals_test=False))
+
+        def windows(run):
+            return run.trials(lambda z, eps: {"z": z}, 300, 2)["z"]
+
+        np.testing.assert_array_equal(windows(reused), windows(fresh))
+
+
+class TestSubstreamLayout:
+    """The documented (seed, stream, chunk) substreams, recomputed apart
+    from the harness: H0 noise on stream 2, H1 noise on stream 3, MSE
+    noise on stream 7 and offsets on stream 4, chunk i of sweep point si
+    keyed si * 10^4 + i."""
+
+    def white_context(self, cfg):
+        psf = EffectivePsf(PsfModel(cfg.r_c), cfg.w)
+        bound = bind_detectors(psf, clutter.white_covariance(cfg.sigma, cfg.w),
+                               cfg.grid_size, cfg.subspace_order)
+        alpha = {snr: snr_to_alpha(snr, cfg.sigma, average_energy_cached(cfg.r_c))
+                 for snr in (cfg.snr_db, *cfg.snr_sweep) if snr is not None}
+        return psf, bound, alpha
+
+    def windows(self, cfg, psf, count, stream, chunk, alpha=None):
+        rng = np.random.default_rng([cfg.seed, stream, chunk])
+        noise = cfg.sigma * rng.standard_normal((count, (2 * cfg.w + 1) ** 2))
+        if alpha is None:
+            return noise, None
+        eps = np.random.default_rng([cfg.seed, 4, chunk]).uniform(-0.5, 0.5, (count, 2))
+        return alpha * render_signature_batch(psf, eps, cfg.w) + noise, eps
+
+    def test_roc_streams(self):
+        cfg = ExperimentConfig(snr_db=14.0, n_h0=50, n_h1=50, seed=8)
+        psf, bound, alpha = self.white_context(cfg)
+        h0, _ = self.windows(cfg, psf, 50, 2, 0)
+        h1, _ = self.windows(cfg, psf, 50, 3, 0, alpha[14.0])
+        s0, s1 = batch_scores(h0, *bound), batch_scores(h1, *bound)
+        curves = run_roc(cfg)
+        assert [c.detector for c in curves] == list(cfg.detectors)
+        for curve in curves:
+            scores = np.concatenate([s0[curve.detector], s1[curve.detector]])
+            np.testing.assert_array_equal(np.unique(scores)[::-1], curve.thresholds[1:])
+
+    def test_mse_streams(self):
+        cfg = ExperimentConfig(snr_sweep=(12.0, 25.0), n_trials=60, seed=6)
+        psf, bound, alpha = self.white_context(cfg)
+        rows = run_mse(cfg)
+        for si, snr in enumerate(cfg.snr_sweep):
+            windows, eps = self.windows(cfg, psf, 60, 7, si * 10_000, alpha[snr])
+            est = batch_estimates(windows, bound[0])
+            for name in cfg.estimators:
+                err = est[name] - eps
+                row = mse_row(rows, name, snr)
+                mse, bias = np.mean(err**2, axis=0), np.mean(err, axis=0)
+                assert (row["mse_eps1"], row["mse_eps2"]) == (mse[0], mse[1])
+                assert (row["bias_eps1"], row["bias_eps2"]) == (bias[0], bias[1])
+                assert row["mse_total"] == mse.sum() and row["n_trials"] == 60
 
 
 class TestRunMse:
@@ -268,6 +342,11 @@ class TestRunMse:
         assert len(rows) == 4
         with pytest.raises(KeyError):
             mse_row(rows, "PM", 15.0)
+
+    def test_jobs_invariant(self):
+        # each point spans two chunks: keys 0, 1 and 10^4, 10^4 + 1
+        cfg = ExperimentConfig(snr_sweep=(10.0, 30.0), n_trials=harness._CHUNK + 1, seed=2)
+        assert run_mse(cfg) == run_mse(replace(cfg, jobs=3))
 
     def test_needs_some_snr(self):
         with pytest.raises(ConfigError):
