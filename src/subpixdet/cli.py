@@ -20,6 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:     # not on Windows
+    resource = None
+
 from . import __version__
 from . import clutter, harness, optics
 from .clutter import IndefiniteCovarianceError
@@ -131,6 +136,11 @@ def _write_manifest(out_dir, config, started, outputs):
         "duration_seconds": round(time.time() - started, 3),
         "outputs": [str(p) for p in outputs],
     }
+    if resource is not None:
+        # the process peak so far, in MiB (ru_maxrss is KiB on Linux and
+        # bytes on macOS): the run and anything the process ran before it
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        manifest["peak_rss_mb"] = round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
     path = Path(out_dir) / "meta.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path

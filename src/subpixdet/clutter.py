@@ -51,17 +51,27 @@ def synthesize_fbm(hurst, size=256, seed=None, crop=None):
     if size & (size - 1) != 0:
         raise ValueError(f"size must be a power of two, got {size}")
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((size, size))
     # the shaped spectrum is Hermitian, so its half plane carries it all
-    radius2 = np.fft.fftfreq(size)[:, None] ** 2 + np.fft.rfftfreq(size)[None, :] ** 2
+    spec = rfft2(rng.standard_normal((size, size)))
+    amp = np.fft.fftfreq(size)[:, None] ** 2 + np.fft.rfftfreq(size)[None, :] ** 2
     with np.errstate(divide="ignore"):
-        amp = np.where(radius2 > 0, radius2 ** (-(hurst + 1) / 2), 0.0)
-    field = irfft2(rfft2(noise) * amp, s=(size, size))
-    field = (field - field.mean()) / field.std()
+        amp **= -(hurst + 1) / 2
+    amp[0, 0] = 0.0                          # the DC term, the only zero radius
+    spec *= amp
+    del amp
+    field = irfft2(spec, s=(size, size))
+    del spec
     if crop is not None:
-        field = field[:crop, :crop].copy()
-        field = (field - field.mean()) / field.std()
-    return NoiseField(values=field, hurst=hurst)
+        field = _standardize(field)[:crop, :crop].copy()
+    return NoiseField(values=_standardize(field), hurst=hurst)
+
+
+def _standardize(x):
+    """(x - mean) / std, in place."""
+    mean, std = x.mean(), x.std()
+    x -= mean
+    x /= std
+    return x
 
 
 def estimate_autocovariance(field, max_lag):
@@ -77,15 +87,23 @@ def estimate_autocovariance(field, max_lag):
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     if not (max_lag < min(h, wdt) / 2):
         raise ValueError(f"max_lag {max_lag} too large for a {h}x{wdt} field")
-    x = field.values - field.values.mean()
     # Linear correlation by a zero-padded FFT.  With at least max_lag
     # zeros after each axis, the circular wrap-around reaches no lag in
     # [-max_lag, max_lag].
     fh, fw = (next_fast_len(n + max_lag, real=True) for n in (h, wdt))
-    spec = rfft2(x, s=(fh, fw))
-    corr = irfft2(spec.real**2 + spec.imag**2, s=(fh, fw)) / x.size
+    x = np.zeros((fh, fw))
+    x[:h, :wdt] = field.values
+    x[:h, :wdt] -= field.values.mean()
+    spec = rfft2(x)
+    del x
+    # |spec|^2 in spec's own storage: irfft2 would copy a real array to
+    # a complex one
+    np.square(spec.real, out=spec.real)
+    spec.real += np.square(spec.imag)
+    spec.imag = 0.0
+    corr = irfft2(spec, s=(fh, fw))
     lags = np.arange(-max_lag, max_lag + 1)
-    return corr[np.ix_(lags % fh, lags % fw)]
+    return corr[np.ix_(lags % fh, lags % fw)] / (h * wdt)
 
 
 def white_covariance(sigma, w):
@@ -96,6 +114,8 @@ def white_covariance(sigma, w):
         sigma2 = float(sigma) ** 2
     except OverflowError:
         raise ValueError(f"sigma**2 overflows, got sigma = {sigma}") from None
+    if sigma2 < np.finfo(float).tiny:
+        raise ValueError(f"sigma**2 underflows the normal floats, got sigma = {sigma}")
     n = (2 * w + 1) ** 2
     return CovarianceModel(w=w, form="white", matrix=sigma2 * np.eye(n),
                            sigma2=sigma2, _factor=None)

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _CHUNK = 20_000
+# trials per call of the scoring or estimation kernel: its (_BLOCK, K)
+# buffer (1.6 MB at K = 401) stays in cache, where a chunk's would not
+_BLOCK = 512
 # run_mse keys chunk i of sweep point si as si * _SWEEP_STRIDE + i, so a
 # point may hold at most _SWEEP_STRIDE chunks before two points would
 # share a substream
@@ -259,36 +262,55 @@ class _Run:
         key = first_chunk + i.  With alpha, each window is alpha * s_eps
         + noise, the offsets eps drawn from (seed, _STREAM_EPS, key) (or
         all eps_fixed); without it, windows are noise and eps is None.
-        Returns fn's {name: column} dicts concatenated over the chunks.
+        A chunk is passed to fn in blocks of _BLOCK trials, so a run's
+        working set is a few blocks, not a chunk; the draws are those of
+        the whole chunk (white noise block by block from the chunk's
+        generator, fractal rows and columns up front).  Returns fn's
+        {name: column} dicts concatenated over the blocks.  Raises
+        FloatingPointError if a column holds a non-finite value.
         """
         cfg = self.config
+        n = (2 * cfg.w + 1) ** 2
+        off = np.arange(-cfg.w, cfg.w + 1)
 
         def chunk(i):
             count = min(_CHUNK, total - i * _CHUNK)
             key = first_chunk + i
             rng = _rng(cfg.seed, stream, key)
-            if cfg.noise == "white":
-                noise = cfg.sigma * rng.standard_normal((count, (2 * cfg.w + 1) ** 2))
-            else:
-                off = np.arange(-cfg.w, cfg.w + 1)
+            if cfg.noise == "fractal":
                 rows = rng.integers(cfg.w, cfg.image_size - cfg.w, count)[:, None, None]
                 cols = rng.integers(cfg.w, cfg.image_size - cfg.w, count)[:, None, None]
-                noise = self.image[rows + off[None, :, None],
-                                   cols + off[None, None, :]].reshape(count, -1)
-            if alpha is None:
-                return fn(noise, None)
-            if cfg.eps_mode == "fixed":
+            eps = None
+            if alpha is not None and cfg.eps_mode == "fixed":
                 eps = np.tile(np.asarray(cfg.eps_fixed, dtype=float), (count, 1))
-            else:
+            elif alpha is not None:
                 eps = _rng(cfg.seed, _STREAM_EPS, key).uniform(-0.5, 0.5, (count, 2))
-            return fn(alpha * render_signature_batch(self.psf, eps, cfg.w) + noise, eps)
+            parts = []
+            for lo in range(0, count, _BLOCK):
+                hi = min(lo + _BLOCK, count)
+                if cfg.noise == "white":
+                    windows = cfg.sigma * rng.standard_normal((hi - lo, n))
+                else:
+                    windows = self.image[rows[lo:hi] + off[None, :, None],
+                                         cols[lo:hi] + off[None, None, :]].reshape(hi - lo, n)
+                if eps is None:
+                    part = fn(windows, None)
+                else:
+                    windows += alpha * render_signature_batch(self.psf, eps[lo:hi], cfg.w)
+                    part = fn(windows, eps[lo:hi])
+                for name, column in part.items():
+                    if not np.all(np.isfinite(column)):
+                        raise FloatingPointError(
+                            f"non-finite {name} in trial chunk {key} of stream {stream}")
+                parts.append(part)
+            return parts
 
         n_chunks = -(-total // _CHUNK)
         if cfg.jobs > 1:
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                parts = list(pool.map(chunk, range(n_chunks)))
+                parts = [p for ps in pool.map(chunk, range(n_chunks)) for p in ps]
         else:
-            parts = [chunk(i) for i in range(n_chunks)]
+            parts = [p for i in range(n_chunks) for p in chunk(i)]
         return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
@@ -387,6 +409,9 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
 # ---------------------------------------------------------------------------
 # CSV emission
 
+_CSV_ROWS = 4096
+
+
 def _csv_field(text):
     """text quoted as csv.writer quotes a field of a row."""
     buf = io.StringIO()
@@ -396,15 +421,18 @@ def _csv_field(text):
 
 def write_roc_csv(curves, path):
     """One detector,threshold,pfa,pd row per curve point, as csv.writer
-    writes it, with each value as repr of a Python float."""
+    writes it, with each value as repr of a Python float.  Rows are
+    formatted and written _CSV_ROWS at a time, so the text of a whole
+    curve is never held at once."""
     with open(path, "w", newline="") as fh:
         fh.write("detector,threshold,pfa,pd\r\n")
         for curve in curves:
             det = _csv_field(curve.detector)
-            cols = (np.asarray(c, dtype=float).tolist()
-                    for c in (curve.thresholds, curve.pfa, curve.pd))
-            fh.write("".join(f"{det},{tau!r},{pfa!r},{pd!r}\r\n"
-                             for tau, pfa, pd in zip(*cols)))
+            cols = [np.asarray(c, dtype=float)
+                    for c in (curve.thresholds, curve.pfa, curve.pd)]
+            for lo in range(0, len(cols[0]), _CSV_ROWS):
+                fh.write("".join(f"{det},{tau!r},{pfa!r},{pd!r}\r\n" for tau, pfa, pd
+                                 in zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in cols))))
 
 
 def write_mse_csv(rows, path):

@@ -283,12 +283,17 @@ class TestRocCommand:
 
     def test_replay_from_manifest(self, capsys, tmp_path):
         run_cli(capsys, *self.ARGS, "--out", str(tmp_path / "a"))
+        manifest = json.loads((tmp_path / "a" / "meta.json").read_text())
+        if sys.platform != "win32":
+            # the process peak, which the replay reads past as it does
+            # every key outside "config"
+            assert manifest["peak_rss_mb"] > 0
         code, _, _ = run_cli(capsys, "roc", "--config",
                              str(tmp_path / "a" / "meta.json"),
                              "--out", str(tmp_path / "b"))
         assert code == 0
-        assert ((tmp_path / "a" / "roc.csv").read_text()
-                == (tmp_path / "b" / "roc.csv").read_text())
+        assert ((tmp_path / "a" / "roc.csv").read_bytes()
+                == (tmp_path / "b" / "roc.csv").read_bytes())
 
     def test_flag_overrides_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -522,6 +527,26 @@ class TestConfigHelpers:
         assert field in err
         assert out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("roc", "--snr-db", "6000", "--n-h0", "50", "--n-h1", "50"), 2,
+         "numerical error: non-finite"),
+        (("roc", "--snr-db", "15", "--sigma", "1e-200", "--n-h0", "50", "--n-h1", "50"),
+         1, "error: sigma**2 underflows"),
+        (("mse", "--snr-db", "6000", "--n-trials", "50"), 2, "numerical error: non-finite PM"),
+        (("mse", "--snr-db", "15", "--sigma", "1e-170", "--n-trials", "50"), 1,
+         "error: sigma**2 underflows"),
+    ], ids=["roc-snr-db", "roc-sigma", "mse-snr-db", "mse-sigma"])
+    def test_non_finite_run_exits_without_csv(self, capsys, tmp_path, argv, code, message):
+        # a finite but extreme amplitude overflows t^2; a sigma whose square
+        # underflows makes R singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert got == code
+        assert err.startswith(message)
+        assert out == ""
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (("roc", "--snr-sweep", "5,10", "--n-h0", "50", "--n-h1", "50"),

@@ -209,6 +209,11 @@ class TestWhiteCovariance:
     def test_validation(self):
         with pytest.raises(ValueError):
             white_covariance(0.0, w=2)
+        # sigma**2 underflows to 0 or to a subnormal; the smallest normal passes
+        for sigma in (1e-200, 1e-160):
+            with pytest.raises(ValueError, match="sigma"):
+                white_covariance(sigma, w=2)
+        assert white_covariance(np.sqrt(np.finfo(float).tiny) * 1.001, w=2).sigma2 > 0
 
 
 class TestAssembleWindowCovariance:

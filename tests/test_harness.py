@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,7 @@ class TestRunRoc:
         b = run_roc(ExperimentConfig(**{**self.CFG, "n_h0": 45_000,
                                         "n_h1": 1000, "jobs": 3}))
         for ca, cb in zip(a, b):
+            np.testing.assert_array_equal(ca.thresholds, cb.thresholds)
             np.testing.assert_array_equal(ca.pfa, cb.pfa)
             np.testing.assert_array_equal(ca.pd, cb.pd)
 
@@ -315,6 +317,74 @@ class TestSubstreamLayout:
                 assert row["mse_total"] == mse.sum() and row["n_trials"] == 60
 
 
+    # Trials run in blocks of _BLOCK within each chunk.  ELRT, SM-GLRT and
+    # ML keep their bits when a chunk is scored in one stack; GPMF, GLRT,
+    # ALRT and PM go through BLAS calls whose rounding may depend on the
+    # row count of the call (OpenBLAS: the bank's last column, and the
+    # small-matrix kernel below about 10^6 multiply-adds).
+    EXACT = ("ELRT", "SM-GLRT", "ML")
+
+    def check_columns(self, got, want):
+        for name, column in want.items():
+            if name in self.EXACT:
+                np.testing.assert_array_equal(got[name], column, err_msg=name)
+            else:
+                # PM is an offset in [-0.5, 0.5] that can sit near 0
+                np.testing.assert_allclose(got[name], column, rtol=1e-12, atol=1e-15,
+                                           err_msg=name)
+
+    def chunked_windows(self, cfg, psf, total, stream, first_chunk, alpha=None):
+        """The run's windows, drawn chunk by chunk in one stack each."""
+        parts = [self.windows(cfg, psf, min(harness._CHUNK, total - lo), stream,
+                              first_chunk + i, alpha)
+                 for i, lo in enumerate(range(0, total, harness._CHUNK))]
+        eps = None if alpha is None else np.concatenate([e for _, e in parts])
+        return np.concatenate([z for z, _ in parts]), eps
+
+    def test_blocks_score_as_one_stack(self):
+        n_h0 = harness._CHUNK + 3 * harness._BLOCK + 5     # two chunks, many blocks
+        cfg = ExperimentConfig(snr_db=14.0, n_h0=n_h0, n_h1=2 * harness._BLOCK + 3,
+                               seed=8)
+        psf, bound, alpha = self.white_context(cfg)
+        run = harness._Run(cfg)
+
+        def score(z, eps):
+            return batch_scores(z, run.bound, run.bound9, run.subspace)
+
+        for total, stream, amp in ((cfg.n_h0, 2, None), (cfg.n_h1, 3, alpha[14.0])):
+            windows, _ = self.chunked_windows(cfg, psf, total, stream, 0, amp)
+            got = run.trials(score, total, stream, amp)
+            self.check_columns(got, batch_scores(windows, *bound))
+
+    def test_blocks_estimate_as_one_stack(self):
+        cfg = ExperimentConfig(snr_sweep=(25.0,), n_trials=harness._CHUNK + 700, seed=6)
+        psf, bound, alpha = self.white_context(cfg)
+        run = harness._Run(cfg)
+
+        def estimate(z, eps):
+            return {"eps": eps, **batch_estimates(z, run.bound)}
+
+        key = 10_000        # chunks of sweep point 1
+        windows, eps = self.chunked_windows(cfg, psf, cfg.n_trials, 7, key, alpha[25.0])
+        got = run.trials(estimate, cfg.n_trials, 7, alpha[25.0], key)
+        np.testing.assert_array_equal(got.pop("eps"), eps)
+        self.check_columns(got, batch_estimates(windows, bound[0]))
+
+
+class TestWorkingSet:
+    def test_run_roc_peak_stays_below_one_chunk_buffer(self):
+        # scored as one stack, a chunk of w = 5 windows needs a
+        # (_CHUNK, 401) float64 buffer of 64 MB, and its noise 19 MB more
+        cfg = ExperimentConfig(r_c=0.5, w=5, snr_db=15.0, n_h0=harness._CHUNK, n_h1=1)
+        tracemalloc.start()
+        try:
+            run_roc(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 class TestRunMse:
     def test_default_estimator_hits_uniform_variance(self):
         cfg = ExperimentConfig(snr_sweep=(20.0,), n_trials=20_000, seed=9,
@@ -406,7 +476,10 @@ class TestCsvWriters:
         s1 = np.round(rng.standard_normal(200) + 1.0, 1)
         curves = [empirical_roc_from_scores(s0, s1, "ELRT"),
                   empirical_roc_from_scores(s0 * 1e-300, s1 * 1e300, 'say "x"'),
-                  theoretical_pmf_roc(15.0, (0.5, 0.5), bank244)]
+                  theoretical_pmf_roc(15.0, (0.5, 0.5), bank244),
+                  empirical_roc_from_scores(rng.standard_normal(3000),
+                                            rng.standard_normal(3000), "GLRT")]
+        assert len(curves[-1].thresholds) > harness._CSV_ROWS    # written in slices
         assert curves[0].thresholds[0] == np.inf
         assert len(np.unique(curves[0].pfa)) < len(curves[0].pfa)
         assert len(np.unique(curves[0].pd)) < len(curves[0].pd)
