@@ -4,7 +4,9 @@ Subcommands: signature | clutter | score | estimate | roc | mse |
 theoretical-roc.  Experiment subcommands resolve their configuration
 from built-in presets, then a key=value config file, then CLI flags
 (later sources win), and write a meta.json manifest recording the fully
-resolved configuration so any run can be replayed exactly.
+resolved configuration so any run can be replayed exactly.  Every model
+flag of every subcommand is an ExperimentConfig field, spelled
+--<field-with-dashes> and parsed as the field's annotated type.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 """
@@ -162,7 +164,7 @@ def _emit_patch(values, stream):
 
 def cmd_signature(args):
     offsets = SWEEP_OFFSETS if args.sweep else (_check_offset(_parse_eps(args.eps)),)
-    psf = optics.EffectivePsf(PsfModel(args.rc), args.w)
+    psf = optics.EffectivePsf(PsfModel(args.r_c), args.w)
     patches = optics.render_signature_batch(psf, offsets, args.w)
     n_pix = 2 * args.w + 1
     with _open_out(args.out) as stream:
@@ -223,7 +225,7 @@ def _window_context(args, w):
         cov = clutter.assemble_window_covariance(table, w, lam=args.ridge)
     else:
         cov = clutter.white_covariance(args.sigma, w)
-    return harness.bind_detectors(optics.EffectivePsf(PsfModel(args.rc), w), cov,
+    return harness.bind_detectors(optics.EffectivePsf(PsfModel(args.r_c), w), cov,
                                   args.grid_size)
 
 
@@ -299,7 +301,9 @@ def cmd_experiment(args):
 
 
 def cmd_theoretical_roc(args):
-    bank = optics.build_signature_bank(PsfModel(args.rc), args.grid_size, args.w)
+    if args.snr_db is None:
+        raise ConfigError("theoretical-roc needs --snr-db")
+    bank = optics.build_signature_bank(PsfModel(args.r_c), args.grid_size, args.w)
     specs = [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")]
     if args.eps:
         specs = [("fixed", _parse_eps(args.eps))]
@@ -317,6 +321,19 @@ def cmd_theoretical_roc(args):
 
 # ---------------------------------------------------------------------------
 
+def _add_field_flags(parser, names, defaults=True):
+    """Add --<field-with-dashes> for each named ExperimentConfig field,
+    parsed as its annotated type and defaulting to the field's default,
+    or to None when defaults is False (so resolve_config can tell a
+    given flag from an absent one)."""
+    for name in names:
+        kind = _CONFIG_FIELDS[name]
+        parse = lambda raw, kind=kind: _parse_value(kind, raw)
+        parse.__name__ = kind.__name__      # argparse: "invalid <name> value"
+        parser.add_argument("--" + name.replace("_", "-"), type=parse,
+                            default=getattr(ExperimentConfig, name) if defaults else None)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="subpixdet",
@@ -326,18 +343,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("signature", help="render a pixel-integrated spot")
-    p.add_argument("--rc", type=float, default=ExperimentConfig.r_c)
+    _add_field_flags(p, ("r_c", "w"))
     p.add_argument("--eps", default="0,0", help="subpixel offset 'e1,e2'")
-    p.add_argument("--w", type=int, default=ExperimentConfig.w)
     p.add_argument("--sweep", action="store_true",
                    help="render the five example offsets instead of --eps")
     p.add_argument("--out")
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("clutter", help="synthesize fractal clutter")
-    p.add_argument("--hurst", type=float, default=0.7)
+    _add_field_flags(p, ("hurst", "seed"))
     p.add_argument("--size", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--acf", action="store_true", help="also write acf.csv")
     p.add_argument("--max-lag", type=int, default=4)
     p.add_argument("--out", default=".")
@@ -347,11 +362,8 @@ def build_parser():
                              ("estimate", cmd_estimate, "run the position estimators")):
         p = sub.add_parser(name, help=f"{what} on a window CSV")
         p.add_argument("--window", required=True, help="window CSV path")
-        p.add_argument("--rc", type=float, default=ExperimentConfig.r_c)
-        p.add_argument("--grid-size", type=int, default=ExperimentConfig.grid_size)
-        p.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
+        _add_field_flags(p, ("r_c", "grid_size", "sigma", "ridge"))
         p.add_argument("--acf-file", help="autocovariance CSV (else white noise)")
-        p.add_argument("--ridge", type=float, default=ExperimentConfig.ridge)
         p.add_argument("--remove-mean", action="store_true",
                        help="subtract the window's empirical mean first")
         p.set_defaults(func=func)
@@ -361,18 +373,12 @@ def build_parser():
         p.add_argument("--config", help="key=value config file or meta.json manifest")
         p.add_argument("--preset", help="built-in preset name")
         p.add_argument("--out", default=".", help="output directory")
-        for key, kind in _CONFIG_FIELDS.items():
-            p.add_argument("--" + key.replace("_", "-"),
-                           type=lambda raw, kind=kind: _parse_value(kind, raw))
+        _add_field_flags(p, _CONFIG_FIELDS, defaults=False)
         p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("theoretical-roc", help="closed-form PMF ROC curves")
-    p.add_argument("--snr-db", type=float, required=True)
+    _add_field_flags(p, ("snr_db", "r_c", "w", "grid_size", "sigma"))
     p.add_argument("--eps", help="fixed true offset 'e1,e2' (default: the trio)")
-    p.add_argument("--rc", type=float, default=ExperimentConfig.r_c)
-    p.add_argument("--w", type=int, default=ExperimentConfig.w)
-    p.add_argument("--grid-size", type=int, default=ExperimentConfig.grid_size)
-    p.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
     p.add_argument("--out")
     p.set_defaults(func=cmd_theoretical_roc)
 

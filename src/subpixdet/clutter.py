@@ -30,10 +30,9 @@ class IndefiniteCovarianceError(Exception):
 
 @dataclass(frozen=True)
 class NoiseField:
-    """A rectangular clutter image and the Hurst exponent that generated it."""
+    """A rectangular clutter image."""
 
     values: np.ndarray
-    hurst: float = None
 
 
 def synthesize_fbm(hurst, size=256, seed=None, crop=None):
@@ -63,7 +62,7 @@ def synthesize_fbm(hurst, size=256, seed=None, crop=None):
     del spec
     if crop is not None:
         field = _standardize(field)[:crop, :crop].copy()
-    return NoiseField(values=_standardize(field), hurst=hurst)
+    return NoiseField(values=_standardize(field))
 
 
 def _standardize(x):

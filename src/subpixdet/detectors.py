@@ -55,7 +55,6 @@ class SubspaceModel:
     """
 
     basis: np.ndarray
-    singular_values: np.ndarray
 
 
 def build_subspace(bank, order=1):
@@ -66,12 +65,12 @@ def build_subspace(bank, order=1):
     """
     if not 1 <= order <= bank.n_nodes:
         raise ValueError(f"subspace order must be in [1, {bank.n_nodes}]")
-    u, s, _ = np.linalg.svd(bank.vectors.T, full_matrices=False)
+    u = np.linalg.svd(bank.vectors.T, full_matrices=False)[0]
     basis = u[:, :order].copy()
     for p in range(order):
         if basis[np.argmax(np.abs(basis[:, p])), p] < 0:
             basis[:, p] = -basis[:, p]
-    return SubspaceModel(basis=basis, singular_values=s[:order].copy())
+    return SubspaceModel(basis=basis)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "render_signature_batch",
     "average_energy",
     "build_signature_bank",
-    "alrt_offsets",
     "build_alrt_bank",
 ]
 
@@ -289,11 +288,6 @@ def build_signature_bank(psf, grid_size=20, w=2):
     )
 
 
-def alrt_offsets():
-    """The nine half-pixel offsets of the coarse trapezoidal quadrature."""
-    return np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=2)))
-
-
 def build_alrt_bank(psf, w=2, q=None):
     """Bank over the 3x3 half-pixel nodes.
 
@@ -302,7 +296,7 @@ def build_alrt_bank(psf, w=2, q=None):
     shifted by one pixel.  psf is an EffectivePsf or a PsfModel; q is
     ignored, and stays only while bench/run.py passes it.
     """
-    offsets = alrt_offsets()
+    offsets = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=2)))
     table = _table(psf, w)
     return SignatureBank(
         offsets=offsets, vectors=render_signature_batch(table, offsets, w), w=w,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -139,7 +140,7 @@ class TestScore:
         for _ in range(10):
             window = write_window(path, w=w, eps=rng.uniform(-0.5, 0.5, 2), rc=rc,
                                   alpha=3.0, noise=rng.standard_normal((2 * w + 1,) * 2))
-            code, out, _ = run_cli(capsys, "score", "--window", str(path), "--rc", str(rc))
+            code, out, _ = run_cli(capsys, "score", "--window", str(path), "--r-c", str(rc))
             assert code == 0
             got = {row.split(",")[0]: float(row.split(",")[1])
                    for row in out.strip().splitlines()[1:]}
@@ -419,6 +420,16 @@ class TestTheoreticalRoc:
         assert len(rows) == 3 * 161
         assert all(np.isfinite([float(pfa), float(pd)]).all() for _, pfa, pd in rows)
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_missing_snr_db_exits_1_without_output(self, capsys, tmp_path, to_file):
+        out_path = tmp_path / "t.csv"
+        extra = ("--out", str(out_path)) if to_file else ()
+        code, out, err = run_cli(capsys, "theoretical-roc", *extra)
+        assert code == 1
+        assert "--snr-db" in err
+        assert out == ""
+        assert not out_path.exists()
+
     def test_rejects_fractal(self, capsys):
         code, _, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15",
                                "--noise", "fractal")
@@ -488,8 +499,8 @@ class TestConfigHelpers:
                 == (tmp_path / "b" / "roc.csv").read_bytes())
 
     @pytest.mark.parametrize("argv", [
-        ("signature", "--rc", "inf"),
-        ("theoretical-roc", "--snr-db", "15", "--rc", "inf"),
+        ("signature", "--r-c", "inf"),
+        ("theoretical-roc", "--snr-db", "15", "--r-c", "inf"),
         ("roc", "--alpha", "1", "--r-c", "inf", "--n-h0", "200", "--n-h1", "200"),
     ], ids=lambda argv: argv[0])
     def test_non_finite_r_c_exits_1(self, capsys, tmp_path, argv):
@@ -568,9 +579,38 @@ class TestConfigHelpers:
     def test_usage_error_exits_1(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1
+        # r_c has one spelling, its field's
+        assert main(["signature", "--rc", "0.5"]) == 1
+        # a bad value is named by its field's type
+        capsys.readouterr()
+        assert main(["roc", "--n-h0", "abc"]) == 1
+        assert "argument --n-h0: invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0
+
+
+# the flags that stand for no ExperimentConfig field
+NON_FIELD_FLAGS = {"help", "eps", "sweep", "size", "max_lag", "acf", "window", "acf_file",
+                   "remove_mean", "out", "config", "preset"}
+
+
+def test_model_flags_are_config_fields():
+    # every subcommand spells a field's flag --<field-with-dashes>, and
+    # outside roc/mse defaults it to the field's default (roc/mse leave
+    # None, so resolve_config can tell a given flag from an absent one)
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for command, sub in commands.items():
+        for action in sub._actions:
+            if action.dest in NON_FIELD_FLAGS:
+                continue
+            assert action.dest in defaults, (command, action.option_strings)
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+            want = None if command in ("roc", "mse") else defaults[action.dest]
+            assert action.default == want, (command, action.dest)
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -43,7 +43,7 @@ def fbm_complex(hurst, size=256, seed=None, crop=None):
     if crop is not None:
         field = field[:crop, :crop]
         field = (field - field.mean()) / field.std()
-    return NoiseField(values=field, hurst=hurst)
+    return NoiseField(values=field)
 
 
 class TestSynthesizeFbm:
@@ -59,7 +59,6 @@ class TestSynthesizeFbm:
         assert f.values.shape == (256, 256)
         assert f.values.mean() == pytest.approx(0.0, abs=1e-12)
         assert f.values.std() == pytest.approx(1.0, rel=1e-12)
-        assert f.hurst == 0.7
 
     def test_crop(self):
         f = synthesize_fbm(0.7, size=256, seed=3, crop=200)

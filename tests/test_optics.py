@@ -5,7 +5,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import j1
 
 from subpixdet.optics import (
-    EffectivePsf, PsfModel, alrt_offsets, psf_value,
+    EffectivePsf, PsfModel, build_alrt_bank, psf_value,
     render_signature_batch, average_energy, build_signature_bank,
 )
 
@@ -191,7 +191,7 @@ class TestEffectivePsf:
     def test_matches_direct_quadrature(self, r_c, w):
         model = PsfModel(r_c)
         offsets = np.vstack([np.random.default_rng(7).uniform(-0.5, 0.5, (2000, 2)),
-                             alrt_offsets()])
+                             build_alrt_bank(model, w).offsets])
         table = render_signature_batch(EffectivePsf(model, w), offsets, w)
         assert np.max(np.abs(table - direct_signature_batch(model, offsets, w))) <= 1e-9
 
