@@ -11,7 +11,7 @@ from .clutter import (
     synthesize_fbm, estimate_autocovariance,
     assemble_window_covariance, white_covariance,
 )
-from .detectors import SubspaceModel, build_subspace, batch_scores, batch_estimates
+from .detectors import build_subspace, batch_scores, batch_estimates
 from .harness import (
     ExperimentConfig, RocCurve, snr_to_alpha,
     empirical_roc_from_scores, run_roc, run_mse, theoretical_pmf_roc,

@@ -8,7 +8,8 @@ resolved configuration so any run can be replayed exactly.  Every model
 flag of every subcommand is an ExperimentConfig field, spelled
 --<field-with-dashes> and parsed as the field's annotated type.
 
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/config error or out of memory, 2
+numerical failure.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,7 @@ def _write_manifest(out_dir, config, started, outputs):
     manifest = {
         "tool": "subpixdet",
         "version": __version__,
-        "config": config.asdict(),
+        "config": asdict(config),
         "seed": config.seed,
         "duration_seconds": round(time.time() - started, 3),
         "outputs": [str(p) for p in outputs],
@@ -165,7 +166,7 @@ def _emit_patch(values, stream):
 def cmd_signature(args):
     offsets = SWEEP_OFFSETS if args.sweep else (_check_offset(_parse_eps(args.eps)),)
     psf = optics.EffectivePsf(PsfModel(args.r_c), args.w)
-    patches = optics.render_signature_batch(psf, offsets, args.w)
+    patches = optics.render_signature_batch(psf, offsets)
     n_pix = 2 * args.w + 1
     with _open_out(args.out) as stream:
         for eps, patch in zip(offsets, patches):
@@ -303,7 +304,8 @@ def cmd_experiment(args):
 def cmd_theoretical_roc(args):
     if args.snr_db is None:
         raise ConfigError("theoretical-roc needs --snr-db")
-    bank = optics.build_signature_bank(PsfModel(args.r_c), args.grid_size, args.w)
+    psf = optics.EffectivePsf(PsfModel(args.r_c), args.w)
+    bank = optics.build_signature_bank(psf, args.grid_size)
     specs = [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")]
     if args.eps:
         specs = [("fixed", _parse_eps(args.eps))]
@@ -394,8 +396,8 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
     except (IndefiniteCovarianceError, np.linalg.LinAlgError,
             FloatingPointError) as exc:

@@ -25,10 +25,8 @@ and the log is a monotone transform so thresholding is unaffected.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 __all__ = [
-    "SubspaceModel",
     "DETECTOR_IDS",
     "ESTIMATOR_IDS",
     "ALRT_WEIGHTS",
@@ -46,22 +44,13 @@ ESTIMATOR_IDS = ("ML", "PM", "DEFAULT")
 ALRT_WEIGHTS = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()
 
 
-@dataclass(frozen=True)
-class SubspaceModel:
-    """Leading singular subspace of the raw signature family.
-
-    basis has shape (n, P) with orthonormal columns; sign convention:
-    each column's largest-magnitude entry is positive.
-    """
-
-    basis: np.ndarray
-
-
 def build_subspace(bank, order=1):
     """SVD of the raw (unwhitened) signature family, top singular vectors.
 
-    The subspace is noise-independent; whitening enters only through the
-    SM-GLRT quadratic form.
+    Returns the (n, P) basis of the leading singular subspace, P = order,
+    with orthonormal columns; each column's largest-magnitude entry is
+    positive.  The subspace is noise-independent; whitening enters only
+    through the SM-GLRT quadratic form.
     """
     if not 1 <= order <= bank.n_nodes:
         raise ValueError(f"subspace order must be in [1, {bank.n_nodes}]")
@@ -70,7 +59,7 @@ def build_subspace(bank, order=1):
     for p in range(order):
         if basis[np.argmax(np.abs(basis[:, p])), p] < 0:
             basis[:, p] = -basis[:, p]
-    return SubspaceModel(basis=basis)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +120,8 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
     exact-center node; GLRT is its maximum over the bank; ELRT is the
     log-mean over the grid nodes of exp(t^2 / (2d)) / sqrt(d); ALRT is
     the same integrand on the 9-node bank, trapezoid-weighted; SM-GLRT
-    is z^T R^{-1} S (S^T R^{-1} S)^{-1} S^T R^{-1} z.
+    is z^T R^{-1} S (S^T R^{-1} S)^{-1} S^T R^{-1} z, with S the
+    build_subspace basis passed as subspace.
 
     The full-bank detectors share one (N, K) buffer, which ELRT then
     overwrites on its leading grid_size^2 columns (the grid nodes, see
@@ -156,8 +146,8 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
     if "SM-GLRT" in detectors:
         if subspace is None:
             raise ValueError("SM-GLRT selected but no subspace supplied")
-        wh = bound.cov.solve(subspace.basis)
-        gram = subspace.basis.T @ wh
+        wh = bound.cov.solve(subspace)
+        gram = subspace.T @ wh
         tsub = windows @ wh                    # (N, P)
         out["SM-GLRT"] = np.einsum("np,np->n", tsub,
                                    np.linalg.solve(gram, tsub.T).T)

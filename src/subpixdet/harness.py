@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
@@ -113,10 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"fractal noise needs Hurst in (0, 1), got {self.hurst}")
         if self.noise == "white" and not self.sigma > 0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
-        if self.alpha is None and self.snr_db is None and not self.snr_sweep:
-            raise ConfigError("need alpha, snr_db, or snr_sweep")
         if self.n_h0 < 1 or self.n_h1 < 1 or self.n_trials < 1:
             raise ConfigError("trial counts must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.n_trials > _SWEEP_STRIDE * _CHUNK:
             raise ConfigError(f"n_trials must be <= {_SWEEP_STRIDE * _CHUNK}, "
                               f"got {self.n_trials}")
@@ -130,6 +130,10 @@ class ExperimentConfig:
             raise ConfigError("detectors must name at least one detector")
         if not self.estimators:
             raise ConfigError("estimators must name at least one estimator")
+        for name in ("detectors", "estimators"):
+            names = getattr(self, name)
+            if len(set(names)) < len(names):
+                raise ConfigError(f"{name} must not repeat a name, got {names}")
         unknown = set(self.detectors) - set(DETECTOR_IDS)
         if unknown:
             raise ConfigError(f"unknown detectors {sorted(unknown)}")
@@ -139,9 +143,6 @@ class ExperimentConfig:
         if self.grid_size % 2 != 0 or self.grid_size < 2:
             raise ConfigError("grid_size must be even and >= 2")
         return self
-
-    def asdict(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,9 @@ def _rng(seed, stream, chunk):
 def bind_detectors(psf, cov, grid_size, subspace_order=1):
     """The detectors' precomputation for one design and covariance: the
     offset-grid bank and the ALRT bank bound to cov, and the SM-GLRT
-    subspace.  psf is an EffectivePsf covering the window of cov."""
-    bank = build_signature_bank(psf, grid_size, cov.w)
-    bank9 = build_alrt_bank(psf, cov.w)
+    subspace.  psf is an EffectivePsf of cov's window half-width."""
+    bank = build_signature_bank(psf, grid_size)
+    bank9 = build_alrt_bank(psf)
     return bank.bind(cov), bank9.bind(cov), build_subspace(bank, subspace_order)
 
 
@@ -296,7 +297,7 @@ class _Run:
                 if eps is None:
                     part = fn(windows, None)
                 else:
-                    windows += alpha * render_signature_batch(self.psf, eps[lo:hi], cfg.w)
+                    windows += alpha * render_signature_batch(self.psf, eps[lo:hi])
                     part = fn(windows, eps[lo:hi])
                 for name, column in part.items():
                     if not np.all(np.isfinite(column)):
@@ -318,12 +319,14 @@ def run_roc(config):
     """Empirical ROC curves for the configured detectors.
 
     H0 windows are pure noise; H1 windows are alpha * s_eps + noise with
-    a fresh uniform offset per trial, alpha given or set by snr_db.
-    Thresholds sweep every distinct score.
+    a fresh uniform offset per trial, alpha given or set by snr_db
+    (snr_sweep is refused).  Thresholds sweep every distinct score.
     """
     config.validate()
+    if config.snr_sweep:
+        raise ConfigError("roc needs alpha or snr_db, not snr_sweep (snr_sweep is for mse)")
     if config.alpha is None and config.snr_db is None:
-        raise ConfigError("roc needs alpha or snr_db (snr_sweep is for mse)")
+        raise ConfigError("roc needs alpha or snr_db")
     run = _Run(config)
     alpha = run.alpha(config.snr_db) if config.alpha is None else config.alpha
 
@@ -348,6 +351,8 @@ def run_mse(config):
     if config.alpha is not None:
         raise ConfigError("mse rows are labelled by SNR: "
                           "give snr_db or snr_sweep, not alpha")
+    if config.snr_db is None and not config.snr_sweep:
+        raise ConfigError("mse needs snr_db or snr_sweep")
     run = _Run(config)
     sweep = config.snr_sweep or (config.snr_db,)
     alphas = [run.alpha(snr_db) for snr_db in sweep]
@@ -396,7 +401,7 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
         cross = bank.vectors[bank.grid_indices] @ s0
         name = "PMF-mean"
     else:
-        sig = render_signature_batch(bank.psf, [tuple(eps_star)], bank.w)[0]
+        sig = render_signature_batch(bank.psf, [tuple(eps_star)])[0]
         cross = np.array([sig @ s0])
         name = f"PMF({eps_star[0]},{eps_star[1]})"
     deflection = alpha * cross / scale

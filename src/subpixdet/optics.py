@@ -7,7 +7,10 @@ frequency over sampling frequency).  A point source at subpixel offset
 ``(eps1, eps2)`` deposits in pixel ``(i, j)`` the integral of the PSF
 over that pixel's unit square; the resulting patch of pixel values is
 the target *signature*.  Signatures are read off one table of the
-pixel-integrated PSF (EffectivePsf), built once per model and window.
+pixel-integrated PSF (EffectivePsf), built once per model and window;
+the renderer and the banks take that table.  build_alrt_bank's PsfModel
+branch and the constant q are bench residue: bench/run.py calls
+build_alrt_bank(PsfModel, w, q).
 """
 
 import itertools
@@ -75,13 +78,14 @@ def psf_value(model, u, v):
 
 
 def _lattice_nodes(r_c):
-    """Table nodes per pixel: the power of two at or above 24 r_c, at least 16.
+    """Table nodes per pixel: the power of two at or above 24 r_c, at least 16
+    (the exponent is clamped at 0, so r_c <= 1/48 gets 16 too).
 
     g is band-limited to |f| <= r_c cycles per pixel, so a fixed number
     of nodes per cycle fixes the quintic spline's interpolation error
     (about 1e-10 at r_c = 2.44, far below the renderer's 1e-6 promise).
     """
-    return max(16, 1 << math.ceil(math.log2(24 * r_c)))
+    return max(16, 1 << max(0, math.ceil(math.log2(24 * r_c))))
 
 
 # Lattice nodes beyond the largest |x| a window reads.  The spline
@@ -100,7 +104,7 @@ class EffectivePsf:
     pixel (i, j) (the "effective PSF" of Anderson & King 2000, PASP
     112:1360).  g is even in x and in y, so the table holds the quadrant
     x, y >= 0 on a 1/K-pixel lattice, for every |x| up to w + 1/2: the
-    windows of half-width <= w at any offset in the closed square
+    windows of half-width w at any offset in the closed square
     [-0.5, 0.5]^2.  It is built by integrating h over the lattice cells
     (composite Gauss-Legendre), summing whole pixels out of the cells
     with a summed-area table, and spline-filtering the result; windows
@@ -148,14 +152,13 @@ class EffectivePsf:
     def r_c(self):
         return self.model.r_c
 
-    def render(self, offsets, w):
-        """Signatures of half-width w for offsets of shape (N, 2), as an
-        (N, (2w+1)**2) array of row-major flattened values."""
+    def render(self, offsets):
+        """Signatures of the table's half-width w for offsets of shape
+        (N, 2), as an (N, (2w+1)**2) array of row-major flattened values."""
         offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
-        if w < 1 or w > self.w:
-            raise ValueError(f"window half-width {w} outside this table's 1..{self.w}")
         if not np.all(np.abs(offsets) <= 0.5):
             raise ValueError("subpixel offsets outside [-0.5, 0.5]^2")
+        w = self.w
         n_pix = 2 * w + 1
         pix = np.arange(-w, w + 1)
         out = np.empty((len(offsets), n_pix * n_pix))
@@ -173,22 +176,16 @@ class EffectivePsf:
         return out
 
 
-def _table(psf, w):
-    """psf itself if it is an EffectivePsf, else a table of it for half-width w."""
-    return psf if isinstance(psf, EffectivePsf) else EffectivePsf(psf, w)
-
-
-def render_signature_batch(psf, offsets, w):
+def render_signature_batch(psf, offsets):
     """Pixel-integrate the PSF over a (2w+1) x (2w+1) window, for many offsets.
 
     Each value is the integral of the PSF over the pixel's unit square.
-    psf is an EffectivePsf covering half-width w, or a PsfModel to
-    tabulate first.  offsets: array of shape (N, 2), each in the closed
-    square [-0.5, 0.5]^2 (the ALRT bank needs the boundary value +0.5).
-    Returns an (N, (2w+1)**2) array of row-major flattened signature
-    values; one signature is a batch of one.
+    psf is an EffectivePsf of half-width w.  offsets: array of shape
+    (N, 2), each in the closed square [-0.5, 0.5]^2 (the ALRT bank needs
+    the boundary value +0.5).  Returns an (N, (2w+1)**2) array of
+    row-major flattened signature values; one signature is a batch of one.
     """
-    return _table(psf, w).render(offsets, w)
+    return psf.render(offsets)
 
 
 def _grid_offsets(grid_size):
@@ -268,10 +265,9 @@ class BoundBank:
     gram: np.ndarray       # (K,)
 
 
-def build_signature_bank(psf, grid_size=20, w=2):
-    """Render the offset-grid signature bank used by all detectors.
-
-    psf is an EffectivePsf covering half-width w, or a PsfModel.
+def build_signature_bank(psf, grid_size=20):
+    """Render the offset-grid signature bank used by all detectors, at
+    the half-width of the EffectivePsf psf.
 
     grid_size must be even so the cell centers tile [-0.5, 0.5[ without
     touching the excluded +0.5 boundary; the exact (0, 0) node is then
@@ -281,24 +277,26 @@ def build_signature_bank(psf, grid_size=20, w=2):
         raise ValueError("grid_size must be even and >= 2")
     offsets = _grid_offsets(grid_size)
     offsets = np.vstack([offsets, [0.0, 0.0]])
-    table = _table(psf, w)
     return SignatureBank(
-        offsets=offsets, vectors=render_signature_batch(table, offsets, w), w=w,
-        r_c=psf.r_c, grid_size=grid_size, psf=table, center_index=len(offsets) - 1,
+        offsets=offsets, vectors=render_signature_batch(psf, offsets), w=psf.w,
+        r_c=psf.r_c, grid_size=grid_size, psf=psf, center_index=len(offsets) - 1,
     )
 
 
 def build_alrt_bank(psf, w=2, q=None):
-    """Bank over the 3x3 half-pixel nodes.
+    """Bank over the 3x3 half-pixel nodes, at the half-width of the
+    EffectivePsf psf.
 
     The +0.5 boundary lies outside the half-open offset set but the
     trapezoidal rule needs its value; it equals the -0.5 signature
-    shifted by one pixel.  psf is an EffectivePsf or a PsfModel; q is
-    ignored, and stays only while bench/run.py passes it.
+    shifted by one pixel.  Bench residue, like q (both ignored for a
+    table): a PsfModel psf is first tabulated at half-width w, because
+    bench/run.py calls build_alrt_bank(PsfModel, w, q).
     """
+    if not isinstance(psf, EffectivePsf):
+        psf = EffectivePsf(psf, w)
     offsets = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=2)))
-    table = _table(psf, w)
     return SignatureBank(
-        offsets=offsets, vectors=render_signature_batch(table, offsets, w), w=w,
-        r_c=psf.r_c, grid_size=3, psf=table, center_index=4,
+        offsets=offsets, vectors=render_signature_batch(psf, offsets), w=psf.w,
+        r_c=psf.r_c, grid_size=3, psf=psf, center_index=4,
     )

@@ -3,7 +3,7 @@ import pytest
 
 from subpixdet.clutter import white_covariance
 from subpixdet.detectors import build_subspace
-from subpixdet.optics import PsfModel, build_alrt_bank, build_signature_bank
+from subpixdet.optics import EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank
 
 
 @pytest.fixture(scope="session")
@@ -12,13 +12,18 @@ def model244():
 
 
 @pytest.fixture(scope="session")
-def bank244(model244):
-    return build_signature_bank(model244, grid_size=20, w=2)
+def psf244(model244):
+    return EffectivePsf(model244, 2)
 
 
 @pytest.fixture(scope="session")
-def bank9_244(model244):
-    return build_alrt_bank(model244, w=2)
+def bank244(psf244):
+    return build_signature_bank(psf244, grid_size=20)
+
+
+@pytest.fixture(scope="session")
+def bank9_244(psf244):
+    return build_alrt_bank(psf244)
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy import ndimage, special
 
 from subpixdet import harness, optics
-from subpixdet.optics import render_signature_batch
+from subpixdet.optics import EffectivePsf, render_signature_batch
 
 
-def signature(psf, eps, w):
+def signature(model, eps, w):
     """One offset's (2w+1, 2w+1) signature patch: render_signature_batch
-    on a batch of one."""
-    return render_signature_batch(psf, [eps], w)[0].reshape(2 * w + 1, 2 * w + 1)
+    on a batch of one, from a table of model for half-width w."""
+    patch = render_signature_batch(EffectivePsf(model, w), [eps])[0]
+    return patch.reshape(2 * w + 1, 2 * w + 1)
 
 
 def pd_at_pfa(curve, pfa):
@@ -38,8 +39,8 @@ def mse_row(rows, estimator, snr_db):
     raise KeyError((estimator, snr_db))
 
 
-def subspace_order(subspace):
-    return subspace.basis.shape[1]
+def subspace_order(basis):
+    return basis.shape[1]
 
 
 def covariance_size(cov):

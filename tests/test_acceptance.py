@@ -18,7 +18,9 @@ from subpixdet.harness import (
     ExperimentConfig, average_energy_cached, empirical_roc_from_scores,
     run_mse, run_roc, theoretical_pmf_roc,
 )
-from subpixdet.optics import PsfModel, build_alrt_bank, build_signature_bank, psf_value
+from subpixdet.optics import (
+    EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, psf_value,
+)
 
 from helpers import mse_row, pd_at_pfa, pfa_at_pd, signature
 
@@ -86,7 +88,7 @@ def test_1_average_spot_energy(capsys):
 
 
 def test_2_theoretical_pmf_anchor(capsys):
-    bank = build_signature_bank(PsfModel(2.44), grid_size=20, w=2)
+    bank = build_signature_bank(EffectivePsf(PsfModel(2.44), 2), grid_size=20)
     ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), bank)
     mean = theoretical_pmf_roc(15.0, "mean", bank)
     pd_ideal = float(pd_at_pfa(ideal, 1e-4))
@@ -163,7 +165,7 @@ def test_6_sensor_design_gain(capsys, roc_15db_both_designs):
     # the curve's.
     pfa_pmf, gpmf_agree = {}, {}
     for r_c, w in ((2.44, 2), (0.5, 5)):
-        bank = build_signature_bank(PsfModel(r_c), grid_size=20, w=w)
+        bank = build_signature_bank(EffectivePsf(PsfModel(r_c), w), grid_size=20)
         curve = theoretical_pmf_roc(15.0, "mean", bank,
                                     pfa_grid=np.logspace(-8, 0, 8001))
         pfa_pmf[r_c] = 2 * float(np.interp(0.8, curve.pd, curve.pfa))
@@ -256,8 +258,9 @@ def test_8_oracle_suites(capsys):
     lags = np.arange(-4, 5)
     acf = a ** np.abs(lags)[:, None] * a ** np.abs(lags)[None, :]
     cov = assemble_window_covariance(acf, w=2, lam=1e-6)
-    bank = build_signature_bank(model, 20, 2)
-    bank9 = build_alrt_bank(model, 2)
+    psf = EffectivePsf(model, 2)
+    bank = build_signature_bank(psf, 20)
+    bank9 = build_alrt_bank(psf)
     bound = bank.bind(cov)
     bound9 = bank9.bind(cov)
     sub = build_subspace(bank, 1)
@@ -277,7 +280,7 @@ def test_8_oracle_suites(capsys):
         d9 = np.einsum("kn,nm,km->k", bank9.vectors, r_inv, bank9.vectors)
         bf["ALRT"] = float(logsumexp(t9**2 / (2 * d9) - 0.5 * np.log(d9),
                                      b=ALRT_WEIGHTS))
-        u = sub.basis[:, 0]
+        u = sub[:, 0]
         bf["SM-GLRT"] = float(u @ r_inv @ z) ** 2 / float(u @ r_inv @ u)
         got = batch_scores(z[None, :], bound, bound9, sub, DETECTOR_IDS)
         for name in bf:
@@ -302,7 +305,7 @@ def test_8_oracle_suites(capsys):
     worst_sm = 0.0
     for _ in range(20):
         z = rng.standard_normal(25)
-        u = sub.basis[:, 0]
+        u = sub[:, 0]
         ref = float(u @ z / 1.3**2) ** 2 / float(u @ u / 1.3**2)
         got = batch_scores(z[None, :], bound_w, subspace=sub,
                            detectors=("SM-GLRT",))["SM-GLRT"][0]

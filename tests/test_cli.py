@@ -60,7 +60,7 @@ class TestSignature:
             head, *rows = block.strip().splitlines()
             assert head == f"{eps[0]},{eps[1]}"
             vals = np.array([[float(v) for v in row.split(",")] for row in rows])
-            np.testing.assert_array_equal(vals, signature(psf, eps, 2))
+            np.testing.assert_array_equal(vals, psf.render([eps]).reshape(5, 5))
 
     def test_bad_offset_exits_1(self, capsys):
         # --eps must lie in the half-open square [-0.5, 0.5[^2
@@ -133,9 +133,9 @@ class TestScore:
         # one, bit for bit
         rng = np.random.default_rng(w)
         psf = optics.EffectivePsf(PsfModel(rc), w)
-        bank = optics.build_signature_bank(psf, 20, w)
+        bank = optics.build_signature_bank(psf, 20)
         bound = bank.bind(white_covariance(1.0, w))
-        bound9 = optics.build_alrt_bank(psf, w).bind(bound.cov)
+        bound9 = optics.build_alrt_bank(psf).bind(bound.cov)
         path = tmp_path / "win.csv"
         for _ in range(10):
             window = write_window(path, w=w, eps=rng.uniform(-0.5, 0.5, 2), rc=rc,
@@ -410,7 +410,7 @@ class TestTheoreticalRoc:
         lines = ["curve,pfa,pd"]
         for name, eps_star in [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)),
                                ("mean", "mean")]:
-            bank = optics.build_signature_bank(PsfModel(2.44), 20, 2)
+            bank = optics.build_signature_bank(optics.EffectivePsf(PsfModel(2.44), 2), 20)
             curve = theoretical_pmf_roc(15.0, eps_star, bank)
             lines += [f"{name},{float(pfa)!r},{float(pd)!r}"
                       for pfa, pd in zip(curve.pfa, curve.pd)]
@@ -430,10 +430,14 @@ class TestTheoreticalRoc:
         assert out == ""
         assert not out_path.exists()
 
-    def test_rejects_fractal(self, capsys):
-        code, _, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15",
-                               "--noise", "fractal")
+    def test_has_no_noise_flag(self, capsys):
+        # the closed form is white-noise only, so the subcommand takes no
+        # --noise at all: argparse refuses the flag before any model code
+        code, out, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15",
+                                 "--noise", "fractal")
         assert code == 1
+        assert "unrecognized arguments: --noise" in err
+        assert out == ""
 
 
 class TestConfigHelpers:
@@ -517,11 +521,19 @@ class TestConfigHelpers:
           "--eps-fixed", "0.1,0.2,0.3"), "eps_fixed"),
         (("mse", "--snr-db", "20", "--n-trials", "50", "--eps-mode", "fixed",
           "--eps-fixed", "0.1"), "eps_fixed"),
-    ], ids=["no-detectors", "no-estimators", "three-offsets", "one-offset"])
+        (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50", "--jobs", "0"), "jobs"),
+        (("mse", "--snr-db", "15", "--n-trials", "50", "--jobs", "-3"), "jobs"),
+        (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50",
+          "--detectors", "GPMF,GPMF"), "detectors"),
+        (("mse", "--snr-db", "15", "--n-trials", "50", "--estimators", "PM,PM"),
+         "estimators"),
+    ], ids=["no-detectors", "no-estimators", "three-offsets", "one-offset", "jobs-0",
+            "jobs-negative", "repeated-detector", "repeated-estimator"])
     def test_bad_selection_exits_1_without_output(self, capsys, tmp_path, argv, field):
-        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 1
-        assert field in err
+        assert err.startswith("error: ") and field in err
+        assert out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, field", [
@@ -563,7 +575,11 @@ class TestConfigHelpers:
         (("roc", "--snr-sweep", "5,10", "--n-h0", "50", "--n-h1", "50"),
          "roc needs alpha or snr_db"),
         (("mse", "--alpha", "1", "--snr-sweep", "5,40", "--n-trials", "50"), "not alpha"),
-    ], ids=["roc-sweep-only", "mse-alpha"])
+        (("roc", "--alpha", "1", "--snr-sweep", "5", "--n-h0", "50", "--n-h1", "50"),
+         "not snr_sweep"),
+        (("roc", "--n-h0", "50", "--n-h1", "50"), "roc needs alpha or snr_db"),
+        (("mse", "--n-trials", "50"), "mse needs snr_db or snr_sweep"),
+    ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-none", "mse-none"])
     def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
                                                   argv, message):
         built = []
@@ -574,6 +590,21 @@ class TestConfigHelpers:
         assert code == 1
         assert message in err
         assert built == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 14.9 TiB"), MemoryError()],
+                             ids=["message", "bare"])
+    def test_memory_error_exits_1(self, capsys, monkeypatch, tmp_path, exc):
+        # stands in for the offset grid of --grid-size 1000000; nothing is allocated
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness, "build_signature_bank", refuse)
+        code, out, err = run_cli(capsys, "roc", "--snr-db", "15", "--grid-size", "1000000",
+                                 "--n-h0", "50", "--n-h1", "50", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: {exc or 'MemoryError'}\n"
+        assert out == ""
         assert not (tmp_path / "out").exists()
 
     def test_usage_error_exits_1(self, capsys):

@@ -57,8 +57,8 @@ class TestGpmf:
         assert eps_hat == (0.0, 0.0)
         assert isinstance(value, float)
 
-    def test_amplitude_recovery_noiseless(self, bound244, model244):
-        sig = render_signature_batch(model244, [(0.0, 0.0)], w=2)[0]
+    def test_amplitude_recovery_noiseless(self, bound244, psf244):
+        sig = render_signature_batch(psf244, [(0.0, 0.0)])[0]
         z = 3.7 * sig
         assert fit(z, bound244, bound244.bank.center_index)[0] == pytest.approx(3.7, rel=1e-10)
 
@@ -93,9 +93,9 @@ class TestGlrt:
             z = rng.standard_normal(25)
             assert score("GLRT", z, bound244) >= score("GPMF", z, bound244) - 1e-12
 
-    def test_recovers_planted_node(self, bound244, model244):
+    def test_recovers_planted_node(self, bound244, psf244):
         eps = tuple(bound244.bank.offsets[137])
-        sig = render_signature_batch(model244, [eps], w=2)[0]
+        sig = render_signature_batch(psf244, [eps])[0]
         alpha_hat, eps_hat = fit(5.0 * sig, bound244)
         assert eps_hat == pytest.approx(eps, abs=1e-12)
         assert alpha_hat == pytest.approx(5.0, rel=1e-10)
@@ -124,13 +124,13 @@ class TestElrt:
         a = t * t / (2 * d) - 0.5 * np.log(d)
         assert score("ELRT", z, bound244) != logsumexp(a) - np.log(len(a))
 
-    def test_overflow_safe(self, bound244, model244):
-        sig = render_signature_batch(model244, [(0.1, 0.1)], w=2)[0]
+    def test_overflow_safe(self, bound244, psf244):
+        sig = render_signature_batch(psf244, [(0.1, 0.1)])[0]
         value = score("ELRT", 1e6 * sig, bound244)
         assert np.isfinite(value) and value > 1e9
 
-    def test_monotone_in_amplitude(self, bound244, model244):
-        sig = render_signature_batch(model244, [(0.2, -0.3)], w=2)[0]
+    def test_monotone_in_amplitude(self, bound244, psf244):
+        sig = render_signature_batch(psf244, [(0.2, -0.3)])[0]
         scores = [score("ELRT", a * sig, bound244) for a in (1.0, 2.0, 4.0)]
         assert scores[0] < scores[1] < scores[2]
 
@@ -153,10 +153,10 @@ class TestAlrt:
         with pytest.raises(ValueError):
             score("ALRT", np.zeros(25), bound244, bound244)
 
-    def test_tracks_elrt(self, bound244, bound9_244, model244, rng):
+    def test_tracks_elrt(self, bound244, bound9_244, psf244, rng):
         # coarse and fine quadratures of the same integral should rank
         # windows almost identically
-        sig = render_signature_batch(model244, [(0.2, 0.1)], w=2)[0]
+        sig = render_signature_batch(psf244, [(0.2, 0.1)])[0]
         windows = 2.0 * sig + rng.standard_normal((400, 25))
         s = batch_scores(windows, bound244, bound9_244,
                          detectors=("ELRT", "ALRT"))
@@ -166,30 +166,30 @@ class TestAlrt:
 
 class TestSubspace:
     def test_orthonormal_basis(self, bank244):
-        sub = build_subspace(bank244, order=3)
-        np.testing.assert_allclose(sub.basis.T @ sub.basis, np.eye(3), atol=1e-12)
-        assert subspace_order(sub) == 3
+        basis = build_subspace(bank244, order=3)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+        assert subspace_order(basis) == 3
 
     def test_sign_convention(self, bank244):
-        sub = build_subspace(bank244, order=2)
+        basis = build_subspace(bank244, order=2)
         for p in range(2):
-            col = sub.basis[:, p]
+            col = basis[:, p]
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_matches_gram_eigendecomposition(self, bank244):
         # the leading singular vectors of the stacked signatures are the
         # eigenvectors of the (n, n) outer gram, largest eigenvalue first
-        sub = build_subspace(bank244, order=4)
+        basis = build_subspace(bank244, order=4)
         gram = bank244.vectors.T @ bank244.vectors
         eig = np.sort(np.linalg.eigvalsh(gram))[::-1][:4]
-        np.testing.assert_allclose(sub.basis.T @ gram @ sub.basis, np.diag(eig),
+        np.testing.assert_allclose(basis.T @ gram @ basis, np.diag(eig),
                                    rtol=1e-9, atol=1e-9 * eig[0])
 
     def test_leading_vector_is_nonnegative_spot(self, bank244):
         # the signature family is entrywise nonnegative, so its dominant
         # singular vector is too (Perron direction)
-        sub = build_subspace(bank244, order=1)
-        assert np.all(sub.basis[:, 0] >= -1e-12)
+        basis = build_subspace(bank244, order=1)
+        assert np.all(basis[:, 0] >= -1e-12)
 
     def test_order_validation(self, bank244):
         with pytest.raises(ValueError):
@@ -201,7 +201,7 @@ class TestSubspace:
 class TestSmGlrt:
     def test_order_one_reduces_to_matched_form(self, bound244, subspace244, rng):
         z = rng.standard_normal(25)
-        u = subspace244.basis[:, 0]
+        u = subspace244[:, 0]
         expect = float(u @ z) ** 2 / float(u @ u)
         assert score("SM-GLRT", z, bound244, subspace=subspace244) == pytest.approx(
             expect, rel=1e-12)
@@ -217,7 +217,7 @@ class TestSmGlrt:
 
     def test_basis_sign_invariance(self, bound244, subspace244, rng):
         z = rng.standard_normal(25)
-        flipped = type(subspace244)(basis=-subspace244.basis)
+        flipped = -subspace244
         assert score("SM-GLRT", z, bound244, subspace=flipped) == pytest.approx(
             score("SM-GLRT", z, bound244, subspace=subspace244), rel=1e-12)
 
@@ -238,7 +238,7 @@ class TestBatch:
         vectors, vectors9 = bound244.bank.vectors, bound9_244.bank.vectors
         d = np.einsum("kn,kn->k", vectors, cov_white.solve(vectors.T).T)
         d9 = np.einsum("kn,kn->k", vectors9, cov_white.solve(vectors9.T).T)
-        u = subspace244.basis[:, 0]
+        u = subspace244[:, 0]
         c, gi = bound244.bank.center_index, bound244.bank.grid_indices
         for i, z in enumerate(windows):
             rz = cov_white.solve(z)

@@ -39,15 +39,15 @@ class TestMl:
             glrt = batch_scores(z[None, :], bound244, detectors=("GLRT",))["GLRT"][0]
             assert glrt == ratios[0, k]
 
-    def test_noiseless_recovers_grid_node(self, bound244, model244):
+    def test_noiseless_recovers_grid_node(self, bound244, psf244):
         eps = tuple(bound244.bank.offsets[250])
-        sig = render_signature_batch(model244, [eps], w=2)[0]
+        sig = render_signature_batch(psf244, [eps])[0]
         assert estimate("ML", 2.0 * sig, bound244) == pytest.approx(eps, abs=1e-12)
         assert ml_amplitude(2.0 * sig, bound244) == pytest.approx(2.0, rel=1e-10)
 
-    def test_noiseless_off_grid_snaps_nearby(self, bound244, model244):
+    def test_noiseless_off_grid_snaps_nearby(self, bound244, psf244):
         eps = (0.231, -0.387)
-        sig = render_signature_batch(model244, [eps], w=2)[0]
+        sig = render_signature_batch(psf244, [eps])[0]
         eps_hat = estimate("ML", sig, bound244)
         # the argmax node sits within one and a half grid cells of truth
         assert abs(eps_hat[0] - eps[0]) <= 1.5 / 20
@@ -70,17 +70,17 @@ class TestPm:
             assert -0.475 <= eps_hat[0] <= 0.475
             assert -0.475 <= eps_hat[1] <= 0.475
 
-    def test_concentrates_at_high_amplitude(self, bound244, model244):
+    def test_concentrates_at_high_amplitude(self, bound244, psf244):
         eps = (0.231, -0.387)
-        sig = render_signature_batch(model244, [eps], w=2)[0]
+        sig = render_signature_batch(psf244, [eps])[0]
         eps_hat = estimate("PM", 100.0 * sig, bound244)
         assert eps_hat[0] == pytest.approx(eps[0], abs=0.05)
         assert eps_hat[1] == pytest.approx(eps[1], abs=0.05)
         # posterior mass piles onto a handful of nodes near the truth
         assert np.sort(pm_weights(100.0 * sig, bound244))[-9:].sum() > 0.99
 
-    def test_centered_spot_gives_centered_estimate(self, bound244, model244):
-        sig = render_signature_batch(model244, [(0.0, 0.0)], w=2)[0]
+    def test_centered_spot_gives_centered_estimate(self, bound244, psf244):
+        sig = render_signature_batch(psf244, [(0.0, 0.0)])[0]
         assert estimate("PM", 20.0 * sig, bound244) == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_zero_window_gives_grid_mean(self, bound244):

@@ -1,7 +1,7 @@
 import csv
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ class TestConfig:
     def test_defaults_validate(self):
         cfg = ExperimentConfig(snr_db=15.0)
         assert cfg.validate() is cfg
+        # the amplitude rule is each run's (TestRunRoc, TestRunMse)
+        ExperimentConfig().validate()
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ConfigError):
@@ -32,8 +34,6 @@ class TestConfig:
             ExperimentConfig(snr_db=15.0, noise="fractal", hurst=1.5).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(snr_db=15.0, sigma=-1.0).validate()
-        with pytest.raises(ConfigError):
-            ExperimentConfig().validate()          # no amplitude anywhere
         with pytest.raises(ConfigError):
             ExperimentConfig(snr_db=15.0, n_h0=0).validate()
         with pytest.raises(ConfigError):
@@ -81,7 +81,7 @@ class TestConfig:
 
     def test_asdict_round_trip(self):
         cfg = ExperimentConfig(snr_db=12.0, seed=3)
-        assert ExperimentConfig(**cfg.asdict()) == cfg
+        assert ExperimentConfig(**asdict(cfg)) == cfg
 
 
 class TestSnrConversion:
@@ -190,6 +190,13 @@ class TestRunRoc:
             np.testing.assert_array_equal(ca.thresholds, cb.thresholds)
             np.testing.assert_array_equal(ca.pd, cb.pd)
 
+    @pytest.mark.parametrize("amplitude", [{}, {"alpha": 1.0, "snr_sweep": (5.0,)},
+                                           {"snr_db": 15.0, "snr_sweep": (5.0,)}],
+                             ids=["none", "alpha-sweep", "snr-sweep"])
+    def test_one_amplitude_rule(self, amplitude):
+        with pytest.raises(ConfigError, match="roc needs alpha or snr_db"):
+            run_roc(ExperimentConfig(n_h0=10, n_h1=10, **amplitude))
+
     def test_jobs_invariant(self):
         a = run_roc(ExperimentConfig(**{**self.CFG, "n_h0": 45_000,
                                         "n_h1": 1000, "jobs": 1}))
@@ -287,7 +294,7 @@ class TestSubstreamLayout:
         if alpha is None:
             return noise, None
         eps = np.random.default_rng([cfg.seed, 4, chunk]).uniform(-0.5, 0.5, (count, 2))
-        return alpha * render_signature_batch(psf, eps, cfg.w) + noise, eps
+        return alpha * render_signature_batch(psf, eps) + noise, eps
 
     def test_roc_streams(self):
         cfg = ExperimentConfig(snr_db=14.0, n_h0=50, n_h1=50, seed=8)
@@ -421,6 +428,8 @@ class TestRunMse:
     def test_needs_some_snr(self):
         with pytest.raises(ConfigError):
             run_mse(ExperimentConfig(alpha=1.0, n_trials=10))
+        with pytest.raises(ConfigError, match="mse needs snr_db or snr_sweep"):
+            run_mse(ExperimentConfig(n_trials=10))
 
 
 class TestTheoreticalRoc:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import mpmath
 import pytest
@@ -187,22 +189,26 @@ class TestRenderSignature:
 
 
 class TestEffectivePsf:
-    @pytest.mark.parametrize("r_c, w", [(2.44, 1), (2.44, 2), (2.44, 4), (0.5, 5)])
+    @pytest.mark.parametrize("r_c, w", [(2.44, 1), (2.44, 2), (2.44, 4), (0.5, 5), (0.02, 2)])
     def test_matches_direct_quadrature(self, r_c, w):
         model = PsfModel(r_c)
+        psf = EffectivePsf(model, w)
         offsets = np.vstack([np.random.default_rng(7).uniform(-0.5, 0.5, (2000, 2)),
-                             build_alrt_bank(model, w).offsets])
-        table = render_signature_batch(EffectivePsf(model, w), offsets, w)
+                             build_alrt_bank(psf).offsets])
+        table = render_signature_batch(psf, offsets)
         assert np.max(np.abs(table - direct_signature_batch(model, offsets, w))) <= 1e-9
 
-    @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5)])
+    @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5), (1 / 48, 1), (0.02, 1), (0.01, 2)])
     def test_lattice_nodes(self, r_c, w):
+        # the power of two at or above 24 r_c, at least 16; at r_c <= 1/48
+        # that power is 2^-1 or less, and the table takes 16
         model = PsfModel(r_c)
         psf = EffectivePsf(model, w)
         k = psf.lattice
+        assert k == max(16, 2.0 ** math.ceil(math.log2(24 * r_c)))
         e = np.arange(-k // 2, k // 2 + 1, 3) / k
         offsets = np.column_stack([np.repeat(e, len(e)), np.tile(e, len(e))])
-        err = np.abs(psf.render(offsets, w) - direct_signature_batch(model, offsets, w))
+        err = np.abs(psf.render(offsets) - direct_signature_batch(model, offsets, w))
         assert err.max() <= 1e-12
 
     @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5), (2.44, 5), (0.3, 1)])
@@ -210,20 +216,11 @@ class TestEffectivePsf:
         psf = EffectivePsf(PsfModel(r_c), w)
         assert np.array_equal(psf.coeffs, effective_psf_coeffs_rowblocks(psf))
 
-    def test_narrower_windows_share_one_table(self, model244):
-        psf = EffectivePsf(model244, 4)
-        offsets = [(0.3, -0.2), (-0.5, 0.5)]
-        wide = psf.render(offsets, 4).reshape(2, 9, 9)
-        np.testing.assert_array_equal(psf.render(offsets, 2).reshape(2, 5, 5),
-                                      wide[:, 2:7, 2:7])
-
-    def test_range_checks(self, model244):
-        psf = EffectivePsf(model244, 2)
-        with pytest.raises(ValueError):
-            psf.render([(0.0, 0.0)], 3)
+    def test_range_checks(self, psf244):
+        assert render_signature_batch(psf244, [(0.0, 0.0)]).shape == (1, 25)
         for eps in [(0.5 + 1e-9, 0.0), (0.0, -0.7), (np.nan, 0.0)]:
             with pytest.raises(ValueError):
-                render_signature_batch(psf, [eps], 2)
+                render_signature_batch(psf244, [eps])
 
 
 class TestAverageEnergy:
@@ -253,8 +250,8 @@ class TestSignatureBank:
         np.testing.assert_array_equal(bank244.offsets[bank244.center_index], [0.0, 0.0])
         assert bank244.center_index == 400
 
-    def test_small_grid_nodes(self, model244):
-        bank = build_signature_bank(model244, grid_size=2, w=2)
+    def test_small_grid_nodes(self, psf244):
+        bank = build_signature_bank(psf244, grid_size=2)
         expect = {(-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25), (0.0, 0.0)}
         assert {tuple(o) for o in bank.offsets} == expect
 
@@ -278,11 +275,11 @@ class TestSignatureBank:
         assert central.min() <= 0.30
         assert central.max() >= 0.80
 
-    def test_grid_size_validation(self, model244):
+    def test_grid_size_validation(self, psf244):
         with pytest.raises(ValueError):
-            build_signature_bank(model244, grid_size=5, w=2)
+            build_signature_bank(psf244, grid_size=5)
         with pytest.raises(ValueError):
-            build_signature_bank(model244, grid_size=0, w=2)
+            build_signature_bank(psf244, grid_size=0)
 
     def test_row_major_ordering(self, bank244):
         # eps1 is the slow axis
@@ -300,7 +297,13 @@ class TestAlrtBank:
 
     def test_boundary_node_is_shifted_negative_node(self, model244):
         # s at eps1=+0.5 equals s at eps1=-0.5 shifted one pixel along i
-        wide = render_signature_batch(model244, [(0.5, 0.1), (-0.5, 0.1)], w=4)
+        wide = render_signature_batch(EffectivePsf(model244, 4), [(0.5, 0.1), (-0.5, 0.1)])
         a = wide[0].reshape(9, 9)
         b = wide[1].reshape(9, 9)
         np.testing.assert_allclose(a[1:, :], b[:-1, :], atol=1e-12)
+
+    def test_model_tabulated_at_w(self, model244, bank9_244):
+        # a PsfModel, w and q are accepted because the benchmark passes them
+        bank = build_alrt_bank(model244, 2, 16)
+        assert bank.w == 2 and isinstance(bank.psf, EffectivePsf)
+        np.testing.assert_array_equal(bank.vectors, bank9_244.vectors)

@@ -49,7 +49,7 @@ def spots(bound, seed, amplitude, n=16):
     """n windows: amplitude times a spot at a random offset, plus white noise."""
     rng = np.random.default_rng(seed)
     eps = rng.uniform(-0.5, 0.5, (n, 2))
-    sig = render_signature_batch(bound.bank.psf, eps, bound.bank.w)
+    sig = render_signature_batch(bound.bank.psf, eps)
     return amplitude * sig + rng.standard_normal(sig.shape)
 
 
@@ -68,7 +68,7 @@ def fbm_spots(psf, seed, n=2000):
     noise = image[rows[:, None, None] + off[:, None], cols[:, None, None] + off]
     noise = noise.reshape(n, 25) - image.mean()
     eps = rng.uniform(-0.5, 0.5, (n, 2))
-    sig = render_signature_batch(psf, eps, 2)
+    sig = render_signature_batch(psf, eps)
     amplitude = rng.uniform(0, 3, (n, 1)) * noise.std() / sig.std()
     return amplitude * sig + noise
 
@@ -77,8 +77,8 @@ def fbm_spots(psf, seed, n=2000):
 def sampled_w5():
     psf = EffectivePsf(PsfModel(0.5), 5)
     cov = clutter.white_covariance(1.0, 5)
-    bank = build_signature_bank(psf, 20, 5)
-    return bank.bind(cov), build_alrt_bank(psf, 5).bind(cov), build_subspace(bank)
+    bank = build_signature_bank(psf, 20)
+    return bank.bind(cov), build_alrt_bank(psf).bind(cov), build_subspace(bank)
 
 
 class TestProperties:
