@@ -116,7 +116,7 @@ def white_covariance(sigma, w):
     if sigma2 < np.finfo(float).tiny:
         raise ValueError(f"sigma**2 underflows the normal floats, got sigma = {sigma}")
     n = (2 * w + 1) ** 2
-    return CovarianceModel(w=w, form="white", matrix=sigma2 * np.eye(n),
+    return CovarianceModel(form="white", matrix=sigma2 * np.eye(n),
                            sigma2=sigma2, _factor=None)
 
 
@@ -150,7 +150,7 @@ def assemble_window_covariance(acf, w, lam=1e-6):
             f"window covariance not positive definite after ridge {lam} "
             f"(smallest eigenvalue {smallest:.3e})"
         )
-    return CovarianceModel(w=w, form="empirical", matrix=matrix,
+    return CovarianceModel(form="empirical", matrix=matrix,
                            sigma2=None, _factor=factor)
 
 
@@ -162,7 +162,6 @@ class CovarianceModel:
     statistic shares numerically identical solves.
     """
 
-    w: int
     form: str            # "white" | "empirical"
     matrix: np.ndarray
     sigma2: float

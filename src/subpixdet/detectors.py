@@ -4,13 +4,15 @@ computed on a stack of data windows.
 All detectors score mean-removed window vectors z against a signature
 bank bound to a covariance model.  GPMF assumes a pixel-centered target;
 GLRT maximizes over the offset grid; ELRT marginalizes the offset by
-grid quadrature of the flat-amplitude-prior likelihood ratio; ALRT is
-the same integral on a coarse 3x3 half-pixel trapezoidal rule; SM-GLRT
-replaces the signature family by its leading singular subspace.
+quadrature of the flat-amplitude-prior likelihood ratio; ALRT is the
+same integral under another rule, the coarse 3x3 half-pixel trapezoid.
+Each bank carries its rule (SignatureBank.log_weights over its leading
+nodes), so one integral serves both.  SM-GLRT replaces the signature
+family by its leading singular subspace.
 
 The ML estimator picks the offset-grid node maximizing the same
 amplitude-ML filter the GLRT thresholds, so both share one code path.
-The posterior-mean (PM) estimator averages the grid nodes under the
+The posterior-mean (PM) estimator averages the rule's nodes under the
 amplitude-marginalized posterior; its weights are the ELRT integrand,
 shifted by its row max in place, as in the ELRT.  The default estimator
 always answers the pixel center, whose per-axis MSE against a uniform
@@ -29,7 +31,6 @@ import numpy as np
 __all__ = [
     "DETECTOR_IDS",
     "ESTIMATOR_IDS",
-    "ALRT_WEIGHTS",
     "build_subspace",
     "batch_statistics",
     "batch_scores",
@@ -38,10 +39,6 @@ __all__ = [
 
 DETECTOR_IDS = ("GPMF", "GLRT", "ELRT", "ALRT", "SM-GLRT")
 ESTIMATOR_IDS = ("ML", "PM", "DEFAULT")
-
-# trapezoidal rule on [-0.5, 0.5]^2 with nodes {-0.5, 0, 0.5}:
-# (1/4, 1/2, 1/4) per axis, tensorized; sums to 1.
-ALRT_WEIGHTS = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()
 
 
 def build_subspace(bank, order=1):
@@ -52,8 +49,8 @@ def build_subspace(bank, order=1):
     positive.  The subspace is noise-independent; whitening enters only
     through the SM-GLRT quadratic form.
     """
-    if not 1 <= order <= bank.n_nodes:
-        raise ValueError(f"subspace order must be in [1, {bank.n_nodes}]")
+    if not 1 <= order <= len(bank.offsets):
+        raise ValueError(f"subspace order must be in [1, {len(bank.offsets)}]")
     u = np.linalg.svd(bank.vectors.T, full_matrices=False)[0]
     basis = u[:, :order].copy()
     for p in range(order):
@@ -106,10 +103,12 @@ def _shifted_exp(ratios, gram, log_weights):
     return m + c_max
 
 
-def _log_integral(ratios, gram, log_weights):
-    """log sum_k weight_k exp(ratio_k/2) / sqrt(d_k) per row; overwrites ratios."""
-    m = _shifted_exp(ratios, gram, log_weights)
-    return m + np.log(ratios.sum(axis=1))
+def _log_integral(ratios, bound):
+    """log sum_k weight_k exp(ratio_k/2) / sqrt(d_k) per row, over the
+    rule of bound's bank; overwrites the rule's columns of ratios."""
+    rule = ratios[:, :len(bound.bank.log_weights)]
+    m = _shifted_exp(rule, bound.gram[:rule.shape[1]], bound.bank.log_weights)
+    return m + np.log(rule.sum(axis=1))
 
 
 def batch_scores(windows, bound, bound9=None, subspace=None,
@@ -118,14 +117,14 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
 
     Returns a dict detector -> (N,) score array.  GPMF is t^2/d at the
     exact-center node; GLRT is its maximum over the bank; ELRT is the
-    log-mean over the grid nodes of exp(t^2 / (2d)) / sqrt(d); ALRT is
-    the same integrand on the 9-node bank, trapezoid-weighted; SM-GLRT
-    is z^T R^{-1} S (S^T R^{-1} S)^{-1} S^T R^{-1} z, with S the
+    log-integral of exp(t^2 / (2d)) / sqrt(d) under the bank's rule (the
+    grid nodes, equally weighted); ALRT is the same integral under the
+    9-node bank's rule (the trapezoid); SM-GLRT is
+    z^T R^{-1} S (S^T R^{-1} S)^{-1} S^T R^{-1} z, with S the
     build_subspace basis passed as subspace.
 
     The full-bank detectors share one (N, K) buffer, which ELRT then
-    overwrites on its leading grid_size^2 columns (the grid nodes, see
-    SignatureBank).
+    overwrites on its rule's leading columns (see SignatureBank).
     """
     windows = np.asarray(windows, dtype=float)
     out = {}
@@ -136,13 +135,11 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
         if "GLRT" in detectors:
             out["GLRT"] = ratios.max(axis=1)
         if "ELRT" in detectors:
-            g = bound.bank.grid_size ** 2
-            out["ELRT"] = _log_integral(ratios[:, :g], bound.gram[:g], -np.log(g))
+            out["ELRT"] = _log_integral(ratios, bound)
     if "ALRT" in detectors:
-        if bound9 is None:
+        if bound9 is None or len(bound9.bank.log_weights) != 9:
             raise ValueError("ALRT selected but no 9-node bank supplied")
-        out["ALRT"] = _log_integral(_ratios(windows, bound9), bound9.gram,
-                                    np.log(ALRT_WEIGHTS))
+        out["ALRT"] = _log_integral(_ratios(windows, bound9), bound9)
     if "SM-GLRT" in detectors:
         if subspace is None:
             raise ValueError("SM-GLRT selected but no subspace supplied")
@@ -159,9 +156,11 @@ def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
 
     Returns a dict estimator -> (N, 2) array of offset estimates.  ML is
     the GLRT argmax node (ties resolve to the first node in bank order);
-    PM averages the grid nodes with weights proportional to
-    exp(t_k^2 / (2 d_k)) / sqrt(d_k), so it stays inside their convex
-    hull; DEFAULT is (0, 0).
+    PM averages the nodes of the bank's rule with weights proportional
+    to exp(t_k^2 / (2 d_k)) / sqrt(d_k), so it stays inside their convex
+    hull; DEFAULT is (0, 0).  PM leaves the rule's log weights out: the
+    grid's are equal and cancel in the ratio, and folding them into the
+    exponent would only change its rounding.
     """
     windows = np.asarray(windows, dtype=float)
     out = {}
@@ -169,10 +168,10 @@ def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
     if "ML" in estimators:
         out["ML"] = bound.bank.offsets[np.argmax(ratios, axis=1)]
     if "PM" in estimators:
-        g = bound.bank.grid_size ** 2
-        weights = ratios[:, :g]
-        _shifted_exp(weights, bound.gram[:g], 0.0)
-        out["PM"] = (weights @ bound.bank.offsets[:g]) / weights.sum(axis=1)[:, None]
+        n = len(bound.bank.log_weights)
+        weights = ratios[:, :n]
+        _shifted_exp(weights, bound.gram[:n], 0.0)
+        out["PM"] = (weights @ bound.bank.offsets[:n]) / weights.sum(axis=1)[:, None]
     if "DEFAULT" in estimators:
         out["DEFAULT"] = np.zeros((len(windows), 2))
     return out

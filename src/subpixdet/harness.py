@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError("trial counts must be >= 1")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_trials > _SWEEP_STRIDE * _CHUNK:
             raise ConfigError(f"n_trials must be <= {_SWEEP_STRIDE * _CHUNK}, "
                               f"got {self.n_trials}")
@@ -340,7 +342,7 @@ def run_roc(config):
 
 
 def run_mse(config):
-    """Estimator MSE/bias at each snr_sweep point (or at snr_db alone).
+    """Estimator MSE/bias at each snr_sweep point, or at snr_db alone.
 
     Returns a tuple of per-(estimator, SNR) row dicts, keyed as the
     mse.csv header.  Rows are labelled by SNR, so alpha is refused.  Per
@@ -351,8 +353,8 @@ def run_mse(config):
     if config.alpha is not None:
         raise ConfigError("mse rows are labelled by SNR: "
                           "give snr_db or snr_sweep, not alpha")
-    if config.snr_db is None and not config.snr_sweep:
-        raise ConfigError("mse needs snr_db or snr_sweep")
+    if (config.snr_db is None) == (not config.snr_sweep):
+        raise ConfigError("mse needs snr_db or snr_sweep, not both")
     run = _Run(config)
     sweep = config.snr_sweep or (config.snr_db,)
     alphas = [run.alpha(snr_db) for snr_db in sweep]
@@ -381,8 +383,8 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
     """Closed-form ROC of the pixel matched filter T0(z) = s0^T R^{-1} z.
 
     White noise only.  eps_star selects the H1 truth: a fixed offset
-    pair, or "mean" to average Pd over the bank's offset grid at each
-    Pfa (uniformly random true position).  Pfa = Q(tau / sqrt(d00)) and
+    pair, or "mean" to average Pd over the nodes of the bank's rule at
+    each Pfa (uniformly random true position).  Pfa = Q(tau / sqrt(d00)) and
     Pd = Q(Q^{-1}(Pfa) - alpha * s0^T s_eps / (sigma * sqrt(s0^T s0))).
 
     The curve is for the one-sided T0.  The GPMF detector scores
@@ -398,7 +400,7 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
     if isinstance(eps_star, str):
         if eps_star != "mean":
             raise ValueError(f"eps_star must be a pair or 'mean', got {eps_star!r}")
-        cross = bank.vectors[bank.grid_indices] @ s0
+        cross = bank.vectors[:len(bank.log_weights)] @ s0
         name = "PMF-mean"
     else:
         sig = render_signature_batch(bank.psf, [tuple(eps_star)])[0]

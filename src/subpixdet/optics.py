@@ -8,9 +8,10 @@ frequency over sampling frequency).  A point source at subpixel offset
 over that pixel's unit square; the resulting patch of pixel values is
 the target *signature*.  Signatures are read off one table of the
 pixel-integrated PSF (EffectivePsf), built once per model and window;
-the renderer and the banks take that table.  build_alrt_bank's PsfModel
-branch and the constant q are bench residue: bench/run.py calls
-build_alrt_bank(PsfModel, w, q).
+the renderer and the banks take that table, and each bank carries the
+quadrature rule its integrating statistics read.  build_alrt_bank's
+PsfModel branch and the constant q are bench residue: bench/run.py
+calls build_alrt_bank(PsfModel, w, q).
 """
 
 import itertools
@@ -188,13 +189,6 @@ def render_signature_batch(psf, offsets):
     return psf.render(offsets)
 
 
-def _grid_offsets(grid_size):
-    """Cell-center nodes of an even partition of [-0.5, 0.5[^2, row-major."""
-    e = (np.arange(grid_size) + 0.5) / grid_size - 0.5
-    e1, e2 = np.meshgrid(e, e, indexing="ij")
-    return np.column_stack([e1.ravel(), e2.ravel()])
-
-
 def average_energy(model):
     """Average spot energy E = mean over offsets of sum_ij s[i,j]^2.
 
@@ -220,31 +214,31 @@ def average_energy(model):
 
 @dataclass(frozen=True)
 class SignatureBank:
-    """Signatures rendered on the offset grid, plus the exact (0, 0) node.
+    """Signatures rendered at a set of offset nodes, with the quadrature
+    rule the integrating statistics use.
 
-    Node order: the grid_size^2 cell centers in row-major (eps1 outer,
-    eps2 inner) order, then the appended (0, 0) node.  All detector and
-    estimator searches scan this fixed ordering, so argmax ties resolve
-    to the first node deterministically.
+    The leading len(log_weights) nodes are the rule: the detectors
+    integrate over them with these log weights (ELRT, ALRT), PM averages
+    them, and the closed-form PMF mean averages over them.  Nodes past
+    the rule are searched only (GLRT, ML).  center_index is the (0, 0)
+    node (GPMF).  All searches scan this fixed ordering, so argmax ties
+    resolve to the first node deterministically.
     """
 
     offsets: np.ndarray          # (K, 2)
     vectors: np.ndarray          # (K, (2w+1)^2)
-    w: int
-    r_c: float
-    grid_size: int
+    log_weights: np.ndarray      # (M,), M <= K; exp sums to 1
+    center_index: int
     psf: EffectivePsf = field(compare=False, repr=False)   # the table rendered from
     q: ClassVar[int] = DEFAULT_QUAD_ORDER       # a constant; see DEFAULT_QUAD_ORDER
-    center_index: int = field(default=-1)
 
     @property
-    def n_nodes(self):
-        return len(self.offsets)
+    def w(self):
+        return self.psf.w
 
     @property
-    def grid_indices(self):
-        """Indices of the plain grid nodes (the ELRT/PM quadrature set)."""
-        return np.arange(self.grid_size**2)
+    def r_c(self):
+        return self.psf.r_c
 
     def bind(self, cov):
         """Precompute whitened products against a covariance model."""
@@ -269,23 +263,26 @@ def build_signature_bank(psf, grid_size=20):
     """Render the offset-grid signature bank used by all detectors, at
     the half-width of the EffectivePsf psf.
 
-    grid_size must be even so the cell centers tile [-0.5, 0.5[ without
-    touching the excluded +0.5 boundary; the exact (0, 0) node is then
-    appended so the GLRT search set contains the GPMF hypothesis.
+    The rule is the n = grid_size^2 cell centers in row-major (eps1
+    outer, eps2 inner) order, each of weight 1/n.  grid_size must be even
+    so they tile [-0.5, 0.5[ without touching the excluded +0.5
+    boundary; the exact (0, 0) node is then appended so the GLRT search
+    set contains the GPMF hypothesis.
     """
     if grid_size < 2 or grid_size % 2 != 0:
         raise ValueError("grid_size must be even and >= 2")
-    offsets = _grid_offsets(grid_size)
-    offsets = np.vstack([offsets, [0.0, 0.0]])
-    return SignatureBank(
-        offsets=offsets, vectors=render_signature_batch(psf, offsets), w=psf.w,
-        r_c=psf.r_c, grid_size=grid_size, psf=psf, center_index=len(offsets) - 1,
-    )
+    n = grid_size**2
+    e = (np.arange(grid_size) + 0.5) / grid_size - 0.5
+    e1, e2 = np.meshgrid(e, e, indexing="ij")
+    offsets = np.vstack([np.column_stack([e1.ravel(), e2.ravel()]), [0.0, 0.0]])
+    return SignatureBank(offsets=offsets, vectors=render_signature_batch(psf, offsets),
+                         log_weights=np.full(n, -np.log(n)), center_index=n, psf=psf)
 
 
 def build_alrt_bank(psf, w=2, q=None):
     """Bank over the 3x3 half-pixel nodes, at the half-width of the
-    EffectivePsf psf.
+    EffectivePsf psf, all of them its rule: the trapezoid on
+    [-0.5, 0.5]^2, (1/4, 1/2, 1/4) per axis, tensorized.
 
     The +0.5 boundary lies outside the half-open offset set but the
     trapezoidal rule needs its value; it equals the -0.5 signature
@@ -296,7 +293,6 @@ def build_alrt_bank(psf, w=2, q=None):
     if not isinstance(psf, EffectivePsf):
         psf = EffectivePsf(psf, w)
     offsets = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=2)))
-    return SignatureBank(
-        offsets=offsets, vectors=render_signature_batch(psf, offsets), w=psf.w,
-        r_c=psf.r_c, grid_size=3, psf=psf, center_index=4,
-    )
+    weights = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()
+    return SignatureBank(offsets=offsets, vectors=render_signature_batch(psf, offsets),
+                         log_weights=np.log(weights), center_index=4, psf=psf)

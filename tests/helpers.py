@@ -10,6 +10,11 @@ from scipy import ndimage, special
 from subpixdet import harness, optics
 from subpixdet.optics import EffectivePsf, render_signature_batch
 
+# The ALRT oracles' weights, defined apart from the bank that carries
+# them: the trapezoid on [-0.5, 0.5]^2 with nodes {-0.5, 0, 0.5},
+# (1/4, 1/2, 1/4) per axis, tensorized in build_alrt_bank's node order.
+TRAPEZOID = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()
+
 
 def signature(model, eps, w):
     """One offset's (2w+1, 2w+1) signature patch: render_signature_batch
@@ -41,11 +46,6 @@ def mse_row(rows, estimator, snr_db):
 
 def subspace_order(basis):
     return basis.shape[1]
-
-
-def covariance_size(cov):
-    """Pixels in the window a CovarianceModel covers."""
-    return (2 * cov.w + 1) ** 2
 
 
 def energy_cache():

@@ -13,7 +13,7 @@ from scipy.stats import chi2
 from subpixdet.clutter import (
     assemble_window_covariance, synthesize_fbm, white_covariance,
 )
-from subpixdet.detectors import ALRT_WEIGHTS, DETECTOR_IDS, batch_scores, build_subspace
+from subpixdet.detectors import DETECTOR_IDS, batch_scores, build_subspace
 from subpixdet.harness import (
     ExperimentConfig, average_energy_cached, empirical_roc_from_scores,
     run_mse, run_roc, theoretical_pmf_roc,
@@ -22,7 +22,7 @@ from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, psf_value,
 )
 
-from helpers import mse_row, pd_at_pfa, pfa_at_pd, signature
+from helpers import TRAPEZOID, mse_row, pd_at_pfa, pfa_at_pd, signature
 
 JOBS = 4
 
@@ -279,7 +279,7 @@ def test_8_oracle_suites(capsys):
         t9 = bank9.vectors @ r_inv @ z
         d9 = np.einsum("kn,nm,km->k", bank9.vectors, r_inv, bank9.vectors)
         bf["ALRT"] = float(logsumexp(t9**2 / (2 * d9) - 0.5 * np.log(d9),
-                                     b=ALRT_WEIGHTS))
+                                     b=TRAPEZOID))
         u = sub[:, 0]
         bf["SM-GLRT"] = float(u @ r_inv @ z) ** 2 / float(u @ r_inv @ u)
         got = batch_scores(z[None, :], bound, bound9, sub, DETECTOR_IDS)

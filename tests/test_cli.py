@@ -527,8 +527,9 @@ class TestConfigHelpers:
           "--detectors", "GPMF,GPMF"), "detectors"),
         (("mse", "--snr-db", "15", "--n-trials", "50", "--estimators", "PM,PM"),
          "estimators"),
+        (("roc", "--snr-db", "10", "--n-h0", "50", "--n-h1", "50", "--seed", "-1"), "seed"),
     ], ids=["no-detectors", "no-estimators", "three-offsets", "one-offset", "jobs-0",
-            "jobs-negative", "repeated-detector", "repeated-estimator"])
+            "jobs-negative", "repeated-detector", "repeated-estimator", "seed-negative"])
     def test_bad_selection_exits_1_without_output(self, capsys, tmp_path, argv, field):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 1
@@ -579,7 +580,9 @@ class TestConfigHelpers:
          "not snr_sweep"),
         (("roc", "--n-h0", "50", "--n-h1", "50"), "roc needs alpha or snr_db"),
         (("mse", "--n-trials", "50"), "mse needs snr_db or snr_sweep"),
-    ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-none", "mse-none"])
+        (("mse", "--snr-db", "15", "--snr-sweep", "5", "--n-trials", "50"), "not both"),
+    ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-none", "mse-none",
+            "mse-both"])
     def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
                                                   argv, message):
         built = []

@@ -9,7 +9,7 @@ from subpixdet.clutter import (
 )
 from subpixdet.harness import ExperimentConfig, run_roc
 
-from helpers import acf_padded_2x, covariance_size
+from helpers import acf_padded_2x
 
 
 def radial_psd_slope(field):
@@ -203,7 +203,7 @@ class TestWhiteCovariance:
         y = rng.standard_normal(9)
         np.testing.assert_allclose(cov.solve(y), y / 4.0, rtol=1e-15)
         assert y @ cov.solve(y) == pytest.approx(float(y @ y) / 4.0, rel=1e-13)
-        assert covariance_size(cov) == 9
+        assert cov.matrix.shape == (9, 9)
 
     def test_validation(self):
         with pytest.raises(ValueError):

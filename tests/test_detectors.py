@@ -5,11 +5,11 @@ from scipy.stats import chi2
 
 from subpixdet.clutter import white_covariance
 from subpixdet.detectors import (
-    ALRT_WEIGHTS, DETECTOR_IDS, batch_scores, batch_statistics, build_subspace,
+    DETECTOR_IDS, batch_scores, batch_statistics, build_subspace,
 )
 from subpixdet.optics import render_signature_batch
 
-from helpers import subspace_order
+from helpers import TRAPEZOID, subspace_order
 
 
 def score(detector, z, bound, bound9=None, subspace=None):
@@ -107,12 +107,11 @@ class TestGlrt:
 class TestElrt:
     def test_log_mean_exp_oracle(self, bound244, rng):
         z = rng.standard_normal(25)
-        gi = bound244.bank.grid_indices
-        t = bound244.bank.vectors[gi] @ z
-        d = np.einsum("kn,kn->k", bound244.bank.vectors[gi],
-                      bound244.bank.vectors[gi])
+        grid = bound244.bank.vectors[:400]      # the 20^2 grid nodes
+        t = grid @ z
+        d = np.einsum("kn,kn->k", grid, grid)
         a = t * t / (2 * d) - 0.5 * np.log(d)
-        expect = logsumexp(a) - np.log(len(gi))
+        expect = logsumexp(a) - np.log(400)
         assert score("ELRT", z, bound244) == pytest.approx(expect, rel=1e-12)
 
     def test_excludes_appended_center_node(self, bound244):
@@ -136,17 +135,20 @@ class TestElrt:
 
 
 class TestAlrt:
-    def test_weights(self):
-        assert ALRT_WEIGHTS.sum() == pytest.approx(1.0, rel=1e-15)
-        assert ALRT_WEIGHTS[4] == 0.25
-        assert sorted(set(ALRT_WEIGHTS)) == [0.0625, 0.125, 0.25]
+    def test_weights(self, bank9_244):
+        # the 9-node bank's rule is the trapezoid, defined apart in helpers
+        weights = np.exp(bank9_244.log_weights)
+        assert weights.sum() == pytest.approx(1.0, rel=1e-15)
+        assert weights[4] == pytest.approx(0.25, rel=1e-15)
+        np.testing.assert_allclose(weights, TRAPEZOID, rtol=1e-15, atol=0)
+        assert sorted(set(TRAPEZOID)) == [0.0625, 0.125, 0.25]
 
     def test_weighted_oracle(self, bound244, bound9_244, rng):
         z = rng.standard_normal(25)
         t = bound9_244.bank.vectors @ z
         d = np.einsum("kn,kn->k", bound9_244.bank.vectors, bound9_244.bank.vectors)
         a = t * t / (2 * d) - 0.5 * np.log(d)
-        expect = logsumexp(a, b=ALRT_WEIGHTS)
+        expect = logsumexp(a, b=TRAPEZOID)
         assert score("ALRT", z, bound244, bound9_244) == pytest.approx(expect, rel=1e-12)
 
     def test_requires_nine_node_bank(self, bound244):
@@ -239,7 +241,7 @@ class TestBatch:
         d = np.einsum("kn,kn->k", vectors, cov_white.solve(vectors.T).T)
         d9 = np.einsum("kn,kn->k", vectors9, cov_white.solve(vectors9.T).T)
         u = subspace244[:, 0]
-        c, gi = bound244.bank.center_index, bound244.bank.grid_indices
+        c, gi = bound244.bank.center_index, slice(400)   # gi: the 20^2 grid nodes
         for i, z in enumerate(windows):
             rz = cov_white.solve(z)
             t, t9 = vectors @ rz, vectors9 @ rz
@@ -247,8 +249,8 @@ class TestBatch:
                 "GPMF": t[c] ** 2 / d[c],
                 "GLRT": np.max(t**2 / d),
                 "ELRT": logsumexp(t[gi] ** 2 / (2 * d[gi]) - 0.5 * np.log(d[gi]))
-                - np.log(len(gi)),
-                "ALRT": logsumexp(t9**2 / (2 * d9) - 0.5 * np.log(d9), b=ALRT_WEIGHTS),
+                - np.log(400),
+                "ALRT": logsumexp(t9**2 / (2 * d9) - 0.5 * np.log(d9), b=TRAPEZOID),
                 "SM-GLRT": float(u @ rz) ** 2 / float(u @ cov_white.solve(u)),
             }
             for det in DETECTOR_IDS:

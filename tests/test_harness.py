@@ -430,6 +430,8 @@ class TestRunMse:
             run_mse(ExperimentConfig(alpha=1.0, n_trials=10))
         with pytest.raises(ConfigError, match="mse needs snr_db or snr_sweep"):
             run_mse(ExperimentConfig(n_trials=10))
+        with pytest.raises(ConfigError, match="not both"):
+            run_mse(ExperimentConfig(snr_db=15.0, snr_sweep=(5.0,), n_trials=10))
 
 
 class TestTheoreticalRoc:

@@ -241,7 +241,7 @@ class TestAverageEnergy:
 
 class TestSignatureBank:
     def test_cardinality_and_sums(self, bank244):
-        assert bank244.n_nodes == 401
+        assert len(bank244.offsets) == 401
         assert bank244.vectors.shape == (401, 25)
         assert np.all(bank244.vectors.sum(axis=1) <= 1.0)
         assert np.all(bank244.vectors >= 0)
@@ -281,6 +281,18 @@ class TestSignatureBank:
         with pytest.raises(ValueError):
             build_signature_bank(psf244, grid_size=0)
 
+    def test_rule_is_the_cell_centers(self, bank244):
+        # exactly the 20^2 cell centers, row-major, each of weight 1/400;
+        # the appended center node is searched only
+        e = (np.arange(20) + 0.5) / 20 - 0.5
+        np.testing.assert_array_equal(bank244.offsets[:len(bank244.log_weights)],
+                                      np.column_stack([np.repeat(e, 20), np.tile(e, 20)]))
+        np.testing.assert_array_equal(bank244.log_weights, np.full(400, -np.log(400)))
+        assert np.exp(bank244.log_weights).sum() == pytest.approx(1.0, rel=1e-15)
+
+    def test_design_is_the_table(self, bank244, psf244):
+        assert (bank244.w, bank244.r_c) == (psf244.w, psf244.r_c) == (2, 2.44)
+
     def test_row_major_ordering(self, bank244):
         # eps1 is the slow axis
         assert bank244.offsets[0] == pytest.approx([-0.475, -0.475])
@@ -290,7 +302,8 @@ class TestSignatureBank:
 
 class TestAlrtBank:
     def test_nodes(self, bank9_244):
-        assert bank9_244.n_nodes == 9
+        assert len(bank9_244.offsets) == len(bank9_244.log_weights) == 9
+        assert np.exp(bank9_244.log_weights).sum() == pytest.approx(1.0, rel=1e-15)
         assert set(np.unique(bank9_244.offsets)) == {-0.5, 0.0, 0.5}
         np.testing.assert_array_equal(bank9_244.offsets[bank9_244.center_index],
                                       [0.0, 0.0])
@@ -305,5 +318,5 @@ class TestAlrtBank:
     def test_model_tabulated_at_w(self, model244, bank9_244):
         # a PsfModel, w and q are accepted because the benchmark passes them
         bank = build_alrt_bank(model244, 2, 16)
-        assert bank.w == 2 and isinstance(bank.psf, EffectivePsf)
+        assert (bank.w, bank.r_c) == (2, 2.44) and isinstance(bank.psf, EffectivePsf)
         np.testing.assert_array_equal(bank.vectors, bank9_244.vectors)

@@ -16,12 +16,14 @@ from scipy.special import logsumexp
 
 from subpixdet import clutter
 from subpixdet.detectors import (
-    ALRT_WEIGHTS, DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores,
+    DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores,
     batch_statistics, build_subspace,
 )
 from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, render_signature_batch,
 )
+
+from helpers import TRAPEZOID
 
 PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -32,15 +34,15 @@ def oracle(windows, bound, bound9):
     """ELRT, ALRT and PM from the ratios of batch_statistics, by scipy's
     logsumexp in long double."""
     ld = np.longdouble
-    gi = bound.bank.grid_indices
+    gi = slice(len(bound.bank.offsets) - 1)   # the grid nodes; the center is appended last
     ratios = batch_statistics(windows, bound)[1][:, gi].astype(ld)
     a = ratios / 2 - np.log(bound.gram[gi].astype(ld)) / 2
     r9 = batch_statistics(windows, bound9)[1].astype(ld)
     a9 = r9 / 2 - np.log(bound9.gram.astype(ld)) / 2
     logw = a - logsumexp(a, axis=1, keepdims=True)
     return {
-        "ELRT": logsumexp(a, axis=1) - np.log(ld(len(gi))),
-        "ALRT": logsumexp(a9, b=ALRT_WEIGHTS.astype(ld)[None, :], axis=1),
+        "ELRT": logsumexp(a, axis=1) - np.log(ld(a.shape[1])),
+        "ALRT": logsumexp(a9, b=TRAPEZOID.astype(ld)[None, :], axis=1),
         "PM": np.exp(logw) @ bound.bank.offsets[gi].astype(ld),
     }
 
@@ -209,7 +211,7 @@ def test_peak_memory_is_one_buffer(sampled_w5):
     (N, K) float buffer, not one per log-sum-exp pass."""
     bound, bound9, subspace = sampled_w5
     windows = np.random.default_rng(0).standard_normal((10_000, bound.whitened.shape[1]))
-    limit = 1.25 * windows.shape[0] * bound.bank.n_nodes * 8
+    limit = 1.25 * windows.shape[0] * len(bound.bank.offsets) * 8
     for call in (lambda: batch_scores(windows, bound, bound9, subspace, DETECTOR_IDS),
                  lambda: batch_estimates(windows, bound, ESTIMATOR_IDS)):
         call()
