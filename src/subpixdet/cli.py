@@ -16,12 +16,14 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 try:
     import resource
@@ -130,6 +132,19 @@ def _check_offset(eps):
     return e1, e2
 
 
+def _libraries():
+    """What the output bits depend on besides the config: the PM, GPMF and
+    ALRT bits move with the BLAS build and its thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name)
+                    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def _write_manifest(out_dir, config, started, outputs):
     manifest = {
         "tool": "subpixdet",
@@ -138,6 +153,7 @@ def _write_manifest(out_dir, config, started, outputs):
         "seed": config.seed,
         "duration_seconds": round(time.time() - started, 3),
         "outputs": [str(p) for p in outputs],
+        "libraries": _libraries(),
     }
     if resource is not None:
         # the process peak so far, in MiB (ru_maxrss is KiB on Linux and
@@ -179,6 +195,8 @@ def cmd_signature(args):
 def cmd_clutter(args):
     if args.size < 2:
         raise ConfigError(f"--size must be >= 2, got {args.size}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     size = 1
     while size < args.size:
         size *= 2

@@ -9,7 +9,7 @@ giving a block-Toeplitz matrix with Toeplitz blocks.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
 __all__ = [
@@ -58,7 +58,10 @@ def synthesize_fbm(hurst, size=256, seed=None, crop=None):
     amp[0, 0] = 0.0                          # the DC term, the only zero radius
     spec *= amp
     del amp
-    field = irfft2(spec, s=(size, size))
+    # irfft2 split into its two passes: irfft2 would copy the spectrum to
+    # a complex temporary first.  Each pass scales by 1/size, which is
+    # exact for a power of two, so the bits are irfft2's.
+    field = irfft(ifft(spec, axis=0, overwrite_x=True), n=size, axis=1)
     del spec
     if crop is not None:
         field = _standardize(field)[:crop, :crop].copy()
@@ -88,21 +91,28 @@ def estimate_autocovariance(field, max_lag):
         raise ValueError(f"max_lag {max_lag} too large for a {h}x{wdt} field")
     # Linear correlation by a zero-padded FFT.  With at least max_lag
     # zeros after each axis, the circular wrap-around reaches no lag in
-    # [-max_lag, max_lag].
+    # [-max_lag, max_lag].  These are rfft2's and irfft2's 1-D passes,
+    # run on one half-plane spectrum: the rows are transformed in blocks
+    # with their padding, and the inverse of the second pass is taken on
+    # the returned lags only.
     fh, fw = (next_fast_len(n + max_lag, real=True) for n in (h, wdt))
-    x = np.zeros((fh, fw))
-    x[:h, :wdt] = field.values
-    x[:h, :wdt] -= field.values.mean()
-    spec = rfft2(x)
-    del x
-    # |spec|^2 in spec's own storage: irfft2 would copy a real array to
-    # a complex one
+    mean = field.values.mean()
+    spec = np.zeros((fh, fw // 2 + 1), dtype=complex)
+    step = max(1, 2**16 // fw)               # rows per 1 MiB of spectrum
+    for lo in range(0, h, step):
+        rows = field.values[lo:lo + step]
+        spec[lo:lo + len(rows)] = rfft(rows - mean, n=fw, axis=1)
+    spec = fft(spec, axis=0, overwrite_x=True)
+    # |spec|^2 in spec's own storage
     np.square(spec.real, out=spec.real)
-    spec.real += np.square(spec.imag)
+    np.square(spec.imag, out=spec.imag)
+    spec.real += spec.imag
     spec.imag = 0.0
-    corr = irfft2(spec, s=(fh, fw))
+    spec = ifft(spec, axis=0, norm="forward", overwrite_x=True)
     lags = np.arange(-max_lag, max_lag + 1)
-    return corr[np.ix_(lags % fh, lags % fw)] / (h * wdt)
+    # irfft2's one 1/(fh*fw) scale, after its last pass
+    corr = irfft(spec[lags % fh], n=fw, axis=1, norm="forward")[:, lags % fw]
+    return corr * (1.0 / (fh * fw)) / (h * wdt)
 
 
 def white_covariance(sigma, w):

@@ -244,14 +244,17 @@ class _Run:
             cov = clutter.white_covariance(config.sigma, config.w)
             self.sigma_eff = config.sigma
         else:
-            train = clutter.synthesize_fbm(config.hurst, config.image_size,
+            image = clutter.synthesize_fbm(config.hurst, config.image_size,
                                            seed=[int(config.seed), _STREAM_TRAIN, 0])
-            acf = clutter.estimate_autocovariance(train, 2 * config.w)
+            acf = clutter.estimate_autocovariance(image, 2 * config.w)
             cov = clutter.assemble_window_covariance(acf, config.w, lam=config.ridge)
             self.sigma_eff = math.sqrt(acf[2 * config.w, 2 * config.w])
-            image = train if config.train_equals_test else clutter.synthesize_fbm(
-                config.hurst, config.image_size, seed=[int(config.seed), _STREAM_TEST, 0])
-            self.image = image.values - image.values.mean()
+            if not config.train_equals_test:
+                del image                    # one image in memory at a time
+                image = clutter.synthesize_fbm(config.hurst, config.image_size,
+                                               seed=[int(config.seed), _STREAM_TEST, 0])
+            self.image = image.values
+            self.image -= self.image.mean()
         self.bound, self.bound9, self.subspace = bind_detectors(
             self.psf, cov, config.grid_size, config.subspace_order)
 

@@ -6,8 +6,10 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import ndimage, special
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from subpixdet import harness, optics
+from subpixdet.clutter import NoiseField
 from subpixdet.optics import EffectivePsf, render_signature_batch
 
 # The ALRT oracles' weights, defined apart from the bank that carries
@@ -62,6 +64,39 @@ def acf_padded_2x(field, max_lag):
     corr = np.fft.irfft2(spec * np.conj(spec), s=(fh, fw)) / x.size
     lags = np.arange(-max_lag, max_lag + 1)
     return corr[np.ix_(lags % fh, lags % fw)]
+
+
+def acf_rfft2(field, max_lag):
+    """estimate_autocovariance by two-axis real FFTs of the field copied
+    into its zero-padded plane, inverted on the whole plane."""
+    h, wdt = field.values.shape
+    fh, fw = (next_fast_len(n + max_lag, real=True) for n in (h, wdt))
+    x = np.zeros((fh, fw))
+    x[:h, :wdt] = field.values
+    x[:h, :wdt] -= field.values.mean()
+    spec = rfft2(x)
+    corr = irfft2(spec.real ** 2 + spec.imag ** 2 + 0j, s=(fh, fw))
+    lags = np.arange(-max_lag, max_lag + 1)
+    return corr[np.ix_(lags % fh, lags % fw)] / (h * wdt)
+
+
+def fbm_irfft2(hurst, size=256, seed=None, crop=None):
+    """synthesize_fbm with the shaped half-plane spectrum inverted by one
+    two-axis irfft2."""
+    spec = rfft2(np.random.default_rng(seed).standard_normal((size, size)))
+    amp = np.fft.fftfreq(size)[:, None] ** 2 + np.fft.rfftfreq(size)[None, :] ** 2
+    with np.errstate(divide="ignore"):
+        amp **= -(hurst + 1) / 2
+    amp[0, 0] = 0.0
+    field = irfft2(spec * amp, s=(size, size))
+
+    def standardize(x):
+        mean, std = x.mean(), x.std()
+        return (x - mean) / std
+
+    if crop is not None:
+        field = standardize(field)[:crop, :crop].copy()
+    return NoiseField(values=standardize(field))
 
 
 def effective_psf_coeffs_rowblocks(psf):

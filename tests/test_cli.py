@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 
 from subpixdet import clutter, harness, optics
 from subpixdet.cli import (
@@ -90,6 +91,18 @@ class TestClutter:
                                "--max-lag", "-1", "--out", str(out))
         assert code == 1
         assert "max_lag" in err
+        assert not out.exists()
+
+    def test_negative_seed_exits_1_before_synthesis(self, capsys, tmp_path, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("synthesize_fbm called")
+
+        monkeypatch.setattr(clutter, "synthesize_fbm", refused)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "clutter", "--seed", "-1", "--out", str(out))
+        assert code == 1
+        assert err.strip() == "error: seed must be >= 0, got -1"
+        assert stdout == ""
         assert not out.exists()
 
     def test_invalid_hurst_exits_1(self, capsys, tmp_path):
@@ -289,6 +302,14 @@ class TestRocCommand:
             # the process peak, which the replay reads past as it does
             # every key outside "config"
             assert manifest["peak_rss_mb"] > 0
+        # what the bits depend on besides the config, also read past
+        libraries = manifest["libraries"]
+        assert libraries["numpy"] == np.__version__
+        assert libraries["scipy"] == scipy.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert libraries["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert libraries["threads"] == {
+            name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         code, _, _ = run_cli(capsys, "roc", "--config",
                              str(tmp_path / "a" / "meta.json"),
                              "--out", str(tmp_path / "b"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from subpixdet.clutter import (
 )
 from subpixdet.harness import ExperimentConfig, run_roc
 
-from helpers import acf_padded_2x
+from helpers import acf_padded_2x, acf_rfft2, fbm_irfft2
 
 
 def radial_psd_slope(field):
@@ -53,6 +55,15 @@ class TestSynthesizeFbm:
         got = synthesize_fbm(0.7, size, seed=[5, 0, 0], crop=crop).values
         ref = fbm_complex(0.7, size, seed=[5, 0, 0], crop=crop).values
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("size, crop", [(2, None), (4, None), (4, 3), (64, None),
+                                            (64, 48), (256, None), (256, 200),
+                                            (1024, None), (1024, 768)])
+    def test_bits_match_irfft2(self, size, crop):
+        # the split inverse scales by 1/size twice, exact for a power of two
+        got = synthesize_fbm(0.7, size, seed=[5, 0, 0], crop=crop).values
+        ref = fbm_irfft2(0.7, size, seed=[5, 0, 0], crop=crop).values
+        assert np.array_equal(got, ref)
 
     def test_standardized(self):
         f = synthesize_fbm(0.7, size=256, seed=3)
@@ -129,6 +140,33 @@ class TestEstimateAutocovariance:
         field = synthesize_fbm(0.7, 256, seed=[4, 0, 0])
         np.testing.assert_allclose(estimate_autocovariance(field, 4),
                                    acf_padded_2x(field, 4), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape, max_lag, mean", [
+        ((14, 17), 4, 0.0), ((14, 23), 6, 0.0), ((25, 14), 6, 0.0),
+        ((130, 70), 5, 3.7), ((130, 70), 34, -2.0), ((200, 200), 99, 0.0),
+        ((1024, 1024), 4, 0.0), ((1024, 1024), 10, 0.0), ((1024, 1024), 200, 0.0)])
+    def test_bits_match_rfft2_on_the_padded_plane(self, rng, shape, max_lag, mean):
+        field = NoiseField(rng.standard_normal(shape) + mean)
+        assert np.array_equal(estimate_autocovariance(field, max_lag),
+                              acf_rfft2(field, max_lag))
+
+    def test_bits_match_rfft2_on_fbm(self):
+        field = synthesize_fbm(0.7, 256, seed=[4, 0, 0])
+        assert np.array_equal(estimate_autocovariance(field, 4), acf_rfft2(field, 4))
+
+    def test_peak_is_about_one_spectrum(self):
+        # 1024 + 4 pads to 1080: one (1080, 541) complex spectrum is 9.35
+        # MB, and a padded real copy of the field or a whole-plane inverse
+        # would add 9.3 MB more
+        field = synthesize_fbm(0.7, 1024, seed=[1, 0, 0])
+        spectrum = 1080 * (1080 // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            estimate_autocovariance(field, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * spectrum
 
     def test_center_is_variance(self, rng):
         x = rng.standard_normal((32, 32))

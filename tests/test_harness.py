@@ -391,6 +391,21 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak < 16e6
 
+    @pytest.mark.parametrize("train_equals_test", [False, True])
+    def test_fractal_run_roc_peak_is_a_few_images(self, train_equals_test):
+        # the set-up holds one image and one half-plane spectrum at a
+        # time: no padded copy, no whole-plane inverse, no second image
+        cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=1024, alpha=0.12,
+                               n_h0=600, n_h1=600, seed=1,
+                               train_equals_test=train_equals_test)
+        tracemalloc.start()
+        try:
+            run_roc(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 1024**2 * 8
+
 
 class TestRunMse:
     def test_default_estimator_hits_uniform_variance(self):
