@@ -143,11 +143,13 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
     if "SM-GLRT" in detectors:
         if subspace is None:
             raise ValueError("SM-GLRT selected but no subspace supplied")
+        # row by row in einsum's own loops: a BLAS gemv or solve over the
+        # whole stack may split its rows between threads and round the
+        # rows at the split differently
         wh = bound.cov.solve(subspace)
-        gram = subspace.T @ wh
-        tsub = windows @ wh                    # (N, P)
-        out["SM-GLRT"] = np.einsum("np,np->n", tsub,
-                                   np.linalg.solve(gram, tsub.T).T)
+        tsub = np.einsum("nk,kp->np", windows, wh)             # (N, P)
+        out["SM-GLRT"] = np.einsum("np,pq,nq->n", tsub,
+                                   np.linalg.inv(subspace.T @ wh), tsub)
     return out
 
 

@@ -429,20 +429,52 @@ def _csv_field(text):
     return buf.getvalue()[:-len(",\r\n")]
 
 
+def _rate_index(col, n):
+    """(k, other) for a rate column counted on n scores: col is bitwise
+    k/n wherever other is False.  other marks -0.0, non-finite values,
+    values that are no k/n, and every value when n = 0 (k is 0 there)."""
+    if n < 1:
+        return np.zeros(len(col), dtype=np.intp), np.ones(len(col), dtype=bool)
+    k = np.rint(col * n)
+    other = np.signbit(col) | ~(k <= n) | (k / n != col)
+    return np.where(other, 0, k).astype(np.intp), other
+
+
 def write_roc_csv(curves, path):
     """One detector,threshold,pfa,pd row per curve point, as csv.writer
-    writes it, with each value as repr of a Python float.  Rows are
-    formatted and written _CSV_ROWS at a time, so the text of a whole
-    curve is never held at once."""
+    writes it, with each value as repr of a Python float.
+
+    A rate counted on n scores (n_h0 for pfa, n_h1 for pd) is some k/n,
+    so the text of every k/n is formatted once per file, in one table
+    per n, and each rate is read from its table; a rate that is not
+    bitwise a k/n is formatted on its own.  Thresholds are formatted
+    per row.  Rows are written _CSV_ROWS at a time, with one % format
+    per slice, so the text of a whole curve is never held at once.
+    """
+    tables = {}
     with open(path, "w", newline="") as fh:
         fh.write("detector,threshold,pfa,pd\r\n")
         for curve in curves:
-            det = _csv_field(curve.detector)
-            cols = [np.asarray(c, dtype=float)
-                    for c in (curve.thresholds, curve.pfa, curve.pd)]
-            for lo in range(0, len(cols[0]), _CSV_ROWS):
-                fh.write("".join(f"{det},{tau!r},{pfa!r},{pd!r}\r\n" for tau, pfa, pd
-                                 in zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in cols))))
+            row = _csv_field(curve.detector).replace("%", "%%") + ",%r,%s,%s\r\n"
+            tau = np.asarray(curve.thresholds, dtype=float)
+            rates = []
+            for col, n in ((curve.pfa, curve.n_h0), (curve.pd, curve.n_h1)):
+                if n not in tables:
+                    # n = 0 gets a placeholder: all its rates are formatted on their own
+                    tables[n] = [repr(k / n) for k in range(n + 1)] if n > 0 else [""]
+                col = np.asarray(col, dtype=float)
+                rates.append((col, *_rate_index(col, n), tables[n]))
+            for lo in range(0, len(tau), _CSV_ROWS):
+                hi = lo + _CSV_ROWS
+                block = tau[lo:hi].tolist()
+                fields = [None] * (3 * len(block))
+                fields[0::3] = block
+                for pos, (col, k, other, table) in enumerate(rates, 1):
+                    text = list(map(table.__getitem__, k[lo:hi].tolist()))
+                    for i in np.flatnonzero(other[lo:hi]).tolist():
+                        text[i] = repr(float(col[lo + i]))
+                    fields[pos::3] = text
+                fh.write(row * len(block) % tuple(fields))
 
 
 def write_mse_csv(rows, path):

@@ -95,6 +95,41 @@ def _lattice_nodes(r_c):
 _SPLINE_MARGIN = 32
 # Gauss-Legendre nodes per axis of one lattice cell.
 _CELL_ORDER = 4
+# Table values one render group gathers (36 per pixel): about 7
+# signatures at w = 5, 36 at w = 2, so a group's taps stay in cache.
+_GATHER = 2**15
+
+
+def _quintic_weights(t):
+    """Weights of the 6 quintic B-spline taps floor(x) - 2 .. floor(x) + 3
+    at fractions t = x - floor(x), as an array of shape t.shape + (6,)
+    (Thevenaz, Blu & Unser 2000, IEEE TMI 19:739)."""
+    out = np.empty(t.shape + (6,))
+    t2 = t * t
+    out[..., 5] = t * t2 * t2 / 120.0
+    t2 -= t
+    t4 = t2 * t2
+    c = t - 0.5
+    u = t2 * (t2 - 3.0)
+    out[..., 0] = (0.2 + t2 + t4) / 24.0 - out[..., 5]
+    even = (t2 * (t2 - 5.0) + 9.2) / 24.0
+    odd = -c * (u + 4.0) / 12.0
+    out[..., 2] = even + odd
+    out[..., 3] = even - odd
+    even = (1.8 - u) / 16.0
+    odd = c * (t4 - t2 - 5.0) / 24.0
+    out[..., 1] = even + odd
+    out[..., 4] = even - odd
+    return out
+
+
+def _cell_sums(h, row_wts, col_wts):
+    """Weight a block of node values of h in place and sum each lattice
+    cell's _CELL_ORDER x _CELL_ORDER nodes."""
+    h *= row_wts[:, None]
+    h *= col_wts
+    p = _CELL_ORDER
+    return h.reshape(len(row_wts) // p, p, len(col_wts) // p, p).sum(axis=(1, 3))
 
 
 class EffectivePsf:
@@ -103,13 +138,14 @@ class EffectivePsf:
     g(x, y) is the integral of h over the unit square centred on (x, y),
     so a source at offset eps puts s[i, j] = g(i - eps1, j - eps2) into
     pixel (i, j) (the "effective PSF" of Anderson & King 2000, PASP
-    112:1360).  g is even in x and in y, so the table holds the quadrant
-    x, y >= 0 on a 1/K-pixel lattice, for every |x| up to w + 1/2: the
-    windows of half-width w at any offset in the closed square
-    [-0.5, 0.5]^2.  It is built by integrating h over the lattice cells
-    (composite Gauss-Legendre), summing whole pixels out of the cells
-    with a summed-area table, and spline-filtering the result; windows
-    are read off it by quintic B-spline interpolation.
+    112:1360).  The table covers every |x| up to w + 1/2 on a 1/K-pixel
+    lattice: the windows of half-width w at any offset in the closed
+    square [-0.5, 0.5]^2.  It is built on the quadrant x, y >= 0 by
+    integrating h over the lattice cells (composite Gauss-Legendre),
+    summing whole pixels out of the cells with a summed-area table, and
+    spline-filtering the result; g is even in x and in y, so the
+    quadrant's quintic B-spline coefficients (coeffs) are mirrored into
+    a whole-plane table once, and windows are read off that plane.
     """
 
     def __init__(self, model, w):
@@ -121,22 +157,37 @@ class EffectivePsf:
         nodes, weights = leggauss(_CELL_ORDER)
         pts = ((np.arange(n_cells)[:, None] + 0.5 * (nodes + 1)) / k).ravel()
         wts = np.tile(0.5 * weights / k, n_cells)
-        # h is symmetric on this square node grid: evaluate its upper
-        # triangle in blocks of n/16 rows, which keeps the psf_value
-        # temporaries small and the overlap past the diagonal near 1/32,
-        # and mirror each block below the diagonal.
-        n = len(pts)
-        h = np.empty((n, n))
-        rows = max(1, n // 16)
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            h[lo:hi, lo:] = psf_value(model, pts[lo:hi, None], pts[None, lo:])
-            h[hi:, lo:hi] = h[lo:hi, hi:].T
-        h *= wts[:, None]
-        h *= wts
-        cells = h.reshape(n_cells, _CELL_ORDER, n_cells, _CELL_ORDER).sum(axis=(1, 3))
+        # h is symmetric on this square node grid.  Build the cell table
+        # in strips of n_cells/16 cell rows: evaluate h right of the
+        # strip's diagonal only, and fill the mirrored strip from a
+        # C-contiguous copy of the transpose, so that its cells sum in
+        # the order a direct evaluation of those rows would.
+        cells = np.empty((n_cells, n_cells))
+        p, step = _CELL_ORDER, max(1, n_cells // 16)
+        for lo in range(0, n_cells, step):
+            hi = min(n_cells, lo + step)
+            h = psf_value(model, pts[lo * p:hi * p, None], pts[None, lo * p:])
+            below = np.ascontiguousarray(h[:, (hi - lo) * p:].T)
+            cells[lo:hi, lo:] = _cell_sums(h, wts[lo * p:hi * p], wts[lo * p:])
+            cells[hi:, lo:hi] = _cell_sums(below, wts[hi * p:], wts[lo * p:hi * p])
         g = self._pixel_sums(self._pixel_sums(cells).T).T
-        self.coeffs = ndimage.spline_filter(g, order=5, mode="mirror")
+        quadrant = ndimage.spline_filter(g, order=5, mode="mirror")
+        m = len(quadrant)
+        plane = self._plane = np.empty((2 * m - 1, 2 * m - 1))
+        plane[m - 1:, m - 1:] = quadrant
+        plane[m - 1:, :m - 1] = quadrant[:, :0:-1]
+        plane[:m - 1] = plane[:m - 1:-1]
+        self.coeffs = plane[m - 1:, m - 1:]
+        # Pixel (i, j) of a window, counted 0 .. 2w from its corner, reads
+        # the 6 x 6 coefficients that start K i rows and K j columns past
+        # the corner pixel's first tap.  _gather holds the flat offsets of
+        # those 36 taps per pixel; _origin is the plane row (and column)
+        # of the corner's first tap when floor(-K eps) is 0.
+        n_pix = 2 * w + 1
+        taps = (k * np.arange(n_pix)[:, None] + np.arange(6)).ravel()
+        flat = (taps[:, None] * len(plane) + taps).reshape(n_pix, 6, n_pix, 6)
+        self._gather = flat.transpose(0, 2, 1, 3).reshape(n_pix * n_pix, 36)
+        self._origin = m - 1 - k * w - 2
 
     def _pixel_sums(self, cells):
         """Sum the k cells of a unit pixel centred on each node, along axis 0.
@@ -155,25 +206,33 @@ class EffectivePsf:
 
     def render(self, offsets):
         """Signatures of the table's half-width w for offsets of shape
-        (N, 2), as an (N, (2w+1)**2) array of row-major flattened values."""
-        offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
+        (N, 2), as an (N, (2w+1)**2) array of row-major flattened values.
+
+        Pixel i of a window sits at lattice coordinate K(i - eps1) (and
+        likewise along eps2); K is an integer, so every pixel shares the
+        fraction of -K eps1 and one 6-tap weight vector per axis serves
+        the whole window.  Each group of signatures gathers its 36 taps
+        per pixel with one take and contracts them with the outer
+        product of its two weight vectors.
+        """
+        offsets = np.asarray(offsets, dtype=float)
+        if offsets.ndim != 2 or offsets.shape[1] != 2:
+            raise ValueError(f"offsets must have shape (N, 2), got {offsets.shape}")
         if not np.all(np.abs(offsets) <= 0.5):
             raise ValueError("subpixel offsets outside [-0.5, 0.5]^2")
-        w = self.w
-        n_pix = 2 * w + 1
-        pix = np.arange(-w, w + 1)
-        out = np.empty((len(offsets), n_pix * n_pix))
-        chunk = max(1, 2**18 // n_pix**2)
-        for lo in range(0, len(offsets), chunk):
-            eps = offsets[lo:lo + chunk]
-            # lattice coordinates of pixel (i, j); mirror mode reads x < 0
-            # as -x, which is exact because g is even
-            x = self.lattice * (pix - eps[:, :1])
-            y = self.lattice * (pix - eps[:, 1:])
-            coords = [np.repeat(x, n_pix, axis=1).ravel(), np.tile(y, n_pix).ravel()]
-            vals = ndimage.map_coordinates(self.coeffs, coords, order=5,
-                                           prefilter=False, mode="mirror")
-            out[lo:lo + chunk] = vals.reshape(len(eps), -1)
+        x = -self.lattice * offsets                  # exact: K is a power of two
+        cell = np.floor(x)
+        weights = _quintic_weights(x - cell)         # (N, 2, 6)
+        first = (cell + self._origin).astype(np.intp)
+        first = first[:, 0] * len(self._plane) + first[:, 1]
+        plane = self._plane.ravel()
+        out = np.empty((len(offsets), len(self._gather)))
+        group = max(1, _GATHER // self._gather.size)
+        for lo in range(0, len(offsets), group):
+            hi = lo + group
+            taps = plane.take(first[lo:hi, None, None] + self._gather)
+            outer = weights[lo:hi, 0, :, None] * weights[lo:hi, 1, None, :]
+            out[lo:hi] = np.matmul(taps, outer.reshape(-1, 36, 1))[..., 0]
         return out
 
 

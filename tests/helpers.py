@@ -99,6 +99,20 @@ def fbm_irfft2(hurst, size=256, seed=None, crop=None):
     return NoiseField(values=standardize(field))
 
 
+def render_map_coordinates(psf, offsets):
+    """EffectivePsf.render by scipy.ndimage.map_coordinates on the
+    quadrant's coefficients: order-5 interpolation at every pixel's own
+    lattice coordinate, x < 0 read as -x by mirror mode (g is even)."""
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
+    w, n_pix = psf.w, 2 * psf.w + 1
+    pix = np.arange(-w, w + 1)
+    x = psf.lattice * (pix - offsets[:, :1])
+    y = psf.lattice * (pix - offsets[:, 1:])
+    coords = [np.repeat(x, n_pix, axis=1).ravel(), np.tile(y, n_pix).ravel()]
+    vals = ndimage.map_coordinates(psf.coeffs, coords, order=5, prefilter=False, mode="mirror")
+    return vals.reshape(len(offsets), -1)
+
+
 def effective_psf_coeffs_rowblocks(psf):
     """EffectivePsf's spline coefficients, with h evaluated on the whole
     node grid (no symmetry), one block of cell rows at a time."""

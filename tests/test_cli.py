@@ -668,10 +668,13 @@ def test_model_flags_are_config_fields():
             assert action.default == want, (command, action.dest)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about half a second of the import
-    code = "import sys, subpixdet.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_loads_only_known_scipy_subpackages():
+    # each scipy subpackage adds to every run's set-up (scipy.stats about
+    # half a second); a new one must be a deliberate change of this set
+    code = ("import sys, scipy, subpixdet.cli; "
+            "print(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith('scipy.')} & set(scipy.__all__)))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == str(["fft", "linalg", "ndimage", "special"])

@@ -223,6 +223,18 @@ class TestSmGlrt:
         assert score("SM-GLRT", z, bound244, subspace=flipped) == pytest.approx(
             score("SM-GLRT", z, bound244, subspace=subspace244), rel=1e-12)
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_stack_scores_row_by_row(self, bank244, bound244, rng, order):
+        # a window's score keeps its bits whatever stack it is scored in
+        subspace = build_subspace(bank244, order=order)
+        windows = rng.standard_normal((30_000, 25))
+        whole = batch_scores(windows, bound244, subspace=subspace,
+                             detectors=("SM-GLRT",))["SM-GLRT"]
+        rows = [batch_scores(windows[lo:lo + n], bound244, subspace=subspace,
+                             detectors=("SM-GLRT",))["SM-GLRT"]
+                for lo, n in ((0, 1), (1, 7), (8, 509), (517, 29_483))]
+        np.testing.assert_array_equal(np.concatenate(rows), whole)
+
 
 class TestBatch:
     def test_statistics_shapes(self, bound244, rng):

@@ -11,7 +11,7 @@ from scipy.stats import norm
 from subpixdet import clutter, harness
 from subpixdet.detectors import batch_estimates, batch_scores
 from subpixdet.harness import (
-    ConfigError, ExperimentConfig, average_energy_cached, bind_detectors,
+    ConfigError, ExperimentConfig, RocCurve, average_energy_cached, bind_detectors,
     empirical_roc_from_scores, run_mse, run_roc, snr_to_alpha,
     theoretical_pmf_roc, write_mse_csv, write_roc_csv,
 )
@@ -500,15 +500,25 @@ class TestCsvWriters:
         rng = np.random.default_rng(0)
         s0 = np.round(rng.standard_normal(300), 1)           # ties
         s1 = np.round(rng.standard_normal(200) + 1.0, 1)
+        # rates that are not bitwise k/n on a curve counted on n scores:
+        # a hand-built curve, -0.0, non-finite values, a k/n of another n
+        odd = np.array([0.0, -0.0, 1 / 3, 0.1 + 0.2, 2 / 7, np.nan, np.inf, -np.inf,
+                        1.5, -0.25, 1.0, 0.5, 1e-300])
+        hand = RocCurve(detector="a%s,b%%", thresholds=np.linspace(3.0, -3.0, len(odd)),
+                        pfa=odd, pd=odd[::-1].copy(), n_h0=10, n_h1=7)
         curves = [empirical_roc_from_scores(s0, s1, "ELRT"),
                   empirical_roc_from_scores(s0 * 1e-300, s1 * 1e300, 'say "x"'),
                   theoretical_pmf_roc(15.0, (0.5, 0.5), bank244),
+                  hand,
+                  empirical_roc_from_scores(s0[:7], s1[:10], '100% "a", b'),
                   empirical_roc_from_scores(rng.standard_normal(3000),
                                             rng.standard_normal(3000), "GLRT")]
         assert len(curves[-1].thresholds) > harness._CSV_ROWS    # written in slices
         assert curves[0].thresholds[0] == np.inf
         assert len(np.unique(curves[0].pfa)) < len(curves[0].pfa)
         assert len(np.unique(curves[0].pd)) < len(curves[0].pd)
+        assert {(c.n_h0, c.n_h1) for c in curves} == {(300, 200), (0, 0), (10, 7), (7, 10),
+                                                      (3000, 3000)}
         write_roc_csv(curves, tmp_path / "fast.csv")
         row_writer(curves, tmp_path / "rows.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

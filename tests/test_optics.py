@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import mpmath
@@ -11,7 +13,7 @@ from subpixdet.optics import (
     render_signature_batch, average_energy, build_signature_bank,
 )
 
-from helpers import effective_psf_coeffs_rowblocks, signature
+from helpers import effective_psf_coeffs_rowblocks, render_map_coordinates, signature
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,52 @@ class TestEffectivePsf:
     def test_symmetric_build_matches_row_blocks(self, r_c, w):
         psf = EffectivePsf(PsfModel(r_c), w)
         assert np.array_equal(psf.coeffs, effective_psf_coeffs_rowblocks(psf))
+
+    @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5), (0.3, 1), (0.01, 2)])
+    def test_matches_map_coordinates(self, r_c, w):
+        # random offsets, the ALRT nodes, the +-0.5 edges, and offsets on
+        # the lattice (tap fraction 0) against per-pixel interpolation
+        psf = EffectivePsf(PsfModel(r_c), w)
+        k = psf.lattice
+        lattice = np.arange(-k // 2, k // 2 + 1) / k
+        offsets = np.vstack([np.random.default_rng(11).uniform(-0.5, 0.5, (2000, 2)),
+                             build_alrt_bank(psf).offsets,
+                             [(0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (-0.0, 0.0)],
+                             np.column_stack([lattice, lattice[::-1]])])
+        err = np.abs(psf.render(offsets) - render_map_coordinates(psf, offsets))
+        assert err.max() <= 1e-14
+
+    def test_build_memory(self):
+        # the cell table is built in strips: the (n, n) node array of the
+        # r_c = 2.44, w = 2 table alone is 6.1 MiB
+        tracemalloc.start()
+        try:
+            EffectivePsf(PsfModel(2.44), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    def test_render_memory(self):
+        # beyond its output, render holds per-offset tap weights and one
+        # group's gathered taps (the per-pixel interpolation took 11 MiB)
+        psf = EffectivePsf(PsfModel(0.5), 5)
+        offsets = np.random.default_rng(5).uniform(-0.5, 0.5, (4096, 2))
+        tracemalloc.start()
+        try:
+            out = psf.render(offsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 2 * 2**20
+
+    def test_render_shape_checks(self, psf244):
+        for offsets in ([[0.1, 0.2, 0.3]], [], [0.1, 0.2], np.zeros((2, 2, 2))):
+            shape = np.shape(offsets)
+            with pytest.raises(ValueError, match=f"shape \\(N, 2\\), got {re.escape(str(shape))}"):
+                psf244.render(offsets)
+        assert psf244.render(np.empty((0, 2))).shape == (0, 25)
+        assert EffectivePsf(PsfModel(0.5), 5).render(np.empty((0, 2))).shape == (0, 121)
 
     def test_range_checks(self, psf244):
         assert render_signature_batch(psf244, [(0.0, 0.0)]).shape == (1, 25)
