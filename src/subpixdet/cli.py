@@ -33,9 +33,7 @@ except ImportError:     # not on Windows
 from . import __version__
 from . import clutter, harness, optics
 from .clutter import IndefiniteCovarianceError
-from .detectors import (
-    DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores, batch_statistics,
-)
+from .detectors import DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores
 from .harness import ConfigError, ExperimentConfig
 from .optics import PsfModel
 
@@ -73,14 +71,27 @@ def _parse_value(kind, raw):
     return kind(raw)
 
 
+def _json_value(kind, value, where):
+    """A JSON value as the annotated type of a config field: an int stands
+    for a float and a list for a tuple of its item type; a bool is no int."""
+    if getattr(kind, "__origin__", None) is tuple and isinstance(value, list):
+        return tuple(_json_value(kind.__args__[0], v, where) for v in value)
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {json.dumps(value)}")
+
+
 def load_config_file(path):
-    """Parse a flat key=value config file (or a meta.json manifest)."""
+    """Parse a flat key=value config file or a JSON manifest, typed as their fields."""
     path = Path(path)
     if path.suffix == ".json":
         manifest = json.loads(path.read_text())
-        cfg = manifest.get("config", manifest)
-        return {k: tuple(v) if isinstance(v, list) else v
-                for k, v in cfg.items() if k in _CONFIG_FIELDS}
+        cfg = manifest.get("config", manifest) if isinstance(manifest, dict) else None
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        return {key: None if value is None and getattr(ExperimentConfig, key) is None
+                else _json_value(_CONFIG_FIELDS[key], value, f"{path}: {key}")
+                for key, value in cfg.items() if key in _CONFIG_FIELDS}
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -257,14 +268,14 @@ def _read_window(args):
 
 def _amplitude_fit(windows, bound):
     """ML amplitude t_k / d_k and offset of the GPMF node (the center) and
-    of the GLRT/ML node (the argmax)."""
-    t, ratios = batch_statistics(windows, bound)
+    of the GLRT/ML node (the argmax of t_k^2 / d_k), t = windows @ (R^{-1}S)^T."""
+    t = (windows @ bound.whitened.T)[0]
 
     def fit(k):
         e1, e2 = bound.bank.offsets[k]
-        return float(t[0, k] / bound.gram[k]), float(e1), float(e2)
+        return float(t[k] / bound.gram[k]), float(e1), float(e2)
 
-    return {"GPMF": fit(bound.bank.center_index), "GLRT": fit(int(np.argmax(ratios[0])))}
+    return {"GPMF": fit(bound.bank.center_index), "GLRT": fit(np.argmax(t * t / bound.gram))}
 
 
 def _check_finite(path, outputs):
@@ -328,9 +339,7 @@ def cmd_theoretical_roc(args):
     if args.eps:
         specs = [("fixed", _parse_eps(args.eps))]
     # every curve first, so that a refused input writes nothing
-    curves = [(name, harness.theoretical_pmf_roc(args.snr_db, eps_star, bank,
-                                                 sigma=args.sigma))
-              for name, eps_star in specs]
+    curves = [(name, harness.theoretical_pmf_roc(args.snr_db, eps, bank)) for name, eps in specs]
     with _open_out(args.out) as stream:
         stream.write("curve,pfa,pd\n")
         for name, curve in curves:
@@ -397,7 +406,7 @@ def build_parser():
         p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("theoretical-roc", help="closed-form PMF ROC curves")
-    _add_field_flags(p, ("snr_db", "r_c", "w", "grid_size", "sigma"))
+    _add_field_flags(p, ("snr_db", "r_c", "w", "grid_size"))
     p.add_argument("--eps", help="fixed true offset 'e1,e2' (default: the trio)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_theoretical_roc)

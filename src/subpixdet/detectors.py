@@ -32,7 +32,6 @@ __all__ = [
     "DETECTOR_IDS",
     "ESTIMATOR_IDS",
     "build_subspace",
-    "batch_statistics",
     "batch_scores",
     "batch_estimates",
 ]
@@ -62,19 +61,9 @@ def build_subspace(bank, order=1):
 # ---------------------------------------------------------------------------
 # Scoring and estimation, shared by the Monte Carlo harness and the CLI.
 
-def batch_statistics(windows, bound):
-    """Per-node amplitude-ML filter values for a stack of windows.
-
-    windows: (N, n).  Returns (t, ratios) with t = windows @ (R^{-1}S)^T
-    of shape (N, K) and ratios = t^2 / gram.
-    """
-    t = np.asarray(windows, dtype=float) @ bound.whitened.T
-    return t, t * t / bound.gram[None, :]
-
-
 def _ratios(windows, bound):
-    """ratios = t^2 / gram of batch_statistics for a float (N, n) array,
-    in one fresh (N, K) buffer (the same IEEE operations, so the same bits)."""
+    """Per-node amplitude-ML ratios t^2 / gram, t = windows @ (R^{-1}S)^T,
+    of a float (N, n) array, in one fresh (N, K) buffer."""
     r = windows @ bound.whitened.T
     r *= r
     r /= bound.gram

@@ -83,7 +83,7 @@ class ExperimentConfig:
     hurst: float = 0.7
     image_size: int = 512
     snr_db: float = None
-    alpha: float = None             # overrides snr_db when given
+    alpha: float = None
     n_h0: int = 100_000
     n_h1: int = 100_000
     n_trials: int = 10_000          # per MSE SNR point
@@ -324,14 +324,14 @@ def run_roc(config):
     """Empirical ROC curves for the configured detectors.
 
     H0 windows are pure noise; H1 windows are alpha * s_eps + noise with
-    a fresh uniform offset per trial, alpha given or set by snr_db
-    (snr_sweep is refused).  Thresholds sweep every distinct score.
+    a fresh uniform offset per trial, alpha given or set by snr_db (not
+    both; snr_sweep is refused).  Thresholds sweep every distinct score.
     """
     config.validate()
     if config.snr_sweep:
         raise ConfigError("roc needs alpha or snr_db, not snr_sweep (snr_sweep is for mse)")
-    if config.alpha is None and config.snr_db is None:
-        raise ConfigError("roc needs alpha or snr_db")
+    if (config.alpha is None) == (config.snr_db is None):
+        raise ConfigError("roc needs alpha or snr_db, not both")
     run = _Run(config)
     alpha = run.alpha(config.snr_db) if config.alpha is None else config.alpha
 
@@ -382,13 +382,14 @@ def run_mse(config):
     return tuple(rows)
 
 
-def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
-    """Closed-form ROC of the pixel matched filter T0(z) = s0^T R^{-1} z.
+def theoretical_pmf_roc(snr_db, eps_star, bank, pfa_grid=None):
+    """Closed-form ROC of the pixel matched filter T0(z) = s0^T z in unit white noise.
 
-    White noise only.  eps_star selects the H1 truth: a fixed offset
-    pair, or "mean" to average Pd over the nodes of the bank's rule at
-    each Pfa (uniformly random true position).  Pfa = Q(tau / sqrt(d00)) and
-    Pd = Q(Q^{-1}(Pfa) - alpha * s0^T s_eps / (sigma * sqrt(s0^T s0))).
+    At a given SNR a white-noise ROC does not depend on sigma.  eps_star
+    selects the H1 truth: a fixed offset pair, or "mean" to average Pd
+    over the nodes of the bank's rule at each Pfa (uniformly random true
+    position).  Pfa = Q(tau / sqrt(d00)) and Pd = Q(Q^{-1}(Pfa) -
+    alpha * s0^T s_eps / sqrt(d00)), with d00 = s0^T s0.
 
     The curve is for the one-sided T0.  The GPMF detector scores
     t^2/d = T0^2 / d00, a two-sided test, so at a given threshold its
@@ -397,9 +398,9 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, sigma=1.0, pfa_grid=None):
     """
     if pfa_grid is None:
         pfa_grid = np.logspace(-8, 0, 161)
-    alpha = snr_to_alpha(snr_db, sigma, average_energy_cached(bank.r_c))
+    alpha = snr_to_alpha(snr_db, 1.0, average_energy_cached(bank.r_c))
     s0 = bank.vectors[bank.center_index]
-    scale = sigma * math.sqrt(s0 @ s0)
+    scale = math.sqrt(s0 @ s0)
     if isinstance(eps_star, str):
         if eps_star != "mean":
             raise ValueError(f"eps_star must be a pair or 'mean', got {eps_star!r}")

@@ -25,6 +25,14 @@ def signature(model, eps, w):
     return patch.reshape(2 * w + 1, 2 * w + 1)
 
 
+def batch_statistics(windows, bound):
+    """Per-node amplitude-ML filter values of a stack of (N, n) windows:
+    (t, t^2 / d), each (N, K), with t = windows @ (R^{-1}S)^T, formed as
+    the CLI's amplitude fit forms them."""
+    t = np.asarray(windows, dtype=float) @ bound.whitened.T
+    return t, t * t / bound.gram
+
+
 def pd_at_pfa(curve, pfa):
     """Interpolated Pd of a RocCurve at the requested false-alarm rate(s)."""
     return np.interp(pfa, curve.pfa, curve.pd)

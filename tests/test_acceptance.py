@@ -7,6 +7,7 @@ Expensive Monte Carlo runs are shared through module-scoped fixtures.
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.special import logsumexp
 from scipy.stats import chi2
 
@@ -20,6 +21,7 @@ from subpixdet.harness import (
 )
 from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, psf_value,
+    render_signature_batch,
 )
 
 from helpers import TRAPEZOID, mse_row, pd_at_pfa, pfa_at_pd, signature
@@ -205,6 +207,51 @@ def test_6_sensor_design_gain(capsys, roc_15db_both_designs):
            f"ratio {ks / ka:.3g}, CI upper {poisson_interval(ks)[1]:.1f} "
            f"vs lower {poisson_interval(ka)[0]:.1f} (want below); "
            f"Pd spread at r_c=0.5: {spread:.4f} (want <=0.1)")
+
+
+def dkw_half_width(n, level):
+    """Half-width of the Dvoretzky-Kiefer-Wolfowitz band on an empirical
+    distribution function of n draws, with Massart's constant."""
+    return np.sqrt(np.log(2 / (1 - level)) / (2 * n))
+
+
+def test_6b_whole_curve_closed_form(capsys, roc_15db_both_designs):
+    # In unit white noise GPMF (t^2/d at the center node) and order-1
+    # SM-GLRT are chi^2_1 under H0.  Under H1 at offset eps, GPMF's
+    # s0^T z / |s0| is normal with mean mu = alpha s0^T s_eps / |s0|, so
+    # t^2/d is noncentral chi^2_1, averaged here over the 60x60 midpoint
+    # grid of the uniform eps.  Each of the six empirical survival
+    # functions (a curve's Pfa or Pd at its own thresholds) must lie
+    # inside the DKW band around its law, at every H0 threshold and at
+    # 999 H1 thresholds spread evenly in Pd.  The bands hold jointly at
+    # 95% (Bonferroni, 1 - 0.05/6 each): one 95% band per curve would
+    # miss on about a quarter of seeds, and seed 0's aliased GPMF H0
+    # curve alone reaches 0.00146 against that band's 0.00136.
+    level = 1 - 0.05 / 6
+    mid = (np.arange(60) + 0.5) / 60 - 0.5
+    grid = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1).reshape(-1, 2)
+    worst = {}
+    for r_c, w in ((2.44, 2), (0.5, 5)):
+        curves = roc_15db_both_designs[r_c]
+        for name in ("GPMF", "SM-GLRT"):
+            curve = curves[name]
+            tau = curve.thresholds[1:]
+            dev = np.abs(curve.pfa[1:] - special.erfc(np.sqrt(tau / 2)))   # chi^2_1 sf
+            worst[f"{name} H0 {r_c}"] = (dev.max(), dkw_half_width(curve.n_h0, level))
+        gpmf = curves["GPMF"]
+        psf = EffectivePsf(PsfModel(r_c), w)
+        s0 = render_signature_batch(psf, [(0.0, 0.0)])[0]
+        alpha = 10 ** (15.0 / 20) / np.sqrt(average_energy_cached(r_c))
+        mu = alpha * (render_signature_batch(psf, grid) @ s0) / np.sqrt(s0 @ s0)
+        idx = np.searchsorted(gpmf.pd, np.arange(1, 1000) / 1000)
+        root = np.sqrt(gpmf.thresholds[idx])[:, None]
+        sf = (special.ndtr(mu - root) + special.ndtr(-mu - root)).mean(axis=1)
+        worst[f"GPMF H1 {r_c}"] = (np.abs(gpmf.pd[idx] - sf).max(),
+                                   dkw_half_width(gpmf.n_h1, level))
+    ok = all(d <= band for d, band in worst.values())
+    report(capsys, "6b", "whole-curve closed form", ok,
+           "; ".join(f"{key} max dev {d:.5f} (band {band:.5f})"
+                     for key, (d, band) in worst.items()))
 
 
 def test_7_fractal_clutter(capsys, roc_fractal):

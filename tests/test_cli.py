@@ -400,17 +400,20 @@ class TestTheoreticalRoc:
             rows = list(csv.reader(fh))
         assert {r[0] for r in rows[1:]} == {"fixed"}
 
-    @pytest.mark.parametrize("argv", [
-        ("--snr-db", "nan"), ("--snr-db", "inf"), ("--snr-db", "15", "--sigma", "inf"),
+    # the subcommand has no --sigma, so argparse refuses a non-finite one
+    # as it refuses any other value, before any model code
+    @pytest.mark.parametrize("argv, message", [
+        (("--snr-db", "nan"), "must be finite"), (("--snr-db", "inf"), "must be finite"),
+        (("--snr-db", "15", "--sigma", "inf"), "unrecognized arguments: --sigma"),
     ], ids=["snr-nan", "snr-inf", "sigma-inf"])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_non_finite_input_exits_1_without_output(self, capsys, tmp_path, argv,
-                                                     to_file):
+                                                     message, to_file):
         out_path = tmp_path / "t.csv"
         extra = ("--out", str(out_path)) if to_file else ()
         code, out, err = run_cli(capsys, "theoretical-roc", *argv, *extra)
         assert code == 1
-        assert "must be finite" in err
+        assert message in err
         assert out == ""
         assert not out_path.exists()
 
@@ -453,12 +456,14 @@ class TestTheoreticalRoc:
 
     def test_has_no_noise_flag(self, capsys):
         # the closed form is white-noise only, so the subcommand takes no
-        # --noise at all: argparse refuses the flag before any model code
-        code, out, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15",
-                                 "--noise", "fractal")
-        assert code == 1
-        assert "unrecognized arguments: --noise" in err
-        assert out == ""
+        # --noise at all, and at a given SNR a white-noise ROC does not
+        # depend on sigma, so no --sigma either: argparse refuses both
+        # flags before any model code
+        for flag, value in (("--noise", "fractal"), ("--sigma", "2")):
+            code, out, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15", flag, value)
+            assert code == 1
+            assert f"unrecognized arguments: {flag}" in err
+            assert out == ""
 
 
 class TestConfigHelpers:
@@ -486,11 +491,49 @@ class TestConfigHelpers:
         args = build_parser().parse_args(["roc", "--" + field.name.replace("_", "-"), text])
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"{field.name} = {text}\n")
-        for parsed in (getattr(args, field.name), load_config_file(cfg)[field.name]):
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps({"config": {field.name: value}}))
+        for parsed in (getattr(args, field.name), load_config_file(cfg)[field.name],
+                       load_config_file(meta)[field.name]):
             assert parsed == value
             assert type(parsed) is type(value)
             if isinstance(value, tuple):
                 assert [type(v) for v in parsed] == [type(v) for v in value]
+
+    def test_json_values_take_their_field_types(self, tmp_path):
+        # as in a key=value file: an int stands for a float and a list for
+        # a tuple; null is the value of a field whose default is None
+        meta = tmp_path / "m.json"
+        meta.write_text(json.dumps({"snr_db": 15, "alpha": None, "eps_fixed": [0, 0.25],
+                                    "detectors": ["GPMF"], "n_h0": 300, "tool": "subpixdet"}))
+        values = load_config_file(meta)
+        assert values == {"snr_db": 15.0, "alpha": None, "eps_fixed": (0.0, 0.25),
+                          "detectors": ("GPMF",), "n_h0": 300}
+        assert type(values["snr_db"]) is float
+        assert [type(v) for v in values["eps_fixed"]] == [float, float]
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"n_h0": 1000.0}', "n_h0"),
+        ('{"snr_db": "15"}', "snr_db"),
+        ('{"detectors": "GLRT"}', "detectors"),
+        ('{"seed": true}', "seed"),
+        ('{"snr_db": 15, "sigma": null}', "sigma"),
+        ('{"config": {"snr_db": 15, "eps_fixed": [0, "0.1"]}}', "eps_fixed"),
+        ('[{"snr_db": 15}]', None),
+        ('{"config": ["snr_db", 15]}', None),
+    ], ids=["float-for-int", "string-for-float", "string-for-tuple", "bool-for-int",
+            "null-for-float", "string-in-tuple", "top-level-list", "config-list"])
+    def test_mistyped_json_exits_1_without_output(self, capsys, tmp_path, text, key):
+        meta = tmp_path / "m.json"
+        meta.write_text(text)
+        code, out, err = run_cli(capsys, "roc", "--config", str(meta), "--n-h0", "50",
+                                 "--n-h1", "50", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: {meta}: ") and err.count("\n") == 1
+        if key is not None:
+            assert err.startswith(f"error: {meta}: {key}: expected ")
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_raises(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -602,8 +645,12 @@ class TestConfigHelpers:
         (("roc", "--n-h0", "50", "--n-h1", "50"), "roc needs alpha or snr_db"),
         (("mse", "--n-trials", "50"), "mse needs snr_db or snr_sweep"),
         (("mse", "--snr-db", "15", "--snr-sweep", "5", "--n-trials", "50"), "not both"),
+        (("roc", "--alpha", "1", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50"),
+         "roc needs alpha or snr_db, not both"),
+        # the preset sets alpha, so --snr-db would be a second amplitude
+        (("roc", "--preset", "fig7", "--snr-db", "10"), "roc needs alpha or snr_db, not both"),
     ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-none", "mse-none",
-            "mse-both"])
+            "mse-both", "roc-both", "roc-preset-both"])
     def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
                                                   argv, message):
         built = []

@@ -4,12 +4,10 @@ from scipy.special import logsumexp
 from scipy.stats import chi2
 
 from subpixdet.clutter import white_covariance
-from subpixdet.detectors import (
-    DETECTOR_IDS, batch_scores, batch_statistics, build_subspace,
-)
+from subpixdet.detectors import DETECTOR_IDS, batch_scores, build_subspace
 from subpixdet.optics import render_signature_batch
 
-from helpers import TRAPEZOID, subspace_order
+from helpers import TRAPEZOID, batch_statistics, subspace_order
 
 
 def score(detector, z, bound, bound9=None, subspace=None):

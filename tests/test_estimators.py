@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from subpixdet.detectors import ESTIMATOR_IDS, batch_estimates, batch_scores, batch_statistics
+from subpixdet.detectors import ESTIMATOR_IDS, batch_estimates, batch_scores
 from subpixdet.optics import render_signature_batch
+
+from helpers import batch_statistics
 
 
 def estimate(estimator, z, bound):

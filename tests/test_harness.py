@@ -191,8 +191,9 @@ class TestRunRoc:
             np.testing.assert_array_equal(ca.pd, cb.pd)
 
     @pytest.mark.parametrize("amplitude", [{}, {"alpha": 1.0, "snr_sweep": (5.0,)},
-                                           {"snr_db": 15.0, "snr_sweep": (5.0,)}],
-                             ids=["none", "alpha-sweep", "snr-sweep"])
+                                           {"snr_db": 15.0, "snr_sweep": (5.0,)},
+                                           {"alpha": 1.0, "snr_db": 15.0}],
+                             ids=["none", "alpha-sweep", "snr-sweep", "both"])
     def test_one_amplitude_rule(self, amplitude):
         with pytest.raises(ConfigError, match="roc needs alpha or snr_db"):
             run_roc(ExperimentConfig(n_h0=10, n_h1=10, **amplitude))
@@ -272,6 +273,40 @@ class TestRunRoc:
             return run.trials(lambda z, eps: {"z": z}, 300, 2)["z"]
 
         np.testing.assert_array_equal(windows(reused), windows(fresh))
+
+
+class TestSigmaInvariance:
+    """At a given SNR, white noise of another sigma is the same run in
+    other units: every window is sigma times its unit-noise window, up to
+    rounding, so no score changes rank.  GPMF, GLRT and SM-GLRT are ratios
+    t^2/d; ELRT and ALRT carry -log(d)/2, and d scales as 1/sigma^2."""
+
+    SIGMAS = (0.7, 2.5)
+
+    def test_roc(self):
+        cfg = ExperimentConfig(snr_db=15.0, n_h0=3000, n_h1=3000, seed=3)
+        ref = run_roc(cfg)
+        for sigma in self.SIGMAS:
+            for a, b in zip(ref, run_roc(replace(cfg, sigma=sigma)), strict=True):
+                assert a.detector == b.detector
+                np.testing.assert_array_equal(b.pfa, a.pfa)
+                np.testing.assert_array_equal(b.pd, a.pd)
+                if a.detector in ("ELRT", "ALRT"):
+                    np.testing.assert_allclose(b.thresholds[1:] - a.thresholds[1:],
+                                               math.log(sigma), rtol=0, atol=1e-12)
+                else:
+                    np.testing.assert_allclose(b.thresholds, a.thresholds, rtol=1e-11, atol=0)
+
+    def test_mse(self):
+        cfg = ExperimentConfig(snr_sweep=(5.0, 15.0, 30.0), n_trials=2000, seed=3)
+        ref = run_mse(cfg)
+        for sigma in self.SIGMAS:
+            rows = run_mse(replace(cfg, sigma=sigma))
+            assert [(r["estimator"], r["snr_db"]) for r in rows] == \
+                [(r["estimator"], r["snr_db"]) for r in ref]
+            for a, b in zip(ref, rows):
+                for key in ("mse_eps1", "mse_eps2", "mse_total"):
+                    assert b[key] == pytest.approx(a[key], rel=1e-12, abs=0)
 
 
 class TestSubstreamLayout:

@@ -2,7 +2,7 @@
 
 batch_scores and batch_estimates compute the ELRT/ALRT/PM log-sum-exp in
 one (N, K) buffer.  The oracle here is the textbook formula on the
-ratios of batch_statistics, summed by scipy.special.logsumexp in long
+ratios t^2/d (helpers.batch_statistics), summed by scipy.special.logsumexp in long
 double precision, so what it measures is the kernel's own rounding.
 """
 
@@ -16,14 +16,13 @@ from scipy.special import logsumexp
 
 from subpixdet import clutter
 from subpixdet.detectors import (
-    DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores,
-    batch_statistics, build_subspace,
+    DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores, build_subspace,
 )
 from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, render_signature_batch,
 )
 
-from helpers import TRAPEZOID
+from helpers import TRAPEZOID, batch_statistics
 
 PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
