@@ -85,10 +85,15 @@ def load_config_file(path):
     """Parse a flat key=value config file or a JSON manifest, typed as their fields."""
     path = Path(path)
     if path.suffix == ".json":
-        manifest = json.loads(path.read_text())
+        try:
+            manifest = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         cfg = manifest.get("config", manifest) if isinstance(manifest, dict) else None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: expected a JSON object")
+        if cfg.get("eps_mode") == "uniform":    # eps_mode's manifests: it ignored eps_fixed
+            cfg = {key: value for key, value in cfg.items() if key != "eps_fixed"}
         return {key: None if value is None and getattr(ExperimentConfig, key) is None
                 else _json_value(_CONFIG_FIELDS[key], value, f"{path}: {key}")
                 for key, value in cfg.items() if key in _CONFIG_FIELDS}
@@ -127,20 +132,6 @@ def resolve_config(args, kind):
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     return ExperimentConfig(**values).validate()
-
-
-def _parse_eps(raw):
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected eps as 'e1,e2', got {raw!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _check_offset(eps):
-    e1, e2 = float(eps[0]), float(eps[1])
-    if not (-0.5 <= e1 < 0.5 and -0.5 <= e2 < 0.5):
-        raise ValueError(f"subpixel offset {eps} outside [-0.5, 0.5[^2")
-    return e1, e2
 
 
 def _libraries():
@@ -191,7 +182,10 @@ def _emit_patch(values, stream):
 # subcommands
 
 def cmd_signature(args):
-    offsets = SWEEP_OFFSETS if args.sweep else (_check_offset(_parse_eps(args.eps)),)
+    ExperimentConfig(eps_fixed=args.eps_fixed).validate()
+    if args.sweep and args.eps_fixed:
+        raise ConfigError("signature takes --sweep or --eps-fixed, not both")
+    offsets = SWEEP_OFFSETS if args.sweep else (args.eps_fixed or (0.0, 0.0),)
     psf = optics.EffectivePsf(PsfModel(args.r_c), args.w)
     patches = optics.render_signature_batch(psf, offsets)
     n_pix = 2 * args.w + 1
@@ -333,11 +327,12 @@ def cmd_experiment(args):
 def cmd_theoretical_roc(args):
     if args.snr_db is None:
         raise ConfigError("theoretical-roc needs --snr-db")
+    ExperimentConfig(eps_fixed=args.eps_fixed).validate()
     psf = optics.EffectivePsf(PsfModel(args.r_c), args.w)
     bank = optics.build_signature_bank(psf, args.grid_size)
     specs = [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")]
-    if args.eps:
-        specs = [("fixed", _parse_eps(args.eps))]
+    if args.eps_fixed:
+        specs = [("fixed", args.eps_fixed)]
     # every curve first, so that a refused input writes nothing
     curves = [(name, harness.theoretical_pmf_roc(args.snr_db, eps, bank)) for name, eps in specs]
     with _open_out(args.out) as stream:
@@ -372,10 +367,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("signature", help="render a pixel-integrated spot")
-    _add_field_flags(p, ("r_c", "w"))
-    p.add_argument("--eps", default="0,0", help="subpixel offset 'e1,e2'")
+    _add_field_flags(p, ("r_c", "w", "eps_fixed"))
     p.add_argument("--sweep", action="store_true",
-                   help="render the five example offsets instead of --eps")
+                   help="render the five example offsets instead of --eps-fixed")
     p.add_argument("--out")
     p.set_defaults(func=cmd_signature)
 
@@ -406,8 +400,7 @@ def build_parser():
         p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("theoretical-roc", help="closed-form PMF ROC curves")
-    _add_field_flags(p, ("snr_db", "r_c", "w", "grid_size"))
-    p.add_argument("--eps", help="fixed true offset 'e1,e2' (default: the trio)")
+    _add_field_flags(p, ("snr_db", "r_c", "w", "grid_size", "eps_fixed"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_theoretical_roc)
 

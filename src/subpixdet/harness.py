@@ -91,8 +91,7 @@ class ExperimentConfig:
     seed: int = 0
     detectors: tuple[str, ...] = DETECTOR_IDS
     estimators: tuple[str, ...] = ESTIMATOR_IDS
-    eps_mode: str = "uniform"       # "uniform" | "fixed"
-    eps_fixed: tuple[float, ...] = (0.0, 0.0)
+    eps_fixed: tuple[float, ...] = ()   # () draws each offset uniformly; a pair fixes it
     subspace_order: int = 1
     ridge: float = 1e-6
     train_equals_test: bool = False  # fractal: reuse the training image
@@ -122,10 +121,8 @@ class ExperimentConfig:
         if self.n_trials > _SWEEP_STRIDE * _CHUNK:
             raise ConfigError(f"n_trials must be <= {_SWEEP_STRIDE * _CHUNK}, "
                               f"got {self.n_trials}")
-        if self.eps_mode not in ("uniform", "fixed"):
-            raise ConfigError(f"unknown eps_mode {self.eps_mode!r}")
-        if not (len(self.eps_fixed) == 2
-                and all(math.isfinite(e) and -0.5 <= e <= 0.5 for e in self.eps_fixed)):
+        if self.eps_fixed and not (len(self.eps_fixed) == 2 and all(
+                math.isfinite(e) and -0.5 <= e <= 0.5 for e in self.eps_fixed)):
             raise ConfigError("eps_fixed must be two finite values in [-0.5, 0.5], "
                               f"got {self.eps_fixed}")
         if not self.detectors:
@@ -287,7 +284,7 @@ class _Run:
                 rows = rng.integers(cfg.w, cfg.image_size - cfg.w, count)[:, None, None]
                 cols = rng.integers(cfg.w, cfg.image_size - cfg.w, count)[:, None, None]
             eps = None
-            if alpha is not None and cfg.eps_mode == "fixed":
+            if alpha is not None and cfg.eps_fixed:
                 eps = np.tile(np.asarray(cfg.eps_fixed, dtype=float), (count, 1))
             elif alpha is not None:
                 eps = _rng(cfg.seed, _STREAM_EPS, key).uniform(-0.5, 0.5, (count, 2))
@@ -324,8 +321,9 @@ def run_roc(config):
     """Empirical ROC curves for the configured detectors.
 
     H0 windows are pure noise; H1 windows are alpha * s_eps + noise with
-    a fresh uniform offset per trial, alpha given or set by snr_db (not
-    both; snr_sweep is refused).  Thresholds sweep every distinct score.
+    a fresh uniform offset per trial (or eps_fixed), alpha given or set
+    by snr_db (not both; snr_sweep is refused).  Thresholds sweep every
+    distinct score.
     """
     config.validate()
     if config.snr_sweep:
@@ -348,9 +346,9 @@ def run_mse(config):
     """Estimator MSE/bias at each snr_sweep point, or at snr_db alone.
 
     Returns a tuple of per-(estimator, SNR) row dicts, keyed as the
-    mse.csv header.  Rows are labelled by SNR, so alpha is refused.  Per
-    trial the true offset is continuous-uniform (never grid-snapped), so
-    grid quantization of ML/PM is honestly penalized.
+    mse.csv header.  Rows are labelled by SNR, so alpha is refused.  The
+    true offset is eps_fixed, or else continuous-uniform per trial (never
+    grid-snapped), so grid quantization of ML/PM is honestly penalized.
     """
     config.validate()
     if config.alpha is not None:

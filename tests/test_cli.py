@@ -64,11 +64,17 @@ class TestSignature:
             np.testing.assert_array_equal(vals, psf.render([eps]).reshape(5, 5))
 
     def test_bad_offset_exits_1(self, capsys):
-        # --eps must lie in the half-open square [-0.5, 0.5[^2
-        for eps in ("0.7,0", "0.5,0", "0,-0.6"):
-            code, _, err = run_cli(capsys, "signature", "--eps", eps)
+        # --eps-fixed must lie in the closed square [-0.5, 0.5]^2, as the
+        # eps_fixed of a roc or mse run must
+        for eps in ("0.7,0", "0,-0.6"):
+            code, _, err = run_cli(capsys, "signature", "--eps-fixed", eps)
             assert code == 1
             assert "error" in err
+        code, out, _ = run_cli(capsys, "signature", "--eps-fixed", "0.5,0")
+        assert code == 0
+        vals = np.array([[float(v) for v in row.split(",")] for row in out.splitlines()])
+        psf = optics.EffectivePsf(PsfModel(2.44), 2)
+        np.testing.assert_array_equal(vals, psf.render([(0.5, 0.0)]).reshape(5, 5))
 
 
 class TestClutter:
@@ -521,8 +527,10 @@ class TestConfigHelpers:
         ('{"config": {"snr_db": 15, "eps_fixed": [0, "0.1"]}}', "eps_fixed"),
         ('[{"snr_db": 15}]', None),
         ('{"config": ["snr_db", 15]}', None),
+        ('{"snr_db": 15,', None),
     ], ids=["float-for-int", "string-for-float", "string-for-tuple", "bool-for-int",
-            "null-for-float", "string-in-tuple", "top-level-list", "config-list"])
+            "null-for-float", "string-in-tuple", "top-level-list", "config-list",
+            "not-json"])
     def test_mistyped_json_exits_1_without_output(self, capsys, tmp_path, text, key):
         meta = tmp_path / "m.json"
         meta.write_text(text)
@@ -566,6 +574,50 @@ class TestConfigHelpers:
         assert ((tmp_path / "a" / "roc.csv").read_bytes()
                 == (tmp_path / "b" / "roc.csv").read_bytes())
 
+    def test_offset_rule(self, capsys, tmp_path):
+        # eps_fixed alone selects the true offset: empty draws it uniformly
+        # per trial, a pair fixes it (there is no eps_mode)
+        args = ("mse", "--snr-db", "20", "--n-trials", "300", "--estimators", "ML,DEFAULT")
+
+        def mse_csv(*extra, out):
+            assert run_cli(capsys, *args, *extra, "--out", str(tmp_path / out))[0] == 0
+            return (tmp_path / out / "mse.csv").read_text()
+
+        fixed = mse_csv("--eps-fixed", "0.3,-0.2", out="fixed")
+        uniform = mse_csv(out="uniform")
+        assert fixed != uniform
+        # DEFAULT estimates (0, 0), so each of its errors is -eps at a fixed offset
+        (default,) = [row for row in csv.DictReader(fixed.splitlines())
+                      if row["estimator"] == "DEFAULT"]
+        np.testing.assert_allclose([float(default[k]) for k in ("bias_eps1", "bias_eps2",
+                                                                "mse_total")],
+                                   [-0.3, 0.2, 0.13], rtol=1e-12)
+        # argparse still reads a prefix of the one flag
+        assert mse_csv("--eps", "0.3,-0.2", out="prefix") == fixed
+        # the retired selector is no flag and no key=value key
+        code, out, err = run_cli(capsys, *args, "--eps-mode", "fixed",
+                                 "--out", str(tmp_path / "mode"))
+        assert code == 1 and "unrecognized arguments: --eps-mode" in err and out == ""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("snr_db = 20\neps_mode = fixed\n")
+        code, _, err = run_cli(capsys, "mse", "--config", str(cfg), "--out", str(tmp_path / "c"))
+        assert code == 1
+        assert "c.cfg:2: unknown config key 'eps_mode'" in err
+        assert not (tmp_path / "mode").exists() and not (tmp_path / "c").exists()
+        # signature renders the sweep or one offset, not both
+        code, out, err = run_cli(capsys, "signature", "--sweep", "--eps-fixed", "0.1,0")
+        assert code == 1 and err.startswith("error: ") and out == ""
+        # manifests written while eps_mode was a field replay as the runs they record
+        for mode, eps, want in (("uniform", [0.0, 0.0], uniform), ("fixed", [0.3, -0.2], fixed)):
+            config = {f.name: getattr(ExperimentConfig, f.name) for f in fields(ExperimentConfig)}
+            config.update(snr_db=20.0, n_trials=300, estimators=["ML", "DEFAULT"],
+                          eps_mode=mode, eps_fixed=eps)
+            meta = tmp_path / f"{mode}.json"
+            meta.write_text(json.dumps({"tool": "subpixdet", "config": config}))
+            out = tmp_path / f"replay-{mode}"
+            assert main(["mse", "--config", str(meta), "--out", str(out)]) == 0
+            assert (out / "mse.csv").read_text() == want
+
     @pytest.mark.parametrize("argv", [
         ("signature", "--r-c", "inf"),
         ("theoretical-roc", "--snr-db", "15", "--r-c", "inf"),
@@ -581,10 +633,9 @@ class TestConfigHelpers:
         (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50", "--detectors", ""),
          "detectors"),
         (("mse", "--snr-db", "10", "--n-trials", "50", "--estimators", ""), "estimators"),
-        (("mse", "--snr-db", "20", "--n-trials", "50", "--eps-mode", "fixed",
-          "--eps-fixed", "0.1,0.2,0.3"), "eps_fixed"),
-        (("mse", "--snr-db", "20", "--n-trials", "50", "--eps-mode", "fixed",
-          "--eps-fixed", "0.1"), "eps_fixed"),
+        (("mse", "--snr-db", "20", "--n-trials", "50", "--eps-fixed", "0.1,0.2,0.3"),
+         "eps_fixed"),
+        (("mse", "--snr-db", "20", "--n-trials", "50", "--eps-fixed", "0.1"), "eps_fixed"),
         (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50", "--jobs", "0"), "jobs"),
         (("mse", "--snr-db", "15", "--n-trials", "50", "--jobs", "-3"), "jobs"),
         (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50",
@@ -693,7 +744,7 @@ class TestConfigHelpers:
 
 
 # the flags that stand for no ExperimentConfig field
-NON_FIELD_FLAGS = {"help", "eps", "sweep", "size", "max_lag", "acf", "window", "acf_file",
+NON_FIELD_FLAGS = {"help", "sweep", "size", "max_lag", "acf", "window", "acf_file",
                    "remove_mean", "out", "config", "preset"}
 
 

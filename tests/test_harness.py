@@ -37,8 +37,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(snr_db=15.0, n_h0=0).validate()
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_db=15.0, eps_mode="jitter").validate()
-        with pytest.raises(ConfigError):
             ExperimentConfig(snr_db=15.0, detectors=("GLRT", "XYZ")).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(snr_db=15.0, estimators=("MAP",)).validate()
@@ -56,15 +54,17 @@ class TestConfig:
             ExperimentConfig(**fields).validate()
 
     @pytest.mark.parametrize("eps_fixed", [
-        (0.1, 0.2, 0.3), (0.1,), (), (0.6, 0.0), (0.0, -0.51), (0.0, float("nan")),
+        (0.1, 0.2, 0.3), (0.1,), (0.0, 0.6), (0.6, 0.0), (0.0, -0.51), (0.0, float("nan")),
         (float("inf"), 0.0),
     ])
     def test_rejects_bad_eps_fixed(self, eps_fixed):
         with pytest.raises(ConfigError, match="eps_fixed"):
-            ExperimentConfig(snr_db=15.0, eps_mode="fixed", eps_fixed=eps_fixed).validate()
+            ExperimentConfig(snr_db=15.0, eps_fixed=eps_fixed).validate()
 
     def test_eps_fixed_closed_square(self):
-        ExperimentConfig(snr_db=15.0, eps_mode="fixed", eps_fixed=(-0.5, 0.5)).validate()
+        ExperimentConfig(snr_db=15.0, eps_fixed=(-0.5, 0.5)).validate()
+        # empty: each trial draws its offset uniformly
+        ExperimentConfig(snr_db=15.0, eps_fixed=()).validate()
 
     @pytest.mark.parametrize("field", ["detectors", "estimators"])
     def test_rejects_empty_selection(self, field):
@@ -215,8 +215,7 @@ class TestRunRoc:
 
     def test_fixed_offset_mode(self, bank244):
         self.bank = bank244
-        cfg = ExperimentConfig(**{**self.CFG, "eps_mode": "fixed",
-                                  "eps_fixed": (0.0, 0.0),
+        cfg = ExperimentConfig(**{**self.CFG, "eps_fixed": (0.0, 0.0),
                                   "detectors": ("GPMF",)})
         curve = run_roc(cfg)[0]
         # centered target: the pixel matched filter is the optimal test,
