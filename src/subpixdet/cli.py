@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: signature | clutter | score | estimate | roc | mse |
-theoretical-roc.  Experiment subcommands resolve their configuration
-from built-in presets, then a key=value config file, then CLI flags
-(later sources win), and write a meta.json manifest recording the fully
-resolved configuration so any run can be replayed exactly.  Every model
-flag of every subcommand is an ExperimentConfig field, spelled
---<field-with-dashes> and parsed as the field's annotated type.
+theoretical-roc.  Every subcommand resolves one ExperimentConfig: from a
+built-in preset, then a JSON config file (roc and mse only), then CLI
+flags (later sources win).  A subcommand's model flags are the
+ExperimentConfig fields its command reads, spelled --<field-with-dashes>
+and parsed as the field's annotated type.  roc and mse write a meta.json
+manifest recording the fully resolved configuration, so any run can be
+replayed exactly.
 
 Exit codes: 0 success, 1 usage/config error or out of memory, 2
-numerical failure.
+numerical failure, 141 stdout closed early.
 """
 
 import argparse
@@ -55,6 +56,9 @@ PRESETS = {
 }
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
+# the fields a roc or mse run does not read, and so takes no flag for
+_NOT_READ = {"roc": ("n_trials", "estimators", "snr_sweep"),
+             "mse": ("n_h0", "n_h1", "detectors", "subspace_order", "alpha")}
 
 
 def _parse_value(kind, raw):
@@ -66,8 +70,10 @@ def _parse_value(kind, raw):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
     if getattr(kind, "__origin__", None) is tuple:     # tuple[float, ...] etc.
-        item = kind.__args__[0]
-        return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+        tokens = [tok.strip() for tok in raw.split(",")] if raw.strip() else []
+        if "" in tokens:
+            raise ValueError(f"empty item in {raw!r}")
+        return tuple(map(kind.__args__[0], tokens))
     return kind(raw)
 
 
@@ -82,43 +88,29 @@ def _json_value(kind, value, where):
 
 
 def load_config_file(path):
-    """Parse a flat key=value config file or a JSON manifest, typed as their fields."""
+    """Parse a JSON config (flat, or a manifest's "config") typed as its fields."""
     path = Path(path)
-    if path.suffix == ".json":
-        try:
-            manifest = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        cfg = manifest.get("config", manifest) if isinstance(manifest, dict) else None
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        if cfg.get("eps_mode") == "uniform":    # eps_mode's manifests: it ignored eps_fixed
-            cfg = {key: value for key, value in cfg.items() if key != "eps_fixed"}
-        return {key: None if value is None and getattr(ExperimentConfig, key) is None
-                else _json_value(_CONFIG_FIELDS[key], value, f"{path}: {key}")
-                for key, value in cfg.items() if key in _CONFIG_FIELDS}
-    values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _parse_value(_CONFIG_FIELDS[key], raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {key}: {exc}")
-    return values
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    cfg = manifest.get("config", manifest) if isinstance(manifest, dict) else None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    for key in cfg:     # q and eps_mode: retired fields, which older manifests hold
+        if key not in _CONFIG_FIELDS and key not in ("q", "eps_mode"):
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+    if cfg.get("eps_mode") == "uniform":    # eps_mode's manifests: it ignored eps_fixed
+        cfg = {key: value for key, value in cfg.items() if key != "eps_fixed"}
+    return {key: None if value is None and getattr(ExperimentConfig, key) is None
+            else _json_value(_CONFIG_FIELDS[key], value, f"{path}: {key}")
+            for key, value in cfg.items() if key in _CONFIG_FIELDS}
 
 
 def resolve_config(args, kind):
-    """Preset < config file < CLI flags, in increasing precedence."""
+    """Preset < config file < CLI flags, each where the subcommand has it."""
     values = {}
-    if args.preset:
+    if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r} "
                               f"(known: {', '.join(sorted(PRESETS))})")
@@ -126,7 +118,7 @@ def resolve_config(args, kind):
         if preset.pop("kind") != kind:
             raise ConfigError(f"preset {args.preset!r} is not a {kind} preset")
         values.update(preset)
-    if args.config:
+    if getattr(args, "config", None):
         values.update(load_config_file(args.config))
     for key in _CONFIG_FIELDS:
         if getattr(args, key, None) is not None:
@@ -181,14 +173,13 @@ def _emit_patch(values, stream):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_signature(args):
-    ExperimentConfig(eps_fixed=args.eps_fixed).validate()
-    if args.sweep and args.eps_fixed:
+def cmd_signature(args, cfg):
+    if args.sweep and cfg.eps_fixed:
         raise ConfigError("signature takes --sweep or --eps-fixed, not both")
-    offsets = SWEEP_OFFSETS if args.sweep else (args.eps_fixed or (0.0, 0.0),)
-    psf = optics.EffectivePsf(PsfModel(args.r_c), args.w)
+    offsets = SWEEP_OFFSETS if args.sweep else (cfg.eps_fixed or (0.0, 0.0),)
+    psf = optics.EffectivePsf(PsfModel(cfg.r_c), cfg.w)
     patches = optics.render_signature_batch(psf, offsets)
-    n_pix = 2 * args.w + 1
+    n_pix = 2 * cfg.w + 1
     with _open_out(args.out) as stream:
         for eps, patch in zip(offsets, patches):
             if args.sweep:
@@ -197,16 +188,14 @@ def cmd_signature(args):
     return 0
 
 
-def cmd_clutter(args):
+def cmd_clutter(args, cfg):
     if args.size < 2:
         raise ConfigError(f"--size must be >= 2, got {args.size}")
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     size = 1
     while size < args.size:
         size *= 2
     crop = args.size if args.size != size else None
-    field = clutter.synthesize_fbm(args.hurst, size, seed=args.seed, crop=crop)
+    field = clutter.synthesize_fbm(cfg.hurst, size, seed=cfg.seed, crop=crop)
     table = clutter.estimate_autocovariance(field, args.max_lag) if args.acf else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,14 +232,16 @@ def _load_table(path, what):
     return arr
 
 
-def _window_context(args, w):
+def _window_context(args, cfg, w):
+    if (args.sigma if args.acf_file else args.ridge) is not None:
+        raise ConfigError("--sigma applies without --acf-file, and --ridge with it")
     if args.acf_file:
         table = _load_table(args.acf_file, "autocovariance table")
-        cov = clutter.assemble_window_covariance(table, w, lam=args.ridge)
+        cov = clutter.assemble_window_covariance(table, w, lam=cfg.ridge)
     else:
-        cov = clutter.white_covariance(args.sigma, w)
-    return harness.bind_detectors(optics.EffectivePsf(PsfModel(args.r_c), w), cov,
-                                  args.grid_size)
+        cov = clutter.white_covariance(cfg.sigma, w)
+    return harness.bind_detectors(optics.EffectivePsf(PsfModel(cfg.r_c), w), cov,
+                                  cfg.grid_size)
 
 
 def _read_window(args):
@@ -280,9 +271,9 @@ def _check_finite(path, outputs):
         raise FloatingPointError(f"{path}: non-finite result for {', '.join(bad)}")
 
 
-def cmd_score(args):
+def cmd_score(args, cfg):
     windows, w = _read_window(args)
-    bound, bound9, subspace = _window_context(args, w)
+    bound, bound9, subspace = _window_context(args, cfg, w)
     scores = batch_scores(windows, bound, bound9, subspace)
     fits = _amplitude_fit(windows, bound)
     _check_finite(args.window, scores)
@@ -294,9 +285,9 @@ def cmd_score(args):
     return 0
 
 
-def cmd_estimate(args):
+def cmd_estimate(args, cfg):
     windows, w = _read_window(args)
-    bound, _, _ = _window_context(args, w)
+    bound, _, _ = _window_context(args, cfg, w)
     estimates = batch_estimates(windows, bound)
     fit = _amplitude_fit(windows, bound)["GLRT"]
     _check_finite(args.window, {**estimates, "alpha_hat": fit})
@@ -308,33 +299,31 @@ def cmd_estimate(args):
     return 0
 
 
-def cmd_experiment(args):
+def cmd_experiment(args, cfg):
     """roc or mse, after the subcommand: run it, write <kind>.csv and meta.json."""
     started = time.time()
     kind = args.command
-    config = resolve_config(args, kind)
     # looked up per call, so that wrappers installed on harness take effect
-    result = getattr(harness, f"run_{kind}")(config)
+    result = getattr(harness, f"run_{kind}")(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{kind}.csv"
     getattr(harness, f"write_{kind}_csv")(result, path)
-    _write_manifest(out_dir, config, started, [path])
+    _write_manifest(out_dir, cfg, started, [path])
     print(f"wrote {path}")
     return 0
 
 
-def cmd_theoretical_roc(args):
-    if args.snr_db is None:
+def cmd_theoretical_roc(args, cfg):
+    if cfg.snr_db is None:
         raise ConfigError("theoretical-roc needs --snr-db")
-    ExperimentConfig(eps_fixed=args.eps_fixed).validate()
-    psf = optics.EffectivePsf(PsfModel(args.r_c), args.w)
-    bank = optics.build_signature_bank(psf, args.grid_size)
+    psf = optics.EffectivePsf(PsfModel(cfg.r_c), cfg.w)
+    bank = optics.build_signature_bank(psf, cfg.grid_size)
     specs = [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")]
-    if args.eps_fixed:
-        specs = [("fixed", args.eps_fixed)]
+    if cfg.eps_fixed:
+        specs = [("fixed", cfg.eps_fixed)]
     # every curve first, so that a refused input writes nothing
-    curves = [(name, harness.theoretical_pmf_roc(args.snr_db, eps, bank)) for name, eps in specs]
+    curves = [(name, harness.theoretical_pmf_roc(cfg.snr_db, eps, bank)) for name, eps in specs]
     with _open_out(args.out) as stream:
         stream.write("curve,pfa,pd\n")
         for name, curve in curves:
@@ -345,17 +334,15 @@ def cmd_theoretical_roc(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_field_flags(parser, names, defaults=True):
+def _add_field_flags(parser, names):
     """Add --<field-with-dashes> for each named ExperimentConfig field,
-    parsed as its annotated type and defaulting to the field's default,
-    or to None when defaults is False (so resolve_config can tell a
-    given flag from an absent one)."""
+    parsed as its annotated type and defaulting to None, so that
+    resolve_config can tell a given flag from an absent one."""
     for name in names:
         kind = _CONFIG_FIELDS[name]
         parse = lambda raw, kind=kind: _parse_value(kind, raw)
         parse.__name__ = kind.__name__      # argparse: "invalid <name> value"
-        parser.add_argument("--" + name.replace("_", "-"), type=parse,
-                            default=getattr(ExperimentConfig, name) if defaults else None)
+        parser.add_argument("--" + name.replace("_", "-"), type=parse)
 
 
 def build_parser():
@@ -393,10 +380,10 @@ def build_parser():
 
     for name, what in (("roc", "ROC"), ("mse", "estimator MSE")):
         p = sub.add_parser(name, help=f"Monte Carlo {what} experiment")
-        p.add_argument("--config", help="key=value config file or meta.json manifest")
+        p.add_argument("--config", help="JSON config: an object of fields or a meta.json")
         p.add_argument("--preset", help="built-in preset name")
         p.add_argument("--out", default=".", help="output directory")
-        _add_field_flags(p, _CONFIG_FIELDS, defaults=False)
+        _add_field_flags(p, [key for key in _CONFIG_FIELDS if key not in _NOT_READ[name]])
         p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("theoretical-roc", help="closed-form PMF ROC curves")
@@ -415,7 +402,12 @@ def main(argv=None):
         # argparse exits 2 on usage errors; remap to the documented code 1
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.func(args, resolve_config(args, args.command))
+    except BrokenPipeError:
+        # stdout closed early (`| head`): SIGPIPE's status, and no error at the last flush
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1

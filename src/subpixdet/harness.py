@@ -235,6 +235,13 @@ class _Run:
     """
 
     def __init__(self, config):
+        # unread fields keep their defaults, so no manifest records an ignored input
+        unread = {"white": ("hurst", "image_size", "ridge", "train_equals_test"),
+                  "fractal": ("sigma",)}[config.noise]
+        given = [name for name in unread
+                 if getattr(config, name) != getattr(ExperimentConfig, name)]
+        if given:
+            raise ConfigError(f"{config.noise} noise does not read {', '.join(given)}")
         self.config = config
         self.psf = EffectivePsf(PsfModel(config.r_c), config.w)
         if config.noise == "white":

@@ -23,6 +23,20 @@ from subpixdet.optics import PsfModel
 from helpers import signature
 
 
+# the fields each subcommand reads, which are its field flags
+RUN_FIELDS = {"r_c", "w", "grid_size", "noise", "sigma", "hurst", "image_size", "snr_db",
+              "seed", "eps_fixed", "ridge", "train_equals_test", "jobs"}
+FIELD_FLAGS = {
+    "signature": {"r_c", "w", "eps_fixed"},
+    "clutter": {"hurst", "seed"},
+    "score": {"r_c", "grid_size", "sigma", "ridge"},
+    "estimate": {"r_c", "grid_size", "sigma", "ridge"},
+    "roc": RUN_FIELDS | {"alpha", "n_h0", "n_h1", "detectors", "subspace_order"},
+    "mse": RUN_FIELDS | {"n_trials", "snr_sweep", "estimators"},
+    "theoretical-roc": {"snr_db", "r_c", "w", "grid_size", "eps_fixed"},
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -75,6 +89,19 @@ class TestSignature:
         vals = np.array([[float(v) for v in row.split(",")] for row in out.splitlines()])
         psf = optics.EffectivePsf(PsfModel(2.44), 2)
         np.testing.assert_array_equal(vals, psf.render([(0.5, 0.0)]).reshape(5, 5))
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # the sweep at w = 40 writes 734 KB, more than a pipe buffer holds,
+        # so the write fails however soon the reader closes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "subpixdet.cli", "signature", "--r-c", "0.5", "--w", "40",
+             "--sweep"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.stdout.readline().startswith(b"# eps=")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+        assert err == b""
 
 
 class TestClutter:
@@ -206,6 +233,22 @@ class TestScore:
         assert code == 1
         assert "ridge" in err
 
+    @pytest.mark.parametrize("command", ["score", "estimate"])
+    @pytest.mark.parametrize("flags", [("--acf-file", "ACF", "--sigma", "3"), ("--ridge", "0.5")],
+                             ids=["sigma-with-acf", "ridge-without-acf"])
+    def test_flag_of_the_other_noise_exits_1(self, capsys, tmp_path, command, flags):
+        # --sigma is the white noise's level and --ridge regularizes the
+        # --acf-file covariance; each is refused where the other noise is read
+        path = tmp_path / "win.csv"
+        write_window(path, w=1)
+        acf_path = tmp_path / "acf.csv"
+        with open(acf_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(np.eye(5).tolist())
+        argv = [str(acf_path) if flag == "ACF" else flag for flag in flags]
+        code, out, err = run_cli(capsys, command, "--window", str(path), *argv)
+        assert code == 1 and out == ""
+        assert err == "error: --sigma applies without --acf-file, and --ridge with it\n"
+
     def test_missing_window_exits_1(self, capsys, tmp_path):
         path = tmp_path / "no-such.csv"
         code, out, err = run_cli(capsys, "score", "--window", str(path))
@@ -324,9 +367,9 @@ class TestRocCommand:
                 == (tmp_path / "b" / "roc.csv").read_bytes())
 
     def test_flag_overrides_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("snr_db = 10    # comment\nn_h0 = 800\nn_h1 = 800\n"
-                       "detectors = GPMF\nseed = 2\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"snr_db": 10, "n_h0": 800, "n_h1": 800,
+                                   "detectors": ["GPMF"], "seed": 2}))
         code, _, _ = run_cli(capsys, "roc", "--config", str(cfg),
                              "--snr-db", "18", "--out", str(tmp_path))
         assert code == 0
@@ -365,14 +408,6 @@ class TestRocCommand:
         assert code == 1
         assert "ridge" in err
         assert not (tmp_path / "roc.csv").exists()
-
-    def test_bad_config_line_reports_lineno(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("snr_db = 10\nwhat is this\n")
-        code, _, err = run_cli(capsys, "roc", "--config", str(cfg),
-                               "--out", str(tmp_path))
-        assert code == 1
-        assert "bad.cfg:2" in err
 
 
 class TestMseCommand:
@@ -473,18 +508,10 @@ class TestTheoreticalRoc:
 
 
 class TestConfigHelpers:
-    def test_load_key_value_file(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("snr_sweep = 5, 10, 15\ntrain_equals_test = true\n"
-                       "noise = fractal\nhurst = 0.7\n")
-        values = load_config_file(cfg)
-        assert values["snr_sweep"] == (5.0, 10.0, 15.0)
-        assert values["train_equals_test"] is True
-        assert values["noise"] == "fractal"
-
     @pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
     def test_field_default_round_trips(self, tmp_path, field):
-        # every field's flag and config-file key parse its default back,
+        # every field's flag, on a run subcommand that reads the field, and
+        # its JSON key, flat and in a manifest, parse its default back,
         # with the annotated type (snr_db and alpha default to None, which
         # has no text form, so a value of their type stands in)
         value = field.default if field.default is not None else 12.5
@@ -494,9 +521,10 @@ class TestConfigHelpers:
             text = ",".join(str(v) for v in value)
         else:
             text = str(value)
-        args = build_parser().parse_args(["roc", "--" + field.name.replace("_", "-"), text])
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"{field.name} = {text}\n")
+        command = "roc" if field.name in FIELD_FLAGS["roc"] else "mse"
+        args = build_parser().parse_args([command, "--" + field.name.replace("_", "-"), text])
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({field.name: value}))
         meta = tmp_path / "meta.json"
         meta.write_text(json.dumps({"config": {field.name: value}}))
         for parsed in (getattr(args, field.name), load_config_file(cfg)[field.name],
@@ -507,11 +535,11 @@ class TestConfigHelpers:
                 assert [type(v) for v in parsed] == [type(v) for v in value]
 
     def test_json_values_take_their_field_types(self, tmp_path):
-        # as in a key=value file: an int stands for a float and a list for
-        # a tuple; null is the value of a field whose default is None
+        # an int stands for a float and a list for a tuple; null is the
+        # value of a field whose default is None
         meta = tmp_path / "m.json"
         meta.write_text(json.dumps({"snr_db": 15, "alpha": None, "eps_fixed": [0, 0.25],
-                                    "detectors": ["GPMF"], "n_h0": 300, "tool": "subpixdet"}))
+                                    "detectors": ["GPMF"], "n_h0": 300}))
         values = load_config_file(meta)
         assert values == {"snr_db": 15.0, "alpha": None, "eps_fixed": (0.0, 0.25),
                           "detectors": ("GPMF",), "n_h0": 300}
@@ -528,9 +556,10 @@ class TestConfigHelpers:
         ('[{"snr_db": 15}]', None),
         ('{"config": ["snr_db", 15]}', None),
         ('{"snr_db": 15,', None),
+        ("snr_db = 15\nn_h0 = 50\n", None),
     ], ids=["float-for-int", "string-for-float", "string-for-tuple", "bool-for-int",
             "null-for-float", "string-in-tuple", "top-level-list", "config-list",
-            "not-json"])
+            "not-json", "key-value"])
     def test_mistyped_json_exits_1_without_output(self, capsys, tmp_path, text, key):
         meta = tmp_path / "m.json"
         meta.write_text(text)
@@ -543,20 +572,30 @@ class TestConfigHelpers:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_key_raises(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("snr = 10\n")
-        with pytest.raises(ConfigError):
-            load_config_file(cfg)
+    def test_unknown_key_raises(self, capsys, tmp_path):
+        # a key that is no field (nor the retired q or eps_mode) exits 1
+        # naming the file and the key, in a flat object and in a manifest's
+        # "config"; a manifest's other top-level keys are read past
+        for config, key in (({"snr": 10}, "snr"), ({"snr_db": 15, "tool": "subpixdet"}, "tool"),
+                            ({"tool": "subpixdet", "config": {"snr_db": 15, "detector": "GPMF"}},
+                             "detector")):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(config))
+            with pytest.raises(ConfigError):
+                load_config_file(cfg)
+            code, out, err = run_cli(capsys, "roc", "--config", str(cfg),
+                                     "--out", str(tmp_path / "out"))
+            assert code == 1
+            assert err == f"error: {cfg}: unknown config key {key!r}\n" and out == ""
+            assert not (tmp_path / "out").exists()
 
     def test_q_is_neither_key_nor_flag(self, capsys, tmp_path):
-        # the quadrature order of the retired renderer: a key=value file
-        # holding it exits 1 naming the key, and --q is not a flag
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("snr_db = 15\nq = 16\n")
-        code, _, err = run_cli(capsys, "roc", "--config", str(cfg), "--out", str(tmp_path))
-        assert code == 1
-        assert "c.cfg:2: unknown config key 'q'" in err
+        # the quadrature order of the retired renderer: a JSON config
+        # holding it reads past it, so manifests that record it replay
+        # (test_manifest_with_q_replays), and --q is not a flag
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"snr_db": 15, "q": 16}')
+        assert load_config_file(cfg) == {"snr_db": 15.0}
         assert main(["roc", "--snr-db", "15", "--q", "16", "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "roc.csv").exists()
 
@@ -594,16 +633,11 @@ class TestConfigHelpers:
                                    [-0.3, 0.2, 0.13], rtol=1e-12)
         # argparse still reads a prefix of the one flag
         assert mse_csv("--eps", "0.3,-0.2", out="prefix") == fixed
-        # the retired selector is no flag and no key=value key
+        # the retired selector is no flag
         code, out, err = run_cli(capsys, *args, "--eps-mode", "fixed",
                                  "--out", str(tmp_path / "mode"))
         assert code == 1 and "unrecognized arguments: --eps-mode" in err and out == ""
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("snr_db = 20\neps_mode = fixed\n")
-        code, _, err = run_cli(capsys, "mse", "--config", str(cfg), "--out", str(tmp_path / "c"))
-        assert code == 1
-        assert "c.cfg:2: unknown config key 'eps_mode'" in err
-        assert not (tmp_path / "mode").exists() and not (tmp_path / "c").exists()
+        assert not (tmp_path / "mode").exists()
         # signature renders the sweep or one offset, not both
         code, out, err = run_cli(capsys, "signature", "--sweep", "--eps-fixed", "0.1,0")
         assert code == 1 and err.startswith("error: ") and out == ""
@@ -643,12 +677,21 @@ class TestConfigHelpers:
         (("mse", "--snr-db", "15", "--n-trials", "50", "--estimators", "PM,PM"),
          "estimators"),
         (("roc", "--snr-db", "10", "--n-h0", "50", "--n-h1", "50", "--seed", "-1"), "seed"),
+        # argparse refuses an empty item of a list, after its usage lines
+        (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50", "--detectors", "GPMF,,GLRT"),
+         "argument --detectors: invalid tuple value: 'GPMF,,GLRT'"),
+        (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50", "--detectors", "GPMF,GLRT,"),
+         "argument --detectors: invalid tuple value: 'GPMF,GLRT,'"),
+        (("mse", "--snr-db", "20", "--n-trials", "50", "--eps-fixed", " ,0.3,-0.2"),
+         "argument --eps-fixed: invalid tuple value: ' ,0.3,-0.2'"),
     ], ids=["no-detectors", "no-estimators", "three-offsets", "one-offset", "jobs-0",
-            "jobs-negative", "repeated-detector", "repeated-estimator", "seed-negative"])
+            "jobs-negative", "repeated-detector", "repeated-estimator", "seed-negative",
+            "empty-detector", "trailing-comma", "empty-offset"])
     def test_bad_selection_exits_1_without_output(self, capsys, tmp_path, argv, field):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 1
-        assert err.startswith("error: ") and field in err
+        assert ((err.startswith("error: ") and field in err)
+                or (err.startswith("usage: ") and err.endswith(f"{argv[0]}: error: {field}\n")))
         assert out == ""
         assert not (tmp_path / "out").exists()
 
@@ -687,27 +730,44 @@ class TestConfigHelpers:
         assert out == ""
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (("roc", "--snr-sweep", "5,10", "--n-h0", "50", "--n-h1", "50"),
+    # roc takes no --snr-sweep and mse no --alpha, so a JSON config
+    # (the second argument) brings them to the run's own refusal
+    @pytest.mark.parametrize("argv, config, message", [
+        (("roc", "--n-h0", "50", "--n-h1", "50"), {"snr_sweep": [5, 10]},
          "roc needs alpha or snr_db"),
-        (("mse", "--alpha", "1", "--snr-sweep", "5,40", "--n-trials", "50"), "not alpha"),
-        (("roc", "--alpha", "1", "--snr-sweep", "5", "--n-h0", "50", "--n-h1", "50"),
+        (("mse", "--snr-sweep", "5,40", "--n-trials", "50"), {"alpha": 1}, "not alpha"),
+        (("roc", "--alpha", "1", "--n-h0", "50", "--n-h1", "50"), {"snr_sweep": [5]},
          "not snr_sweep"),
-        (("roc", "--n-h0", "50", "--n-h1", "50"), "roc needs alpha or snr_db"),
-        (("mse", "--n-trials", "50"), "mse needs snr_db or snr_sweep"),
-        (("mse", "--snr-db", "15", "--snr-sweep", "5", "--n-trials", "50"), "not both"),
-        (("roc", "--alpha", "1", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50"),
+        (("roc", "--snr-sweep", "5,10", "--n-h0", "50", "--n-h1", "50"), None,
+         "unrecognized arguments: --snr-sweep 5,10"),
+        (("mse", "--alpha", "1", "--snr-sweep", "5,40", "--n-trials", "50"), None,
+         "unrecognized arguments: --alpha 1"),
+        (("roc", "--alpha", "1", "--snr-sweep", "5", "--n-h0", "50", "--n-h1", "50"), None,
+         "unrecognized arguments: --snr-sweep 5"),
+        (("roc", "--n-h0", "50", "--n-h1", "50"), None, "roc needs alpha or snr_db"),
+        (("mse", "--n-trials", "50"), None, "mse needs snr_db or snr_sweep"),
+        (("mse", "--snr-db", "15", "--snr-sweep", "5", "--n-trials", "50"), None, "not both"),
+        (("roc", "--alpha", "1", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50"), None,
          "roc needs alpha or snr_db, not both"),
         # the preset sets alpha, so --snr-db would be a second amplitude
-        (("roc", "--preset", "fig7", "--snr-db", "10"), "roc needs alpha or snr_db, not both"),
-    ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-none", "mse-none",
-            "mse-both", "roc-both", "roc-preset-both"])
+        (("roc", "--preset", "fig7", "--snr-db", "10"), None,
+         "roc needs alpha or snr_db, not both"),
+        # a field the run's noise kind does not read is refused at the same point
+        (("roc", "--snr-db", "15", "--hurst", "0.3"), None, "white noise does not read hurst"),
+        (("roc", "--preset", "fig7", "--sigma", "7"), None, "fractal noise does not read sigma"),
+    ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-sweep-flag",
+            "mse-alpha-flag", "roc-alpha-sweep-flag", "roc-none", "mse-none", "mse-both",
+            "roc-both", "roc-preset-both", "white-hurst", "fractal-sigma"])
     def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
-                                                  argv, message):
+                                                  argv, config, message):
         built = []
         for owner, name in ((harness, "EffectivePsf"), (harness, "build_signature_bank"),
                             (clutter, "white_covariance"), (clutter, "synthesize_fbm")):
             monkeypatch.setattr(owner, name, lambda *a, name=name, **k: built.append(name))
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(path))
         code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 1
         assert message in err
@@ -738,6 +798,15 @@ class TestConfigHelpers:
         capsys.readouterr()
         assert main(["roc", "--n-h0", "abc"]) == 1
         assert "argument --n-h0: invalid int value: 'abc'" in capsys.readouterr().err
+        # a run takes no flag for a field it does not read
+        for argv in (("roc", "--n-trials", "5"), ("roc", "--estimators", "ML"),
+                     ("roc", "--snr-sweep", "5"), ("mse", "--n-h0", "5"),
+                     ("mse", "--detectors", "GLRT"), ("mse", "--subspace-order", "3"),
+                     ("mse", "--alpha", "1")):
+            assert main([*argv, "--snr-db", "15"]) == 1
+            captured = capsys.readouterr()
+            assert f"unrecognized arguments: {' '.join(argv[1:])}\n" in captured.err
+            assert captured.out == ""
 
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0
@@ -749,21 +818,25 @@ NON_FIELD_FLAGS = {"help", "sweep", "size", "max_lag", "acf", "window", "acf_fil
 
 
 def test_model_flags_are_config_fields():
-    # every subcommand spells a field's flag --<field-with-dashes>, and
-    # outside roc/mse defaults it to the field's default (roc/mse leave
-    # None, so resolve_config can tell a given flag from an absent one)
+    # each subcommand's field flags are the fields its command reads, each
+    # spelled --<field-with-dashes> and defaulting to None, so that
+    # resolve_config can tell a given flag from an absent one
     parser = build_parser()
     (commands,) = [a.choices for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(FIELD_FLAGS)
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     for command, sub in commands.items():
+        flags = set()
         for action in sub._actions:
             if action.dest in NON_FIELD_FLAGS:
                 continue
             assert action.dest in defaults, (command, action.option_strings)
             assert action.option_strings == ["--" + action.dest.replace("_", "-")]
-            want = None if command in ("roc", "mse") else defaults[action.dest]
-            assert action.default == want, (command, action.dest)
+            assert action.default is None, (command, action.dest)
+            flags.add(action.dest)
+        assert flags == FIELD_FLAGS[command], command
+    assert (len(FIELD_FLAGS["roc"]), len(FIELD_FLAGS["mse"])) == (18, 16)
 
 
 def test_cli_import_loads_only_known_scipy_subpackages():
