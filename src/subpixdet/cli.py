@@ -56,9 +56,6 @@ PRESETS = {
 }
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
-# the fields a roc or mse run does not read, and so takes no flag for
-_NOT_READ = {"roc": ("n_trials", "estimators", "snr_sweep"),
-             "mse": ("n_h0", "n_h1", "detectors", "subspace_order", "alpha")}
 
 
 def _parse_value(kind, raw):
@@ -179,21 +176,18 @@ def cmd_signature(args, cfg):
     offsets = SWEEP_OFFSETS if args.sweep else (cfg.eps_fixed or (0.0, 0.0),)
     psf = optics.EffectivePsf(PsfModel(cfg.r_c), cfg.w)
     patches = optics.render_signature_batch(psf, offsets)
-    n_pix = 2 * cfg.w + 1
     with _open_out(args.out) as stream:
         for eps, patch in zip(offsets, patches):
             if args.sweep:
                 stream.write(f"# eps={eps[0]},{eps[1]}\n")
-            _emit_patch(patch.reshape(n_pix, n_pix), stream)
+            _emit_patch(patch.reshape(2 * cfg.w + 1, -1), stream)
     return 0
 
 
 def cmd_clutter(args, cfg):
     if args.size < 2:
         raise ConfigError(f"--size must be >= 2, got {args.size}")
-    size = 1
-    while size < args.size:
-        size *= 2
+    size = 1 << (args.size - 1).bit_length()     # the next power of two
     crop = args.size if args.size != size else None
     field = clutter.synthesize_fbm(cfg.hurst, size, seed=cfg.seed, crop=crop)
     table = clutter.estimate_autocovariance(field, args.max_lag) if args.acf else None
@@ -319,9 +313,8 @@ def cmd_theoretical_roc(args, cfg):
         raise ConfigError("theoretical-roc needs --snr-db")
     psf = optics.EffectivePsf(PsfModel(cfg.r_c), cfg.w)
     bank = optics.build_signature_bank(psf, cfg.grid_size)
-    specs = [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")]
-    if cfg.eps_fixed:
-        specs = [("fixed", cfg.eps_fixed)]
+    specs = ([("fixed", cfg.eps_fixed)] if cfg.eps_fixed else
+             [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")])
     # every curve first, so that a refused input writes nothing
     curves = [(name, harness.theoretical_pmf_roc(cfg.snr_db, eps, bank)) for name, eps in specs]
     with _open_out(args.out) as stream:
@@ -383,7 +376,7 @@ def build_parser():
         p.add_argument("--config", help="JSON config: an object of fields or a meta.json")
         p.add_argument("--preset", help="built-in preset name")
         p.add_argument("--out", default=".", help="output directory")
-        _add_field_flags(p, [key for key in _CONFIG_FIELDS if key not in _NOT_READ[name]])
+        _add_field_flags(p, [key for key in _CONFIG_FIELDS if key not in harness.UNREAD[name]])
         p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("theoretical-roc", help="closed-form PMF ROC curves")

@@ -29,6 +29,7 @@ from .optics import (
 __all__ = [
     "ExperimentConfig",
     "ConfigError",
+    "UNREAD",
     "bind_detectors",
     "RocCurve",
     "snr_to_alpha",
@@ -223,6 +224,29 @@ def bind_detectors(psf, cov, grid_size, subspace_order=1):
     return bank.bind(cov), bank9.bind(cov), build_subspace(bank, subspace_order)
 
 
+# The fields each run kind and noise kind does not read: roc and mse take
+# no flag for their kind's, and a run refuses any set away from its default.
+UNREAD = {"roc": ("n_trials", "estimators", "snr_sweep"),
+          "mse": ("n_h0", "n_h1", "detectors", "subspace_order", "alpha"),
+          "white": ("hurst", "image_size", "ridge", "train_equals_test"), "fractal": ("sigma",)}
+_AMPLITUDES = ("alpha", "snr_db", "snr_sweep")
+
+
+def _check_reads(config, kind):
+    """Before any set-up: the amplitude must be one of the two the run kind
+    reads, and no field the run or noise kind does not read may be set."""
+    own = [name for name in _AMPLITUDES if name not in UNREAD[kind]]
+    given = [name for name in _AMPLITUDES if getattr(config, name) not in (None, ())]
+    foreign = [name for name in given if name not in own]
+    if foreign or len(given) != 1:
+        why = f", not {', '.join(foreign) or 'both'}" if given else ""
+        raise ConfigError(f"{kind} needs {own[0]} or {own[1]}{why}")
+    for what, names in ((kind, UNREAD[kind]), (f"{config.noise} noise", UNREAD[config.noise])):
+        given = [name for name in names if getattr(config, name) != getattr(ExperimentConfig, name)]
+        if given:
+            raise ConfigError(f"{what} does not read {', '.join(given)}")
+
+
 class _Run:
     """One run's set-up and its chunk driver.
 
@@ -235,13 +259,6 @@ class _Run:
     """
 
     def __init__(self, config):
-        # unread fields keep their defaults, so no manifest records an ignored input
-        unread = {"white": ("hurst", "image_size", "ridge", "train_equals_test"),
-                  "fractal": ("sigma",)}[config.noise]
-        given = [name for name in unread
-                 if getattr(config, name) != getattr(ExperimentConfig, name)]
-        if given:
-            raise ConfigError(f"{config.noise} noise does not read {', '.join(given)}")
         self.config = config
         self.psf = EffectivePsf(PsfModel(config.r_c), config.w)
         if config.noise == "white":
@@ -329,14 +346,9 @@ def run_roc(config):
 
     H0 windows are pure noise; H1 windows are alpha * s_eps + noise with
     a fresh uniform offset per trial (or eps_fixed), alpha given or set
-    by snr_db (not both; snr_sweep is refused).  Thresholds sweep every
-    distinct score.
+    by snr_db (not both).  Thresholds sweep every distinct score.
     """
-    config.validate()
-    if config.snr_sweep:
-        raise ConfigError("roc needs alpha or snr_db, not snr_sweep (snr_sweep is for mse)")
-    if (config.alpha is None) == (config.snr_db is None):
-        raise ConfigError("roc needs alpha or snr_db, not both")
+    _check_reads(config.validate(), "roc")
     run = _Run(config)
     alpha = run.alpha(config.snr_db) if config.alpha is None else config.alpha
 
@@ -357,12 +369,7 @@ def run_mse(config):
     true offset is eps_fixed, or else continuous-uniform per trial (never
     grid-snapped), so grid quantization of ML/PM is honestly penalized.
     """
-    config.validate()
-    if config.alpha is not None:
-        raise ConfigError("mse rows are labelled by SNR: "
-                          "give snr_db or snr_sweep, not alpha")
-    if (config.snr_db is None) == (not config.snr_sweep):
-        raise ConfigError("mse needs snr_db or snr_sweep, not both")
+    _check_reads(config.validate(), "mse")
     run = _Run(config)
     sweep = config.snr_sweep or (config.snr_db,)
     alphas = [run.alpha(snr_db) for snr_db in sweep]

@@ -79,6 +79,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_trials"):
             ExperimentConfig(snr_db=15.0, n_trials=limit + 1).validate()
 
+    # a value away from the default for every field UNREAD names
+    AWAY = {"n_trials": 7, "estimators": ("ML",), "n_h0": 5, "n_h1": 9, "detectors": ("GLRT",),
+            "subspace_order": 3, "hurst": 0.3, "image_size": 64, "ridge": 0.5,
+            "train_equals_test": True, "sigma": 7.0}
+
+    @pytest.mark.parametrize("kind, noise, name", [
+        (kind, noise, name) for kind in ("roc", "mse") for noise in ("white", "fractal")
+        for name in (*harness.UNREAD[kind], *harness.UNREAD[noise])
+        if name not in ("alpha", "snr_sweep")])
+    def test_run_refuses_unread_fields(self, monkeypatch, kind, noise, name):
+        # every field UNREAD names is refused before set-up, by run kind
+        # or by noise kind; the amplitude fields have their own rule
+        monkeypatch.setattr(harness, "EffectivePsf", None)
+        cfg = ExperimentConfig(snr_db=15.0, noise=noise, **{name: self.AWAY[name]})
+        what = f"{noise} noise" if name in harness.UNREAD[noise] else kind
+        with pytest.raises(ConfigError, match=f"^{what} does not read {name}$"):
+            getattr(harness, f"run_{kind}")(cfg)
+
     def test_asdict_round_trip(self):
         cfg = ExperimentConfig(snr_db=12.0, seed=3)
         assert ExperimentConfig(**asdict(cfg)) == cfg
