@@ -36,7 +36,6 @@ from . import clutter, harness, optics
 from .clutter import IndefiniteCovarianceError
 from .detectors import DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores
 from .harness import ConfigError, ExperimentConfig
-from .optics import PsfModel
 
 # offsets echoing the paper-style spot gallery: center plus four marked
 # example positions
@@ -174,8 +173,7 @@ def cmd_signature(args, cfg):
     if args.sweep and cfg.eps_fixed:
         raise ConfigError("signature takes --sweep or --eps-fixed, not both")
     offsets = SWEEP_OFFSETS if args.sweep else (cfg.eps_fixed or (0.0, 0.0),)
-    psf = optics.EffectivePsf(PsfModel(cfg.r_c), cfg.w)
-    patches = optics.render_signature_batch(psf, offsets)
+    patches = optics.render_signature_batch(optics.effective_psf(cfg.r_c, cfg.w), offsets)
     with _open_out(args.out) as stream:
         for eps, patch in zip(offsets, patches):
             if args.sweep:
@@ -226,7 +224,7 @@ def _load_table(path, what):
     return arr
 
 
-def _window_context(args, cfg, w):
+def _window_context(args, cfg, w, detectors):
     if (args.sigma if args.acf_file else args.ridge) is not None:
         raise ConfigError("--sigma applies without --acf-file, and --ridge with it")
     if args.acf_file:
@@ -234,8 +232,8 @@ def _window_context(args, cfg, w):
         cov = clutter.assemble_window_covariance(table, w, lam=cfg.ridge)
     else:
         cov = clutter.white_covariance(cfg.sigma, w)
-    return harness.bind_detectors(optics.EffectivePsf(PsfModel(cfg.r_c), w), cov,
-                                  cfg.grid_size)
+    return harness.bind_detectors(optics.effective_psf(cfg.r_c, w), cov, cfg.grid_size,
+                                  detectors=detectors)
 
 
 def _read_window(args):
@@ -267,7 +265,7 @@ def _check_finite(path, outputs):
 
 def cmd_score(args, cfg):
     windows, w = _read_window(args)
-    bound, bound9, subspace = _window_context(args, cfg, w)
+    bound, bound9, subspace = _window_context(args, cfg, w, DETECTOR_IDS)
     scores = batch_scores(windows, bound, bound9, subspace)
     fits = _amplitude_fit(windows, bound)
     _check_finite(args.window, scores)
@@ -281,7 +279,7 @@ def cmd_score(args, cfg):
 
 def cmd_estimate(args, cfg):
     windows, w = _read_window(args)
-    bound, _, _ = _window_context(args, cfg, w)
+    bound, _, _ = _window_context(args, cfg, w, ())
     estimates = batch_estimates(windows, bound)
     fit = _amplitude_fit(windows, bound)["GLRT"]
     _check_finite(args.window, {**estimates, "alpha_hat": fit})
@@ -311,12 +309,15 @@ def cmd_experiment(args, cfg):
 def cmd_theoretical_roc(args, cfg):
     if cfg.snr_db is None:
         raise ConfigError("theoretical-roc needs --snr-db")
-    psf = optics.EffectivePsf(PsfModel(cfg.r_c), cfg.w)
-    bank = optics.build_signature_bank(psf, cfg.grid_size)
+    if cfg.eps_fixed and args.grid_size is not None:
+        # only the mean curve reads the grid
+        raise ConfigError("theoretical-roc takes --grid-size or --eps-fixed, not both")
+    psf = optics.effective_psf(cfg.r_c, cfg.w)
     specs = ([("fixed", cfg.eps_fixed)] if cfg.eps_fixed else
              [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)), ("mean", "mean")])
     # every curve first, so that a refused input writes nothing
-    curves = [(name, harness.theoretical_pmf_roc(cfg.snr_db, eps, bank)) for name, eps in specs]
+    curves = [(name, harness.theoretical_pmf_roc(cfg.snr_db, eps, psf, cfg.grid_size))
+              for name, eps in specs]
     with _open_out(args.out) as stream:
         stream.write("curve,pfa,pd\n")
         for name, curve in curves:

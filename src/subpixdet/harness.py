@@ -23,7 +23,7 @@ from .detectors import (
     DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores, build_subspace,
 )
 from .optics import (
-    EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, render_signature_batch,
+    PsfModel, build_alrt_bank, build_signature_bank, effective_psf, render_signature_batch,
 )
 
 __all__ = [
@@ -215,33 +215,42 @@ def _rng(seed, stream, chunk):
     return np.random.default_rng([int(seed), int(stream), int(chunk)])
 
 
-def bind_detectors(psf, cov, grid_size, subspace_order=1):
-    """The detectors' precomputation for one design and covariance: the
-    offset-grid bank and the ALRT bank bound to cov, and the SM-GLRT
-    subspace.  psf is an EffectivePsf of cov's window half-width."""
+def bind_detectors(psf, cov, grid_size, subspace_order=1, detectors=DETECTOR_IDS):
+    """The precomputation of the selected detectors for one design and
+    covariance: the offset-grid bank bound to cov, the ALRT bank bound to
+    cov if ALRT is selected, and the SM-GLRT subspace if SM-GLRT is (None
+    in place of each one not read).  psf is an EffectivePsf of cov's
+    window half-width."""
     bank = build_signature_bank(psf, grid_size)
-    bank9 = build_alrt_bank(psf)
-    return bank.bind(cov), bank9.bind(cov), build_subspace(bank, subspace_order)
+    bound = bank.bind(cov)
+    bound9 = build_alrt_bank(psf).bind(cov) if "ALRT" in detectors else None
+    subspace = build_subspace(bank, subspace_order) if "SM-GLRT" in detectors else None
+    return bound, bound9, subspace
 
 
 # The fields each run kind and noise kind does not read: roc and mse take
 # no flag for their kind's, and a run refuses any set away from its default.
+# At a given SNR, white mse results depend on sigma only through rounding.
 UNREAD = {"roc": ("n_trials", "estimators", "snr_sweep"),
-          "mse": ("n_h0", "n_h1", "detectors", "subspace_order", "alpha"),
+          "mse": ("n_h0", "n_h1", "detectors", "subspace_order", "alpha", "sigma"),
           "white": ("hurst", "image_size", "ridge", "train_equals_test"), "fractal": ("sigma",)}
 _AMPLITUDES = ("alpha", "snr_db", "snr_sweep")
 
 
 def _check_reads(config, kind):
     """Before any set-up: the amplitude must be one of the two the run kind
-    reads, and no field the run or noise kind does not read may be set."""
+    reads, and no field the run or noise kind does not read may be set;
+    without SM-GLRT, that includes subspace_order."""
     own = [name for name in _AMPLITUDES if name not in UNREAD[kind]]
     given = [name for name in _AMPLITUDES if getattr(config, name) not in (None, ())]
     foreign = [name for name in given if name not in own]
     if foreign or len(given) != 1:
         why = f", not {', '.join(foreign) or 'both'}" if given else ""
         raise ConfigError(f"{kind} needs {own[0]} or {own[1]}{why}")
-    for what, names in ((kind, UNREAD[kind]), (f"{config.noise} noise", UNREAD[config.noise])):
+    unread = [(kind, UNREAD[kind]), (f"{config.noise} noise", UNREAD[config.noise])]
+    if "SM-GLRT" not in config.detectors:
+        unread.append((f"{kind} without SM-GLRT", ("subspace_order",)))
+    for what, names in unread:
         given = [name for name in names if getattr(config, name) != getattr(ExperimentConfig, name)]
         if given:
             raise ConfigError(f"{what} does not read {', '.join(given)}")
@@ -250,17 +259,18 @@ def _check_reads(config, kind):
 class _Run:
     """One run's set-up and its chunk driver.
 
-    Holds the effective-PSF table every signature of the run is read
-    from, the bound detectors, sigma_eff (the noise sigma an SNR refers
+    Holds the design's effective-PSF table, which every signature of the
+    run is read from, the bound precomputation of the given detectors
+    (bind_detectors), sigma_eff (the noise sigma an SNR refers
     to: the clutter's own for fractal noise) and, for fractal noise, the
     mean-removed image windows are gathered from.  The covariance is
     trained on image (seed, 0, 0); windows come from image (seed, 1, 0),
     or from the training image itself when train_equals_test.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, detectors=()):
         self.config = config
-        self.psf = EffectivePsf(PsfModel(config.r_c), config.w)
+        self.psf = effective_psf(config.r_c, config.w)
         if config.noise == "white":
             cov = clutter.white_covariance(config.sigma, config.w)
             self.sigma_eff = config.sigma
@@ -277,7 +287,7 @@ class _Run:
             self.image = image.values
             self.image -= self.image.mean()
         self.bound, self.bound9, self.subspace = bind_detectors(
-            self.psf, cov, config.grid_size, config.subspace_order)
+            self.psf, cov, config.grid_size, config.subspace_order, detectors)
 
     def alpha(self, snr_db):
         return snr_to_alpha(snr_db, self.sigma_eff, average_energy_cached(self.config.r_c))
@@ -349,7 +359,7 @@ def run_roc(config):
     by snr_db (not both).  Thresholds sweep every distinct score.
     """
     _check_reads(config.validate(), "roc")
-    run = _Run(config)
+    run = _Run(config, config.detectors)
     alpha = run.alpha(config.snr_db) if config.alpha is None else config.alpha
 
     def score(windows, eps):
@@ -394,14 +404,15 @@ def run_mse(config):
     return tuple(rows)
 
 
-def theoretical_pmf_roc(snr_db, eps_star, bank, pfa_grid=None):
+def theoretical_pmf_roc(snr_db, eps_star, psf, grid_size=20, pfa_grid=None):
     """Closed-form ROC of the pixel matched filter T0(z) = s0^T z in unit white noise.
 
-    At a given SNR a white-noise ROC does not depend on sigma.  eps_star
-    selects the H1 truth: a fixed offset pair, or "mean" to average Pd
-    over the nodes of the bank's rule at each Pfa (uniformly random true
-    position).  Pfa = Q(tau / sqrt(d00)) and Pd = Q(Q^{-1}(Pfa) -
-    alpha * s0^T s_eps / sqrt(d00)), with d00 = s0^T s0.
+    At a given SNR a white-noise ROC does not depend on sigma.  psf is
+    the design's EffectivePsf.  eps_star selects the H1 truth: a fixed
+    offset pair, or "mean" to average Pd at each Pfa over the rule of the
+    offset-grid bank of grid_size (uniformly random true position); only
+    "mean" renders that bank.  Pfa = Q(tau / sqrt(d00)) and
+    Pd = Q(Q^{-1}(Pfa) - alpha * s0^T s_eps / sqrt(d00)), with d00 = s0^T s0.
 
     The curve is for the one-sided T0.  The GPMF detector scores
     t^2/d = T0^2 / d00, a two-sided test, so at a given threshold its
@@ -410,18 +421,19 @@ def theoretical_pmf_roc(snr_db, eps_star, bank, pfa_grid=None):
     """
     if pfa_grid is None:
         pfa_grid = np.logspace(-8, 0, 161)
-    alpha = snr_to_alpha(snr_db, 1.0, average_energy_cached(bank.r_c))
-    s0 = bank.vectors[bank.center_index]
-    scale = math.sqrt(s0 @ s0)
+    alpha = snr_to_alpha(snr_db, 1.0, average_energy_cached(psf.r_c))
     if isinstance(eps_star, str):
         if eps_star != "mean":
             raise ValueError(f"eps_star must be a pair or 'mean', got {eps_star!r}")
+        bank = build_signature_bank(psf, grid_size)
+        s0 = bank.vectors[bank.center_index]
         cross = bank.vectors[:len(bank.log_weights)] @ s0
         name = "PMF-mean"
     else:
-        sig = render_signature_batch(bank.psf, [tuple(eps_star)])[0]
+        s0, sig = render_signature_batch(psf, [(0.0, 0.0), tuple(eps_star)])
         cross = np.array([sig @ s0])
         name = f"PMF({eps_star[0]},{eps_star[1]})"
+    scale = math.sqrt(s0 @ s0)
     deflection = alpha * cross / scale
     tau_std = -special.ndtri(pfa_grid)                   # Q^{-1}(Pfa)
     pd = special.ndtr(deflection[None, :] - tau_std[:, None]).mean(axis=1)

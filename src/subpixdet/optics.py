@@ -7,11 +7,11 @@ frequency over sampling frequency).  A point source at subpixel offset
 ``(eps1, eps2)`` deposits in pixel ``(i, j)`` the integral of the PSF
 over that pixel's unit square; the resulting patch of pixel values is
 the target *signature*.  Signatures are read off one table of the
-pixel-integrated PSF (EffectivePsf), built once per model and window;
-the renderer and the banks take that table, and each bank carries the
-quadrature rule its integrating statistics read.  build_alrt_bank's
-PsfModel branch and the constant q are bench residue: bench/run.py
-calls build_alrt_bank(PsfModel, w, q).
+pixel-integrated PSF (EffectivePsf), built once per design (r_c, w) and
+process by effective_psf; the renderer and the banks take that table,
+and each bank carries the quadrature rule its integrating statistics
+read.  build_alrt_bank's PsfModel branch and the constant q are bench
+residue: bench/run.py calls build_alrt_bank(PsfModel, w, q).
 """
 
 import itertools
@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar
 from numpy.polynomial.legendre import leggauss
 from scipy import ndimage, special
@@ -28,6 +29,7 @@ __all__ = [
     "SignatureBank",
     "BoundBank",
     "EffectivePsf",
+    "effective_psf",
     "DEFAULT_QUAD_ORDER",
     "psf_value",
     "render_signature_batch",
@@ -98,6 +100,10 @@ _CELL_ORDER = 4
 # Table values one render group gathers (36 per pixel): about 7
 # signatures at w = 5, 36 at w = 2, so a group's taps stay in cache.
 _GATHER = 2**15
+# Designs whose tables effective_psf keeps, dropping the least recently
+# used: the test suite's three common ones, (2.44, 2), (2.44, 1) and
+# (0.5, 5), fit.
+_TABLES = 4
 
 
 def _quintic_weights(t):
@@ -236,6 +242,17 @@ class EffectivePsf:
         return out
 
 
+@lru_cache(maxsize=_TABLES)
+def effective_psf(r_c, w):
+    """The EffectivePsf of the design (r_c, w), built once per process
+    while it stays among the _TABLES most recently used designs.  Its
+    arrays are read-only, so every caller may share it."""
+    psf = EffectivePsf(PsfModel(r_c), w)
+    for table in (psf._plane, psf.coeffs, psf._gather):
+        table.flags.writeable = False
+    return psf
+
+
 def render_signature_batch(psf, offsets):
     """Pixel-integrate the PSF over a (2w+1) x (2w+1) window, for many offsets.
 
@@ -346,11 +363,11 @@ def build_alrt_bank(psf, w=2, q=None):
     The +0.5 boundary lies outside the half-open offset set but the
     trapezoidal rule needs its value; it equals the -0.5 signature
     shifted by one pixel.  Bench residue, like q (both ignored for a
-    table): a PsfModel psf is first tabulated at half-width w, because
-    bench/run.py calls build_alrt_bank(PsfModel, w, q).
+    table): a PsfModel psf is read as the design's table at half-width w,
+    because bench/run.py calls build_alrt_bank(PsfModel, w, q).
     """
     if not isinstance(psf, EffectivePsf):
-        psf = EffectivePsf(psf, w)
+        psf = effective_psf(psf.r_c, w)
     offsets = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=2)))
     weights = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()
     return SignatureBank(offsets=offsets, vectors=render_signature_batch(psf, offsets),

@@ -3,7 +3,7 @@ import pytest
 
 from subpixdet.clutter import white_covariance
 from subpixdet.detectors import build_subspace
-from subpixdet.optics import EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank
+from subpixdet.optics import PsfModel, build_alrt_bank, build_signature_bank, effective_psf
 
 
 @pytest.fixture(scope="session")
@@ -13,7 +13,7 @@ def model244():
 
 @pytest.fixture(scope="session")
 def psf244(model244):
-    return EffectivePsf(model244, 2)
+    return effective_psf(model244.r_c, 2)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 
 from subpixdet import harness, optics
 from subpixdet.clutter import NoiseField
-from subpixdet.optics import EffectivePsf, render_signature_batch
+from subpixdet.optics import effective_psf, render_signature_batch
 
 # The ALRT oracles' weights, defined apart from the bank that carries
 # them: the trapezoid on [-0.5, 0.5]^2 with nodes {-0.5, 0, 0.5},
@@ -20,8 +20,8 @@ TRAPEZOID = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()
 
 def signature(model, eps, w):
     """One offset's (2w+1, 2w+1) signature patch: render_signature_batch
-    on a batch of one, from a table of model for half-width w."""
-    patch = render_signature_batch(EffectivePsf(model, w), [eps])[0]
+    on a batch of one, from the table of design (model.r_c, w)."""
+    patch = render_signature_batch(effective_psf(model.r_c, w), [eps])[0]
     return patch.reshape(2 * w + 1, 2 * w + 1)
 
 

@@ -21,7 +21,7 @@ from subpixdet.harness import (
     run_mse, run_roc, theoretical_pmf_roc,
 )
 from subpixdet.optics import (
-    EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, psf_value,
+    EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, effective_psf, psf_value,
     render_signature_batch,
 )
 
@@ -91,9 +91,9 @@ def test_1_average_spot_energy(capsys):
 
 
 def test_2_theoretical_pmf_anchor(capsys):
-    bank = build_signature_bank(EffectivePsf(PsfModel(2.44), 2), grid_size=20)
-    ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), bank)
-    mean = theoretical_pmf_roc(15.0, "mean", bank)
+    psf = effective_psf(2.44, 2)
+    ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), psf)
+    mean = theoretical_pmf_roc(15.0, "mean", psf, grid_size=20)
     pd_ideal = float(pd_at_pfa(ideal, 1e-4))
     pd_mean = float(pd_at_pfa(mean, 1e-4))
     ok = pd_ideal >= 0.99 and abs(pd_mean - 0.80) <= 0.05
@@ -168,8 +168,7 @@ def test_6_sensor_design_gain(capsys, roc_15db_both_designs):
     # the curve's.
     pfa_pmf, gpmf_agree = {}, {}
     for r_c, w in ((2.44, 2), (0.5, 5)):
-        bank = build_signature_bank(EffectivePsf(PsfModel(r_c), w), grid_size=20)
-        curve = theoretical_pmf_roc(15.0, "mean", bank,
+        curve = theoretical_pmf_roc(15.0, "mean", effective_psf(r_c, w), grid_size=20,
                                     pfa_grid=np.logspace(-8, 0, 8001))
         pfa_pmf[r_c] = 2 * float(np.interp(0.8, curve.pd, curve.pfa))
         gpmf = roc_15db_both_designs[r_c]["GPMF"]

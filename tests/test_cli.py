@@ -24,14 +24,14 @@ from helpers import signature
 
 
 # the fields each subcommand reads, which are its field flags
-RUN_FIELDS = {"r_c", "w", "grid_size", "noise", "sigma", "hurst", "image_size", "snr_db",
+RUN_FIELDS = {"r_c", "w", "grid_size", "noise", "hurst", "image_size", "snr_db",
               "seed", "eps_fixed", "ridge", "train_equals_test", "jobs"}
 FIELD_FLAGS = {
     "signature": {"r_c", "w", "eps_fixed"},
     "clutter": {"hurst", "seed"},
     "score": {"r_c", "grid_size", "sigma", "ridge"},
     "estimate": {"r_c", "grid_size", "sigma", "ridge"},
-    "roc": RUN_FIELDS | {"alpha", "n_h0", "n_h1", "detectors", "subspace_order"},
+    "roc": RUN_FIELDS | {"sigma", "alpha", "n_h0", "n_h1", "detectors", "subspace_order"},
     "mse": RUN_FIELDS | {"n_trials", "snr_sweep", "estimators"},
     "theoretical-roc": {"snr_db", "r_c", "w", "grid_size", "eps_fixed"},
 }
@@ -423,6 +423,31 @@ class TestMseCommand:
         assert (tmp_path / "meta.json").exists()
 
 
+def test_runs_build_only_the_banks_their_detectors_read(capsys, monkeypatch, tmp_path):
+    calls = []
+    for name in ("build_alrt_bank", "build_subspace"):
+        def counting(*args, name=name, original=getattr(harness, name), **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    window = tmp_path / "win.csv"
+    write_window(window)
+    runs = {"roc": ("roc", "--snr-db", "15", "--n-h0", "200", "--n-h1", "200"),
+            "mse": ("mse", "--snr-db", "15", "--n-trials", "200")}
+    for argv in ((*runs["roc"], "--detectors", "GPMF,GLRT"), runs["mse"]):
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / argv[0]))[0] == 0
+    assert run_cli(capsys, "estimate", "--window", str(window))[0] == 0
+    assert calls == []
+    # each is built for the one detector that reads it, and score runs all five
+    for det, name in (("ALRT", "build_alrt_bank"), ("SM-GLRT", "build_subspace")):
+        assert run_cli(capsys, *runs["roc"], "--detectors", det, "--out", str(tmp_path))[0] == 0
+        assert calls == [name]
+        calls.clear()
+    assert run_cli(capsys, "score", "--window", str(window))[0] == 0
+    assert calls == ["build_alrt_bank", "build_subspace"]
+
+
 class TestTheoreticalRoc:
     def test_trio(self, capsys):
         code, out, _ = run_cli(capsys, "theoretical-roc", "--snr-db", "15")
@@ -440,6 +465,14 @@ class TestTheoreticalRoc:
         with open(out_path) as fh:
             rows = list(csv.reader(fh))
         assert {r[0] for r in rows[1:]} == {"fixed"}
+        # only the mean curve reads the offset grid, so --grid-size is
+        # refused together with --eps-fixed, before any output
+        grid_path = tmp_path / "g.csv"
+        code, out, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15", "--eps",
+                                 "0.2,0.3", "--grid-size", "10", "--out", str(grid_path))
+        assert code == 1 and out == ""
+        assert err == "error: theoretical-roc takes --grid-size or --eps-fixed, not both\n"
+        assert not grid_path.exists()
 
     # the subcommand has no --sigma, so argparse refuses a non-finite one
     # as it refuses any other value, before any model code
@@ -459,6 +492,9 @@ class TestTheoreticalRoc:
         assert not out_path.exists()
 
     def test_builds_one_table(self, capsys, monkeypatch):
+        # one table per design and process: two theoretical-roc calls and
+        # a signature call at the same design build it once between them
+        optics.effective_psf.cache_clear()
         builds = []
         init = optics.EffectivePsf.__init__
 
@@ -469,14 +505,15 @@ class TestTheoreticalRoc:
         monkeypatch.setattr(optics.EffectivePsf, "__init__", counting)
         code, out, _ = run_cli(capsys, "theoretical-roc", "--snr-db", "15")
         assert code == 0
+        assert run_cli(capsys, "theoretical-roc", "--snr-db", "15") == (0, out, "")
+        assert run_cli(capsys, "signature")[0] == 0
         assert len(builds) == 1
         # the same bytes as each curve rendered through a table of its own
         monkeypatch.setattr(optics.EffectivePsf, "__init__", init)
         lines = ["curve,pfa,pd"]
         for name, eps_star in [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)),
                                ("mean", "mean")]:
-            bank = optics.build_signature_bank(optics.EffectivePsf(PsfModel(2.44), 2), 20)
-            curve = theoretical_pmf_roc(15.0, eps_star, bank)
+            curve = theoretical_pmf_roc(15.0, eps_star, optics.EffectivePsf(PsfModel(2.44), 2))
             lines += [f"{name},{float(pfa)!r},{float(pd)!r}"
                       for pfa, pd in zip(curve.pfa, curve.pd)]
         assert out == "\n".join(lines) + "\n"
@@ -708,16 +745,17 @@ class TestConfigHelpers:
          1, "error: sigma**2 underflows"),
         (("mse", "--snr-db", "6000", "--n-trials", "50"), 2, "numerical error: non-finite PM"),
         (("mse", "--snr-db", "15", "--sigma", "1e-170", "--n-trials", "50"), 1,
-         "error: sigma**2 underflows"),
+         "subpixdet: error: unrecognized arguments: --sigma 1e-170"),
     ], ids=["roc-snr-db", "roc-sigma", "mse-snr-db", "mse-sigma"])
     def test_non_finite_run_exits_without_csv(self, capsys, tmp_path, argv, code, message):
         # a finite but extreme amplitude overflows t^2; a sigma whose square
-        # underflows makes R singular
+        # underflows makes R singular, and mse takes no --sigma at all
+        # (argparse's message is the last line, after the usage)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
         assert got == code
-        assert err.startswith(message)
+        assert err.splitlines()[-1].startswith(message)
         assert out == ""
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
@@ -750,16 +788,20 @@ class TestConfigHelpers:
         (("mse", "--snr-db", "15"), {"n_h0": 5, "detectors": ["GLRT"]},
          "mse does not read n_h0, detectors"),
         (("mse", "--snr-db", "15"), {"subspace_order": 3}, "mse does not read subspace_order"),
+        (("mse", "--snr-db", "15"), {"sigma": 2}, "mse does not read sigma"),
         (("roc", "--snr-db", "15"), {"n_trials": 7, "estimators": ["ML"]},
          "roc does not read n_trials, estimators"),
+        # only SM-GLRT reads subspace_order
+        (("roc", "--snr-db", "15", "--detectors", "GPMF,GLRT", "--subspace-order", "3"), None,
+         "roc without SM-GLRT does not read subspace_order"),
     ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-sweep-flag",
             "mse-alpha-flag", "roc-alpha-sweep-flag", "roc-none", "mse-none", "mse-both",
             "roc-both", "roc-preset-both", "white-hurst", "fractal-sigma", "mse-n-h0",
-            "mse-subspace-order", "roc-n-trials"])
+            "mse-subspace-order", "mse-sigma", "roc-n-trials", "roc-subspace-order"])
     def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
                                                   argv, config, message):
         built = []
-        for owner, name in ((harness, "EffectivePsf"), (harness, "build_signature_bank"),
+        for owner, name in ((harness, "effective_psf"), (harness, "build_signature_bank"),
                             (clutter, "white_covariance"), (clutter, "synthesize_fbm")):
             monkeypatch.setattr(owner, name, lambda *a, name=name, **k: built.append(name))
         if config is not None:
@@ -807,7 +849,7 @@ class TestConfigHelpers:
         for argv in (("roc", "--n-trials", "5"), ("roc", "--estimators", "ML"),
                      ("roc", "--snr-sweep", "5"), ("mse", "--n-h0", "5"),
                      ("mse", "--detectors", "GLRT"), ("mse", "--subspace-order", "3"),
-                     ("mse", "--alpha", "1")):
+                     ("mse", "--alpha", "1"), ("mse", "--sigma", "2")):
             assert main([*argv, "--snr-db", "15"]) == 1
             captured = capsys.readouterr()
             assert f"unrecognized arguments: {' '.join(argv[1:])}\n" in captured.err
@@ -841,7 +883,7 @@ def test_model_flags_are_config_fields():
             assert action.default is None, (command, action.dest)
             flags.add(action.dest)
         assert flags == FIELD_FLAGS[command], command
-    assert (len(FIELD_FLAGS["roc"]), len(FIELD_FLAGS["mse"])) == (18, 16)
+    assert (len(FIELD_FLAGS["roc"]), len(FIELD_FLAGS["mse"])) == (18, 15)
 
 
 def test_cli_import_loads_only_known_scipy_subpackages():

@@ -86,14 +86,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind, noise, name", [
         (kind, noise, name) for kind in ("roc", "mse") for noise in ("white", "fractal")
-        for name in (*harness.UNREAD[kind], *harness.UNREAD[noise])
+        for name in dict.fromkeys((*harness.UNREAD[kind], *harness.UNREAD[noise]))
         if name not in ("alpha", "snr_sweep")])
     def test_run_refuses_unread_fields(self, monkeypatch, kind, noise, name):
         # every field UNREAD names is refused before set-up, by run kind
-        # or by noise kind; the amplitude fields have their own rule
-        monkeypatch.setattr(harness, "EffectivePsf", None)
+        # or else by noise kind; the amplitude fields have their own rule
+        monkeypatch.setattr(harness, "effective_psf", None)
         cfg = ExperimentConfig(snr_db=15.0, noise=noise, **{name: self.AWAY[name]})
-        what = f"{noise} noise" if name in harness.UNREAD[noise] else kind
+        what = kind if name in harness.UNREAD[kind] else f"{noise} noise"
         with pytest.raises(ConfigError, match=f"^{what} does not read {name}$"):
             getattr(harness, f"run_{kind}")(cfg)
 
@@ -231,14 +231,13 @@ class TestRunRoc:
         b = run_roc(ExperimentConfig(**{**self.CFG, "seed": 6}))
         assert not np.array_equal(a[0].thresholds, b[0].thresholds)
 
-    def test_fixed_offset_mode(self, bank244):
-        self.bank = bank244
+    def test_fixed_offset_mode(self, psf244):
         cfg = ExperimentConfig(**{**self.CFG, "eps_fixed": (0.0, 0.0),
                                   "detectors": ("GPMF",)})
         curve = run_roc(cfg)[0]
         # centered target: the pixel matched filter is the optimal test,
         # so its Pd at moderate Pfa matches the closed-form ideal curve
-        ref = theoretical_pmf_roc(16.0, (0.0, 0.0), self.bank)
+        ref = theoretical_pmf_roc(16.0, (0.0, 0.0), psf244)
         assert pd_at_pfa(curve, 0.1) == pytest.approx(
             float(pd_at_pfa(ref, 0.1)), abs=0.03)
 
@@ -296,7 +295,9 @@ class TestSigmaInvariance:
     """At a given SNR, white noise of another sigma is the same run in
     other units: every window is sigma times its unit-noise window, up to
     rounding, so no score changes rank.  GPMF, GLRT and SM-GLRT are ratios
-    t^2/d; ELRT and ALRT carry -log(d)/2, and d scales as 1/sigma^2."""
+    t^2/d; ELRT and ALRT carry -log(d)/2, and d scales as 1/sigma^2.
+    The thresholds of ELRT and ALRT still move, so roc reads sigma; an mse
+    result would move only by rounding, so mse refuses it (UNREAD)."""
 
     SIGMAS = (0.7, 2.5)
 
@@ -313,17 +314,6 @@ class TestSigmaInvariance:
                                                math.log(sigma), rtol=0, atol=1e-12)
                 else:
                     np.testing.assert_allclose(b.thresholds, a.thresholds, rtol=1e-11, atol=0)
-
-    def test_mse(self):
-        cfg = ExperimentConfig(snr_sweep=(5.0, 15.0, 30.0), n_trials=2000, seed=3)
-        ref = run_mse(cfg)
-        for sigma in self.SIGMAS:
-            rows = run_mse(replace(cfg, sigma=sigma))
-            assert [(r["estimator"], r["snr_db"]) for r in rows] == \
-                [(r["estimator"], r["snr_db"]) for r in ref]
-            for a, b in zip(ref, rows):
-                for key in ("mse_eps1", "mse_eps2", "mse_total"):
-                    assert b[key] == pytest.approx(a[key], rel=1e-12, abs=0)
 
 
 class TestSubstreamLayout:
@@ -405,7 +395,7 @@ class TestSubstreamLayout:
         cfg = ExperimentConfig(snr_db=14.0, n_h0=n_h0, n_h1=2 * harness._BLOCK + 3,
                                seed=8)
         psf, bound, alpha = self.white_context(cfg)
-        run = harness._Run(cfg)
+        run = harness._Run(cfg, cfg.detectors)
 
         def score(z, eps):
             return batch_scores(z, run.bound, run.bound9, run.subspace)
@@ -502,8 +492,8 @@ class TestRunMse:
 
 
 class TestTheoreticalRoc:
-    def test_centered_formula(self, bank244):
-        curve = theoretical_pmf_roc(15.0, (0.0, 0.0), bank244)
+    def test_centered_formula(self, psf244, bank244):
+        curve = theoretical_pmf_roc(15.0, (0.0, 0.0), psf244)
         s0 = bank244.vectors[bank244.center_index]
         alpha = snr_to_alpha(15.0, 1.0, average_energy_cached(2.44))
         deflection = alpha * float(s0 @ s0) / np.sqrt(float(s0 @ s0))
@@ -511,20 +501,20 @@ class TestTheoreticalRoc:
             expect = norm.sf(norm.isf(pfa) - deflection)
             assert float(pd_at_pfa(curve, pfa)) == pytest.approx(expect, rel=1e-6)
 
-    def test_mean_curve_below_ideal(self, bank244):
-        ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), bank244)
-        mean = theoretical_pmf_roc(15.0, "mean", bank244)
+    def test_mean_curve_below_ideal(self, psf244):
+        ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), psf244)
+        mean = theoretical_pmf_roc(15.0, "mean", psf244)
         assert np.all(mean.pd <= ideal.pd + 1e-12)
         assert pd_at_pfa(mean, 1e-3) < pd_at_pfa(ideal, 1e-3)
 
-    def test_monotone(self, bank244):
-        curve = theoretical_pmf_roc(10.0, "mean", bank244)
+    def test_monotone(self, psf244):
+        curve = theoretical_pmf_roc(10.0, "mean", psf244)
         assert np.all(np.diff(curve.pd) >= -1e-12)
         assert np.all(curve.pd >= curve.pfa - 1e-12)
 
-    def test_bad_eps_star(self, bank244):
+    def test_bad_eps_star(self, psf244):
         with pytest.raises(ValueError):
-            theoretical_pmf_roc(15.0, "median", bank244)
+            theoretical_pmf_roc(15.0, "median", psf244)
 
 
 class TestCsvWriters:
@@ -538,7 +528,7 @@ class TestCsvWriters:
         assert rows[1][0] == "GLRT" and float(rows[1][1]) == np.inf
         assert len(rows) == 1 + len(curve.thresholds)
 
-    def test_roc_csv_bytes_match_row_writer(self, tmp_path, bank244):
+    def test_roc_csv_bytes_match_row_writer(self, tmp_path, psf244):
         def row_writer(curves, path):
             # one csv.writer row per point, each value repr(float(.))
             with open(path, "w", newline="") as fh:
@@ -560,7 +550,7 @@ class TestCsvWriters:
                         pfa=odd, pd=odd[::-1].copy(), n_h0=10, n_h1=7)
         curves = [empirical_roc_from_scores(s0, s1, "ELRT"),
                   empirical_roc_from_scores(s0 * 1e-300, s1 * 1e300, 'say "x"'),
-                  theoretical_pmf_roc(15.0, (0.5, 0.5), bank244),
+                  theoretical_pmf_roc(15.0, (0.5, 0.5), psf244),
                   hand,
                   empirical_roc_from_scores(s0[:7], s1[:10], '100% "a", b'),
                   empirical_roc_from_scores(rng.standard_normal(3000),

@@ -9,7 +9,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import j1
 
 from subpixdet.optics import (
-    EffectivePsf, PsfModel, build_alrt_bank, psf_value,
+    EffectivePsf, PsfModel, build_alrt_bank, effective_psf, psf_value,
     render_signature_batch, average_energy, build_signature_bank,
 )
 
@@ -269,6 +269,25 @@ class TestEffectivePsf:
         for eps in [(0.5 + 1e-9, 0.0), (0.0, -0.7), (np.nan, 0.0)]:
             with pytest.raises(ValueError):
                 render_signature_batch(psf244, [eps])
+
+
+class TestEffectivePsfCache:
+    def test_one_table_per_design(self):
+        assert effective_psf(2.44, 2) is effective_psf(2.44, 2)
+        assert effective_psf(2.44, 1) is not effective_psf(2.44, 2)
+
+    def test_cached_table_is_read_only(self):
+        psf = effective_psf(2.44, 2)
+        for table in (psf._plane, psf.coeffs, psf._gather):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+
+    @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5), (2.44, 1)])
+    def test_renders_as_a_fresh_table(self, r_c, w):
+        offsets = np.vstack([np.random.default_rng(3).uniform(-0.5, 0.5, (500, 2)),
+                             build_alrt_bank(effective_psf(r_c, w)).offsets])
+        np.testing.assert_array_equal(effective_psf(r_c, w).render(offsets),
+                                      EffectivePsf(PsfModel(r_c), w).render(offsets))
 
 
 class TestAverageEnergy:
