@@ -231,7 +231,7 @@ def _window_context(args, cfg, w, detectors):
         table = _load_table(args.acf_file, "autocovariance table")
         cov = clutter.assemble_window_covariance(table, w, lam=cfg.ridge)
     else:
-        cov = clutter.white_covariance(cfg.sigma, w)
+        cov = clutter.white_covariance(cfg.sigma)
     return harness.bind_detectors(optics.effective_psf(cfg.r_c, w), cov, cfg.grid_size,
                                   detectors=detectors)
 

@@ -115,8 +115,8 @@ def estimate_autocovariance(field, max_lag):
     return corr * (1.0 / (fh * fw)) / (h * wdt)
 
 
-def white_covariance(sigma, w):
-    """Exact white-noise covariance R = sigma^2 I for a (2w+1)^2 window."""
+def white_covariance(sigma):
+    """Exact white-noise covariance R = sigma^2 I, of any window size."""
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     try:
@@ -125,9 +125,7 @@ def white_covariance(sigma, w):
         raise ValueError(f"sigma**2 overflows, got sigma = {sigma}") from None
     if sigma2 < np.finfo(float).tiny:
         raise ValueError(f"sigma**2 underflows the normal floats, got sigma = {sigma}")
-    n = (2 * w + 1) ** 2
-    return CovarianceModel(form="white", matrix=sigma2 * np.eye(n),
-                           sigma2=sigma2, _factor=None)
+    return CovarianceModel(form="white", sigma2=sigma2, _factor=None)
 
 
 def assemble_window_covariance(acf, w, lam=1e-6):
@@ -160,8 +158,7 @@ def assemble_window_covariance(acf, w, lam=1e-6):
             f"window covariance not positive definite after ridge {lam} "
             f"(smallest eigenvalue {smallest:.3e})"
         )
-    return CovarianceModel(form="empirical", matrix=matrix,
-                           sigma2=None, _factor=factor)
+    return CovarianceModel(form="empirical", sigma2=None, _factor=factor)
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,6 @@ class CovarianceModel:
     """
 
     form: str            # "white" | "empirical"
-    matrix: np.ndarray
     sigma2: float
     _factor: tuple
 

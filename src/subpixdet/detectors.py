@@ -155,7 +155,8 @@ def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
     """
     windows = np.asarray(windows, dtype=float)
     out = {}
-    ratios = _ratios(windows, bound)
+    if "ML" in estimators or "PM" in estimators:
+        ratios = _ratios(windows, bound)
     if "ML" in estimators:
         out["ML"] = bound.bank.offsets[np.argmax(ratios, axis=1)]
     if "PM" in estimators:

@@ -111,6 +111,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown noise kind {self.noise!r}")
         if self.noise == "fractal" and not (0 < self.hurst < 1):
             raise ConfigError(f"fractal noise needs Hurst in (0, 1), got {self.hurst}")
+        # the covariance reads lags up to 2w, which must stay below half the image
+        if self.noise == "fractal" and not (
+                self.image_size > 4 * self.w and self.image_size & (self.image_size - 1) == 0):
+            raise ConfigError("fractal noise needs image_size a power of two greater than "
+                              f"4w = {4 * self.w}, got {self.image_size}")
         if self.noise == "white" and not self.sigma > 0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
         if self.n_h0 < 1 or self.n_h1 < 1 or self.n_trials < 1:
@@ -272,7 +277,7 @@ class _Run:
         self.config = config
         self.psf = effective_psf(config.r_c, config.w)
         if config.noise == "white":
-            cov = clutter.white_covariance(config.sigma, config.w)
+            cov = clutter.white_covariance(config.sigma)
             self.sigma_eff = config.sigma
         else:
             image = clutter.synthesize_fbm(config.hurst, config.image_size,
@@ -454,51 +459,54 @@ def _csv_field(text):
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def _rate_index(col, n):
-    """(k, other) for a rate column counted on n scores: col is bitwise
-    k/n wherever other is False.  other marks -0.0, non-finite values,
-    values that are no k/n, and every value when n = 0 (k is 0 there)."""
-    if n < 1:
-        return np.zeros(len(col), dtype=np.intp), np.ones(len(col), dtype=bool)
-    k = np.rint(col * n)
-    other = np.signbit(col) | ~(k <= n) | (k / n != col)
-    return np.where(other, 0, k).astype(np.intp), other
+def _rate_counts(curve):
+    """[(n, k)] for the pfa and the pd of a counted curve: each rate is
+    bitwise k/n on its n_h0 or n_h1 scores.  Raises ValueError, naming
+    the detector, for a curve whose rates are not such counts (a
+    closed-form curve, -0.0, a non-finite value)."""
+    counts = []
+    for col, n in ((curve.pfa, curve.n_h0), (curve.pd, curve.n_h1)):
+        col = np.asarray(col, dtype=float)
+        k = np.rint(col * n) if n >= 1 else None
+        if k is None or np.any(np.signbit(col) | ~(k <= n) | (k / n != col)):
+            raise ValueError(f"detector {curve.detector!r}: ROC rates are not counts on "
+                             f"n_h0 = {curve.n_h0} and n_h1 = {curve.n_h1} scores")
+        counts.append((n, k.astype(np.intp)))
+    return counts
 
 
 def write_roc_csv(curves, path):
-    """One detector,threshold,pfa,pd row per curve point, as csv.writer
-    writes it, with each value as repr of a Python float.
+    """One detector,threshold,pfa,pd row per point of each counted curve
+    (empirical_roc_from_scores), as csv.writer writes it, with each value
+    as repr of a Python float.
 
-    A rate counted on n scores (n_h0 for pfa, n_h1 for pd) is some k/n,
-    so the text of every k/n is formatted once per file, in one table
-    per n, and each rate is read from its table; a rate that is not
-    bitwise a k/n is formatted on its own.  Thresholds are formatted
-    per row.  Rows are written _CSV_ROWS at a time, with one % format
-    per slice, so the text of a whole curve is never held at once.
+    Every curve is checked before path is opened: a curve whose rates are
+    not counts (see _rate_counts) raises ValueError and no file is
+    written.  A rate counted on n scores is some k/n, so the text of
+    every k/n is formatted once per file, in one table per n, and each
+    rate is read from its table.  Thresholds are formatted per row.  Rows
+    are written _CSV_ROWS at a time, with one % format per slice, so the
+    text of a whole curve is never held at once.
     """
+    for curve in curves:
+        _rate_counts(curve)
     tables = {}
     with open(path, "w", newline="") as fh:
         fh.write("detector,threshold,pfa,pd\r\n")
         for curve in curves:
             row = _csv_field(curve.detector).replace("%", "%%") + ",%r,%s,%s\r\n"
             tau = np.asarray(curve.thresholds, dtype=float)
-            rates = []
-            for col, n in ((curve.pfa, curve.n_h0), (curve.pd, curve.n_h1)):
+            counts = _rate_counts(curve)
+            for n, _ in counts:
                 if n not in tables:
-                    # n = 0 gets a placeholder: all its rates are formatted on their own
-                    tables[n] = [repr(k / n) for k in range(n + 1)] if n > 0 else [""]
-                col = np.asarray(col, dtype=float)
-                rates.append((col, *_rate_index(col, n), tables[n]))
+                    tables[n] = [repr(k / n) for k in range(n + 1)]
             for lo in range(0, len(tau), _CSV_ROWS):
                 hi = lo + _CSV_ROWS
                 block = tau[lo:hi].tolist()
                 fields = [None] * (3 * len(block))
                 fields[0::3] = block
-                for pos, (col, k, other, table) in enumerate(rates, 1):
-                    text = list(map(table.__getitem__, k[lo:hi].tolist()))
-                    for i in np.flatnonzero(other[lo:hi]).tolist():
-                        text[i] = repr(float(col[lo + i]))
-                    fields[pos::3] = text
+                for pos, (n, k) in enumerate(counts, 1):
+                    fields[pos::3] = map(tables[n].__getitem__, k[lo:hi].tolist())
                 fh.write(row * len(block) % tuple(fields))
 
 

@@ -28,7 +28,7 @@ def bank9_244(psf244):
 
 @pytest.fixture(scope="session")
 def cov_white():
-    return white_covariance(1.0, w=2)
+    return white_covariance(1.0)
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,13 @@ def fbm_irfft2(hurst, size=256, seed=None, crop=None):
     return NoiseField(values=standardize(field))
 
 
+def quadrant(psf):
+    """EffectivePsf's quintic spline coefficients on the quadrant x, y >= 0:
+    the block of its whole-plane table from the x = y = 0 node on."""
+    m = (len(psf._plane) + 1) // 2
+    return psf._plane[m - 1:, m - 1:]
+
+
 def render_map_coordinates(psf, offsets):
     """EffectivePsf.render by scipy.ndimage.map_coordinates on the
     quadrant's coefficients: order-5 interpolation at every pixel's own
@@ -117,7 +124,7 @@ def render_map_coordinates(psf, offsets):
     x = psf.lattice * (pix - offsets[:, :1])
     y = psf.lattice * (pix - offsets[:, 1:])
     coords = [np.repeat(x, n_pix, axis=1).ravel(), np.tile(y, n_pix).ravel()]
-    vals = ndimage.map_coordinates(psf.coeffs, coords, order=5, prefilter=False, mode="mirror")
+    vals = ndimage.map_coordinates(quadrant(psf), coords, order=5, prefilter=False, mode="mirror")
     return vals.reshape(len(offsets), -1)
 
 
@@ -140,3 +147,17 @@ def effective_psf_coeffs_rowblocks(psf):
         cells[lo:lo + rows] = h.reshape(-1, order, n_cells, order).sum(axis=(1, 3))
     g = psf._pixel_sums(psf._pixel_sums(cells).T).T
     return ndimage.spline_filter(g, order=5, mode="mirror")
+
+
+def window_covariance(acf, w, lam):
+    """The window covariance assemble_window_covariance factors, with its
+    numpy operations: R[(i,j),(k,l)] = acf(i-k, j-l), plus ridge
+    lam * acf(0,0) on the diagonal."""
+    max_lag = (acf.shape[0] - 1) // 2
+    coords = np.arange(-w, w + 1)
+    ii, jj = np.meshgrid(coords, coords, indexing="ij")
+    pi, pj = ii.ravel(), jj.ravel()
+    di = pi[:, None] - pi[None, :]
+    dj = pj[:, None] - pj[None, :]
+    matrix = acf[di + max_lag, dj + max_lag]
+    return matrix + lam * acf[max_lag, max_lag] * np.eye(len(matrix))

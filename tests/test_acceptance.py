@@ -25,7 +25,7 @@ from subpixdet.optics import (
     render_signature_batch,
 )
 
-from helpers import TRAPEZOID, mse_row, pd_at_pfa, pfa_at_pd, signature
+from helpers import TRAPEZOID, mse_row, pd_at_pfa, pfa_at_pd, signature, window_covariance
 
 JOBS = 4
 
@@ -387,7 +387,7 @@ def test_8_oracle_suites(capsys):
     bound = bank.bind(cov)
     bound9 = bank9.bind(cov)
     sub = build_subspace(bank, 1)
-    r_inv = np.linalg.inv(cov.matrix)
+    r_inv = np.linalg.inv(window_covariance(acf, 2, 1e-6))
     worst_stat = 0.0
     for _ in range(20):
         z = rng.standard_normal(25)
@@ -423,7 +423,7 @@ def test_8_oracle_suites(capsys):
 
     # (d) rank-one subspace statistic equals the matched-filter form on
     # the leading singular vector
-    cov_w = white_covariance(1.3, w=2)
+    cov_w = white_covariance(1.3)
     bound_w = bank.bind(cov_w)
     worst_sm = 0.0
     for _ in range(20):
@@ -438,7 +438,7 @@ def test_8_oracle_suites(capsys):
 
     # (e) GLRT >= GPMF on 10^4 random windows, zero violations
     windows = rng.standard_normal((10_000, 25))
-    scores = batch_scores(windows, bank.bind(white_covariance(1.0, 2)),
+    scores = batch_scores(windows, bank.bind(white_covariance(1.0)),
                           detectors=("GPMF", "GLRT"))
     violations = int(np.sum(scores["GLRT"] < scores["GPMF"]))
     dom_ok = violations == 0

@@ -93,14 +93,14 @@ class TestSignature:
     def test_closed_stdout_exits_141_quietly(self):
         # the sweep at w = 40 writes 734 KB, more than a pipe buffer holds,
         # so the write fails however soon the reader closes
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "subpixdet.cli", "signature", "--r-c", "0.5", "--w", "40",
-             "--sweep"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert proc.stdout.readline().startswith(b"# eps=")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait() == 141
+        with subprocess.Popen(
+                [sys.executable, "-m", "subpixdet.cli", "signature", "--r-c", "0.5", "--w", "40",
+                 "--sweep"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}) as proc:
+            assert proc.stdout.readline().startswith(b"# eps=")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait() == 141
         assert err == b""
 
 
@@ -180,7 +180,7 @@ class TestScore:
         rng = np.random.default_rng(w)
         psf = optics.EffectivePsf(PsfModel(rc), w)
         bank = optics.build_signature_bank(psf, 20)
-        bound = bank.bind(white_covariance(1.0, w))
+        bound = bank.bind(white_covariance(1.0))
         bound9 = optics.build_alrt_bank(psf).bind(bound.cov)
         path = tmp_path / "win.csv"
         for _ in range(10):
@@ -325,6 +325,25 @@ class TestEstimate:
         assert float(table["ML"][2]) == pytest.approx(-0.125, abs=1e-12)
         assert (float(table["DEFAULT"][1]), float(table["DEFAULT"][2])) == (0, 0)
         assert table["PM"][3] == ""           # amplitude marginalized out
+
+
+class TestRemoveMean:
+    @pytest.mark.parametrize("command", ["score", "estimate"])
+    def test_prints_the_centred_window(self, capsys, tmp_path, command):
+        # --remove-mean prints the bytes the command prints for the window
+        # minus its mean, written with repr floats
+        rng = np.random.default_rng(4)
+        window = write_window(tmp_path / "win.csv", eps=(0.1, -0.3), alpha=5.0,
+                              noise=rng.standard_normal((5, 5)) + 3.0)
+        with open(tmp_path / "centred.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([repr(v) for v in row]
+                                     for row in (window - window.mean()).tolist())
+        outputs = [run_cli(capsys, command, "--window", str(tmp_path / name), *flags)
+                   for name, flags in (("win.csv", ("--remove-mean",)), ("centred.csv", ()),
+                                       ("win.csv", ()))]
+        assert [code for code, _, _ in outputs] == [0, 0, 0]
+        assert outputs[0][1] == outputs[1][1]
+        assert outputs[0][1] != outputs[2][1]
 
 
 class TestRocCommand:
@@ -794,10 +813,20 @@ class TestConfigHelpers:
         # only SM-GLRT reads subspace_order
         (("roc", "--snr-db", "15", "--detectors", "GPMF,GLRT", "--subspace-order", "3"), None,
          "roc without SM-GLRT does not read subspace_order"),
+        # the covariance reads lags up to 2w, below half a power-of-two image
+        (("roc", "--noise", "fractal", "--alpha", "1", "--image-size", "1"), None,
+         "fractal noise needs image_size a power of two greater than 4w = 8, got 1"),
+        (("roc", "--noise", "fractal", "--alpha", "1", "--image-size", "0"), None,
+         "fractal noise needs image_size a power of two greater than 4w = 8, got 0"),
+        (("roc", "--noise", "fractal", "--alpha", "1", "--image-size", "8", "--w", "2"), None,
+         "fractal noise needs image_size a power of two greater than 4w = 8, got 8"),
+        (("roc", "--noise", "fractal", "--alpha", "1", "--image-size", "1000"), None,
+         "fractal noise needs image_size a power of two greater than 4w = 8, got 1000"),
     ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-sweep-flag",
             "mse-alpha-flag", "roc-alpha-sweep-flag", "roc-none", "mse-none", "mse-both",
             "roc-both", "roc-preset-both", "white-hurst", "fractal-sigma", "mse-n-h0",
-            "mse-subspace-order", "mse-sigma", "roc-n-trials", "roc-subspace-order"])
+            "mse-subspace-order", "mse-sigma", "roc-n-trials", "roc-subspace-order",
+            "image-size-1", "image-size-0", "image-size-8-w-2", "image-size-1000"])
     def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
                                                   argv, config, message):
         built = []

@@ -11,7 +11,13 @@ from subpixdet.clutter import (
 )
 from subpixdet.harness import ExperimentConfig, run_roc
 
-from helpers import acf_padded_2x, acf_rfft2, fbm_irfft2
+from helpers import acf_padded_2x, acf_rfft2, fbm_irfft2, window_covariance
+
+
+def factored(cov):
+    """L L^T of the stored Cholesky factor: the matrix cov.solve inverts."""
+    lower = np.tril(cov._factor[0])
+    return lower @ lower.T
 
 
 def radial_psd_slope(field):
@@ -235,22 +241,23 @@ def test_fractal_roc_matches_complex_fft_clutter(monkeypatch, seed):
 
 
 class TestWhiteCovariance:
-    def test_matrix_and_services(self, rng):
-        cov = white_covariance(2.0, w=1)
-        np.testing.assert_array_equal(cov.matrix, 4.0 * np.eye(9))
+    def test_solve_divides_by_sigma2(self, rng):
+        # R = sigma^2 I, for a vector or a column stack of any window size
+        cov = white_covariance(2.0)
+        assert cov.sigma2 == 4.0
+        for y in (rng.standard_normal(9), rng.standard_normal((25, 3))):
+            np.testing.assert_array_equal(cov.solve(y), y / 4.0)
         y = rng.standard_normal(9)
-        np.testing.assert_allclose(cov.solve(y), y / 4.0, rtol=1e-15)
         assert y @ cov.solve(y) == pytest.approx(float(y @ y) / 4.0, rel=1e-13)
-        assert cov.matrix.shape == (9, 9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            white_covariance(0.0, w=2)
+            white_covariance(0.0)
         # sigma**2 underflows to 0 or to a subnormal; the smallest normal passes
         for sigma in (1e-200, 1e-160):
             with pytest.raises(ValueError, match="sigma"):
-                white_covariance(sigma, w=2)
-        assert white_covariance(np.sqrt(np.finfo(float).tiny) * 1.001, w=2).sigma2 > 0
+                white_covariance(sigma)
+        assert white_covariance(np.sqrt(np.finfo(float).tiny) * 1.001).sigma2 > 0
 
 
 class TestAssembleWindowCovariance:
@@ -258,7 +265,7 @@ class TestAssembleWindowCovariance:
         acf = np.zeros((9, 9))
         acf[4, 4] = 2.0
         cov = assemble_window_covariance(acf, w=2, lam=1e-6)
-        np.testing.assert_allclose(cov.matrix, 2.0 * (1 + 1e-6) * np.eye(25),
+        np.testing.assert_allclose(factored(cov), 2.0 * (1 + 1e-6) * np.eye(25),
                                    atol=1e-15)
 
     def test_entries_follow_lag_table(self, rng):
@@ -273,7 +280,7 @@ class TestAssembleWindowCovariance:
                 expect = acf[i1 - i2 + 2 * w, j1 - j2 + 2 * w]
                 if a == b:
                     expect = expect + 0.05 * acf[2 * w, 2 * w]
-                assert cov.matrix[a, b] == pytest.approx(expect, rel=1e-12)
+                assert factored(cov)[a, b] == pytest.approx(expect, rel=1e-12)
 
     def test_solve_inverts(self, rng):
         acf = np.zeros((5, 5))
@@ -281,7 +288,8 @@ class TestAssembleWindowCovariance:
         acf[2, 1] = acf[2, 3] = acf[1, 2] = acf[3, 2] = 0.3
         cov = assemble_window_covariance(acf, w=1, lam=1e-8)
         y = rng.standard_normal(9)
-        np.testing.assert_allclose(cov.matrix @ cov.solve(y), y, atol=1e-10)
+        np.testing.assert_allclose(window_covariance(acf, 1, 1e-8) @ cov.solve(y), y,
+                                   atol=1e-10)
 
     def test_indefinite_raises(self):
         acf = np.zeros((5, 5))

@@ -64,8 +64,8 @@ class TestGpmf:
         # score = t^2/d is invariant to sigma^2 only through the ratio;
         # doubling sigma divides the score by sigma^2
         z = rng.standard_normal(25)
-        a = score("GPMF", z, bank244.bind(white_covariance(1.0, 2)))
-        b = score("GPMF", z, bank244.bind(white_covariance(2.0, 2)))
+        a = score("GPMF", z, bank244.bind(white_covariance(1.0)))
+        b = score("GPMF", z, bank244.bind(white_covariance(2.0)))
         assert b == pytest.approx(a / 4.0, rel=1e-12)
 
     def test_h0_is_chi_square_1(self, bound244, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from subpixdet import detectors
 from subpixdet.detectors import ESTIMATOR_IDS, batch_estimates, batch_scores
 from subpixdet.optics import render_signature_batch
 
@@ -95,6 +96,16 @@ class TestDefault:
     def test_always_center(self, bound244, rng):
         assert estimate("DEFAULT", np.zeros(25), bound244) == (0.0, 0.0)
         assert estimate("DEFAULT", rng.standard_normal(25), bound244) == (0.0, 0.0)
+
+    def test_forms_no_ratios(self, bound244, rng, monkeypatch):
+        # DEFAULT alone reads no node, so no (N, K) ratio buffer is formed
+        def refused(*args):
+            raise AssertionError("ratios formed for DEFAULT alone")
+
+        monkeypatch.setattr(detectors, "_ratios", refused)
+        out = batch_estimates(rng.standard_normal((6, 25)), bound244, ("DEFAULT",))
+        assert list(out) == ["DEFAULT"]
+        np.testing.assert_array_equal(out["DEFAULT"], np.zeros((6, 2)))
 
     def test_uniform_offset_mse_is_one_twelfth(self, rng):
         eps = rng.uniform(-0.5, 0.5, (200_000, 2))

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -324,7 +325,7 @@ class TestSubstreamLayout:
 
     def white_context(self, cfg):
         psf = EffectivePsf(PsfModel(cfg.r_c), cfg.w)
-        bound = bind_detectors(psf, clutter.white_covariance(cfg.sigma, cfg.w),
+        bound = bind_detectors(psf, clutter.white_covariance(cfg.sigma),
                                cfg.grid_size, cfg.subspace_order)
         alpha = {snr: snr_to_alpha(snr, cfg.sigma, average_energy_cached(cfg.r_c))
                  for snr in (cfg.snr_db, *cfg.snr_sweep) if snr is not None}
@@ -542,16 +543,8 @@ class TestCsvWriters:
         rng = np.random.default_rng(0)
         s0 = np.round(rng.standard_normal(300), 1)           # ties
         s1 = np.round(rng.standard_normal(200) + 1.0, 1)
-        # rates that are not bitwise k/n on a curve counted on n scores:
-        # a hand-built curve, -0.0, non-finite values, a k/n of another n
-        odd = np.array([0.0, -0.0, 1 / 3, 0.1 + 0.2, 2 / 7, np.nan, np.inf, -np.inf,
-                        1.5, -0.25, 1.0, 0.5, 1e-300])
-        hand = RocCurve(detector="a%s,b%%", thresholds=np.linspace(3.0, -3.0, len(odd)),
-                        pfa=odd, pd=odd[::-1].copy(), n_h0=10, n_h1=7)
         curves = [empirical_roc_from_scores(s0, s1, "ELRT"),
                   empirical_roc_from_scores(s0 * 1e-300, s1 * 1e300, 'say "x"'),
-                  theoretical_pmf_roc(15.0, (0.5, 0.5), psf244),
-                  hand,
                   empirical_roc_from_scores(s0[:7], s1[:10], '100% "a", b'),
                   empirical_roc_from_scores(rng.standard_normal(3000),
                                             rng.standard_normal(3000), "GLRT")]
@@ -559,11 +552,29 @@ class TestCsvWriters:
         assert curves[0].thresholds[0] == np.inf
         assert len(np.unique(curves[0].pfa)) < len(curves[0].pfa)
         assert len(np.unique(curves[0].pd)) < len(curves[0].pd)
-        assert {(c.n_h0, c.n_h1) for c in curves} == {(300, 200), (0, 0), (10, 7), (7, 10),
-                                                      (3000, 3000)}
+        assert {(c.n_h0, c.n_h1) for c in curves} == {(300, 200), (7, 10), (3000, 3000)}
         write_roc_csv(curves, tmp_path / "fast.csv")
         row_writer(curves, tmp_path / "rows.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_roc_csv_refuses_uncounted_curves(self, tmp_path, psf244):
+        # a rate that is not bitwise k/n on the curve's n = 10 scores: -0.0,
+        # a non-finite value, a k/n of another n, a value outside [0, 1];
+        # and a closed-form curve (n = 0).  Every curve is checked before
+        # the file is opened, so a refused curve after a good one leaves none.
+        counted = empirical_roc_from_scores([1.0, 2.0], [1.5], detector="GLRT")
+        tau, ok = np.array([np.inf, 0.0, -1.0]), np.array([0.0, 0.5, 1.0])
+        refused = [theoretical_pmf_roc(15.0, (0.5, 0.5), psf244)]
+        for odd in (-0.0, np.nan, np.inf, -np.inf, 1 / 3, 0.1 + 0.2, 2 / 7, 1e-300,
+                    1.5, -0.25):
+            rates = np.array([0.0, odd, 1.0])
+            refused += [RocCurve(f"pfa {odd!r}", tau, rates, ok, n_h0=10, n_h1=10),
+                        RocCurve(f"pd {odd!r}", tau, ok, rates, n_h0=10, n_h1=10)]
+        path = tmp_path / "roc.csv"
+        for curve in refused:
+            with pytest.raises(ValueError, match=re.escape(repr(curve.detector))):
+                write_roc_csv([counted, curve], path)
+            assert not path.exists()
 
     def test_mse_csv(self, tmp_path):
         cfg = ExperimentConfig(snr_sweep=(20.0,), n_trials=100, seed=0,

@@ -6,14 +6,14 @@ import numpy as np
 import mpmath
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j1
+from scipy.special import j0, j1
 
 from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, effective_psf, psf_value,
     render_signature_batch, average_energy, build_signature_bank,
 )
 
-from helpers import effective_psf_coeffs_rowblocks, render_map_coordinates, signature
+from helpers import effective_psf_coeffs_rowblocks, quadrant, render_map_coordinates, signature
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,14 @@ class TestPsfValue:
                 PsfModel(r_c)
 
 
+def airy_encircled_energy(r_c, radius):
+    """Share of the unit-mass Airy PSF within radius of its centre:
+    1 - J0^2(x) - J1^2(x) at x = pi radius r_c (Rayleigh; Born & Wolf,
+    section 8.5)."""
+    x = np.pi * radius * r_c
+    return 1.0 - j0(x) ** 2 - j1(x) ** 2
+
+
 def midpoint_pixel_integral(model, i, j, eps, n=2048):
     """Brute-force midpoint rule on an n x n subgrid of the unit square."""
     u = i - 0.5 + (np.arange(n) + 0.5) / n
@@ -152,9 +160,17 @@ class TestRenderSignature:
             ref = midpoint_pixel_integral(model244, i, j, eps)
             assert sig[i + 2, j + 2] == pytest.approx(ref, rel=1e-6)
 
-    def test_window_sum_bounds(self, model244):
-        sig = signature(model244, (0.0, 0.0), w=25)
-        assert 0.99 <= sig.sum() <= 1.0
+    def test_window_sum_bounds(self):
+        # h >= 0, so a window's sum lies between the encircled energies of
+        # the largest disc about eps inside the window and of the smallest
+        # disc about eps that contains it
+        for r_c, w in [(2.44, 8), (0.5, 25)]:
+            for eps in [(0.0, 0.0), (0.5, 0.5), (0.3, -0.2)]:
+                total = signature(PsfModel(r_c), eps, w).sum()
+                a1, a2 = abs(eps[0]), abs(eps[1])
+                inner = airy_encircled_energy(r_c, w + 0.5 - max(a1, a2))
+                outer = airy_encircled_energy(r_c, math.hypot(w + 0.5 + a1, w + 0.5 + a2))
+                assert inner <= total <= outer, (r_c, w, eps)
 
     def test_sum_monotone_in_window(self, model244):
         sums = [signature(model244, (0.2, 0.1), w=w).sum()
@@ -216,7 +232,7 @@ class TestEffectivePsf:
     @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5), (2.44, 5), (0.3, 1)])
     def test_symmetric_build_matches_row_blocks(self, r_c, w):
         psf = EffectivePsf(PsfModel(r_c), w)
-        assert np.array_equal(psf.coeffs, effective_psf_coeffs_rowblocks(psf))
+        assert np.array_equal(quadrant(psf), effective_psf_coeffs_rowblocks(psf))
 
     @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5), (0.3, 1), (0.01, 2)])
     def test_matches_map_coordinates(self, r_c, w):
@@ -278,7 +294,7 @@ class TestEffectivePsfCache:
 
     def test_cached_table_is_read_only(self):
         psf = effective_psf(2.44, 2)
-        for table in (psf._plane, psf.coeffs, psf._gather):
+        for table in (psf._plane, quadrant(psf), psf._gather):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
 
@@ -323,17 +339,11 @@ class TestSignatureBank:
         assert {tuple(o) for o in bank.offsets} == expect
 
     def test_center_value_bracketed_by_encircled_energy(self, bank244):
-        # encircled energy in radius R is 1 - J0(x)^2 - J1(x)^2 with
-        # x = pi*R*r_c; the unit square sits between its inscribed
-        # (R=1/2) and circumscribed (R=sqrt(2)/2) disks
-        from scipy.special import j0
+        # the unit square sits between its inscribed (R=1/2) and
+        # circumscribed (R=sqrt(2)/2) disks
         central = bank244.vectors[bank244.center_index, 12]
-
-        def encircled(radius):
-            x = np.pi * radius * 2.44
-            return 1 - j0(x)**2 - j1(x)**2
-
-        assert encircled(0.5) < central < encircled(np.sqrt(2) / 2)
+        assert (airy_encircled_energy(2.44, 0.5) < central
+                < airy_encircled_energy(2.44, np.sqrt(2) / 2))
 
     def test_central_pixel_aliasing_span(self, bank244):
         # the centered spot holds the full encircled main-lobe energy

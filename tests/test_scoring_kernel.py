@@ -77,7 +77,7 @@ def fbm_spots(psf, seed, n=2000):
 @pytest.fixture(scope="module")
 def sampled_w5():
     psf = EffectivePsf(PsfModel(0.5), 5)
-    cov = clutter.white_covariance(1.0, 5)
+    cov = clutter.white_covariance(1.0)
     bank = build_signature_bank(psf, 20)
     return bank.bind(cov), build_alrt_bank(psf).bind(cov), build_subspace(bank)
 
@@ -122,7 +122,7 @@ class TestProperties:
             acf = fractal_acf(2)
             cov, cov_c = (clutter.assemble_window_covariance(a, 2) for a in (acf, c * c * acf))
         else:
-            cov, cov_c = clutter.white_covariance(1.0, 2), clutter.white_covariance(c, 2)
+            cov, cov_c = clutter.white_covariance(1.0), clutter.white_covariance(c)
         bound, bound9 = bank244.bind(cov), bank9_244.bind(cov)
         windows = spots(bound, seed, amplitude)
         scores = batch_scores(windows, bound, bound9, subspace244)
