@@ -141,7 +141,7 @@ def _write_manifest(out_dir, config, started, outputs):
         "version": __version__,
         "config": asdict(config),
         "seed": config.seed,
-        "duration_seconds": round(time.time() - started, 3),
+        "duration_seconds": round(time.perf_counter() - started, 3),
         "outputs": [str(p) for p in outputs],
         "libraries": _libraries(),
     }
@@ -293,7 +293,7 @@ def cmd_estimate(args, cfg):
 
 def cmd_experiment(args, cfg):
     """roc or mse, after the subcommand: run it, write <kind>.csv and meta.json."""
-    started = time.time()
+    started = time.perf_counter()      # monotonic: a clock step moves no duration
     kind = args.command
     # looked up per call, so that wrappers installed on harness take effect
     result = getattr(harness, f"run_{kind}")(cfg)

@@ -261,6 +261,36 @@ def _check_reads(config, kind):
             raise ConfigError(f"{what} does not read {', '.join(given)}")
 
 
+# Fractal backgrounds _fractal_background keeps: the last one built, since
+# each holds a whole image (8 MiB at 1024^2)
+_BACKGROUNDS = 1
+
+
+@lru_cache(maxsize=_BACKGROUNDS)
+def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
+    """(cov, sigma_eff, image) of a fractal run, built once per process
+    while it is the last background built.
+
+    The covariance is trained on image (seed, 0, 0), and sigma_eff is
+    that image's own standard deviation.  image is the mean-removed test
+    image: (seed, 1, 0), or the training image itself when
+    train_equals_test.  It and the Cholesky factor are read-only, so
+    every run on this background may share them.
+    """
+    image = clutter.synthesize_fbm(hurst, image_size, seed=[int(seed), _STREAM_TRAIN, 0])
+    acf = clutter.estimate_autocovariance(image, 2 * w)
+    cov = clutter.assemble_window_covariance(acf, w, lam=ridge)
+    sigma_eff = math.sqrt(acf[2 * w, 2 * w])
+    if not train_equals_test:
+        del image                            # one image in memory at a time
+        image = clutter.synthesize_fbm(hurst, image_size, seed=[int(seed), _STREAM_TEST, 0])
+    values = image.values
+    values -= values.mean()
+    for array in (values, cov._factor[0]):
+        array.flags.writeable = False
+    return cov, sigma_eff, values
+
+
 class _Run:
     """One run's set-up and its chunk driver.
 
@@ -268,9 +298,10 @@ class _Run:
     run is read from, the bound precomputation of the given detectors
     (bind_detectors), sigma_eff (the noise sigma an SNR refers
     to: the clutter's own for fractal noise) and, for fractal noise, the
-    mean-removed image windows are gathered from.  The covariance is
-    trained on image (seed, 0, 0); windows come from image (seed, 1, 0),
-    or from the training image itself when train_equals_test.
+    mean-removed image windows are gathered from.  The fractal
+    covariance, sigma_eff and image come from _fractal_background, so
+    runs on the same background (any amplitude, trial counts, detectors,
+    grid or jobs) share one build of them.
     """
 
     def __init__(self, config, detectors=()):
@@ -280,17 +311,9 @@ class _Run:
             cov = clutter.white_covariance(config.sigma)
             self.sigma_eff = config.sigma
         else:
-            image = clutter.synthesize_fbm(config.hurst, config.image_size,
-                                           seed=[int(config.seed), _STREAM_TRAIN, 0])
-            acf = clutter.estimate_autocovariance(image, 2 * config.w)
-            cov = clutter.assemble_window_covariance(acf, config.w, lam=config.ridge)
-            self.sigma_eff = math.sqrt(acf[2 * config.w, 2 * config.w])
-            if not config.train_equals_test:
-                del image                    # one image in memory at a time
-                image = clutter.synthesize_fbm(config.hurst, config.image_size,
-                                               seed=[int(config.seed), _STREAM_TEST, 0])
-            self.image = image.values
-            self.image -= self.image.mean()
+            cov, self.sigma_eff, self.image = _fractal_background(
+                config.hurst, config.image_size, config.seed, config.w, config.ridge,
+                config.train_equals_test)
         self.bound, self.bound9, self.subspace = bind_detectors(
             self.psf, cov, config.grid_size, config.subspace_order, detectors)
 

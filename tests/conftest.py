@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subpixdet import clutter, harness
 from subpixdet.clutter import white_covariance
 from subpixdet.detectors import build_subspace
 from subpixdet.optics import PsfModel, build_alrt_bank, build_signature_bank, effective_psf
@@ -49,3 +50,26 @@ def subspace244(bank244):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def cold_background():
+    """An empty fractal-background cache before the test and after it, so
+    the test builds its own and no entry made under a patch outlives it."""
+    harness._fractal_background.cache_clear()
+    yield
+    harness._fractal_background.cache_clear()
+
+
+@pytest.fixture
+def synthesized(monkeypatch):
+    """The seed of every clutter.synthesize_fbm call the test makes."""
+    seeds = []
+    synthesize = clutter.synthesize_fbm
+
+    def counting(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(clutter, "synthesize_fbm", counting)
+    return seeds

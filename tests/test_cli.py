@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields
 
@@ -384,6 +385,37 @@ class TestRocCommand:
         assert code == 0
         assert ((tmp_path / "a" / "roc.csv").read_bytes()
                 == (tmp_path / "b" / "roc.csv").read_bytes())
+
+    def test_fractal_replay_in_a_fresh_process(self, capsys, tmp_path, cold_background):
+        # a cold and a warm background in this process, and a replay of
+        # the manifest in a process of its own, write the same bytes
+        argv = ("roc", "--noise", "fractal", "--image-size", "128", "--alpha", "0.3",
+                "--n-h0", "2000", "--n-h1", "2000", "--detectors", "GPMF,GLRT", "--seed", "4")
+        for name in ("cold", "warm"):
+            assert run_cli(capsys, *argv, "--out", str(tmp_path / name))[0] == 0
+        subprocess.run([sys.executable, "-m", "subpixdet.cli", "roc", "--config",
+                        str(tmp_path / "cold" / "meta.json"), "--out", str(tmp_path / "replay")],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        cold = (tmp_path / "cold" / "roc.csv").read_bytes()
+        assert cold.count(b"\n") > 2000
+        for name in ("warm", "replay"):
+            assert (tmp_path / name / "roc.csv").read_bytes() == cold
+
+    def test_duration_ignores_a_wall_clock_step(self, capsys, tmp_path, monkeypatch):
+        # the wall clock steps back an hour after its first read, as an
+        # NTP adjustment during a run would
+        wall = time.time
+        reads = []
+
+        def stepping():
+            reads.append(None)
+            return wall() - (3600.0 if len(reads) > 1 else 0.0)
+
+        monkeypatch.setattr(time, "time", stepping)
+        assert run_cli(capsys, *self.ARGS, "--out", str(tmp_path))[0] == 0
+        manifest = json.loads((tmp_path / "meta.json").read_text())
+        assert 0 <= manifest["duration_seconds"] < 3600
 
     def test_flag_overrides_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -830,8 +862,10 @@ class TestConfigHelpers:
     def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
                                                   argv, config, message):
         built = []
+        # _fractal_background too: a warm entry would skip synthesize_fbm
         for owner, name in ((harness, "effective_psf"), (harness, "build_signature_bank"),
-                            (clutter, "white_covariance"), (clutter, "synthesize_fbm")):
+                            (harness, "_fractal_background"), (clutter, "white_covariance"),
+                            (clutter, "synthesize_fbm")):
             monkeypatch.setattr(owner, name, lambda *a, name=name, **k: built.append(name))
         if config is not None:
             path = tmp_path / "c.json"

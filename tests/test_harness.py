@@ -261,35 +261,106 @@ class TestRunRoc:
             np.testing.assert_array_equal(ca.pfa, cb.pfa)
             np.testing.assert_array_equal(ca.pd, cb.pd)
 
-    def test_train_equals_test_synthesizes_image_once(self, monkeypatch):
+    def test_train_equals_test_synthesizes_image_once(self, monkeypatch, cold_background,
+                                                      synthesized):
         cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=128,
                                alpha=0.3, n_h0=500, n_h1=500, seed=2,
                                detectors=("GLRT",), train_equals_test=True)
-        seeds = []
+        run_roc(cfg)
+        assert synthesized == [[2, 0, 0]]
+        synthesized.clear()
+        reused = harness._Run(cfg)
+        assert synthesized == []
+        # the reused training image draws the same windows as a fresh
+        # synthesis of it, served as the test image; the cold build under
+        # this patch is cleared after the test (cold_background)
         synthesize = clutter.synthesize_fbm
 
-        def counting(*args, **kwargs):
-            seeds.append(kwargs["seed"])
-            return synthesize(*args, **kwargs)
-
-        monkeypatch.setattr(clutter, "synthesize_fbm", counting)
-        run_roc(cfg)
-        assert seeds == [[2, 0, 0]]
-        seeds.clear()
-        reused = harness._Run(cfg)
-        assert seeds == [[2, 0, 0]]
-        # the reused training image draws the same windows as a fresh
-        # synthesis of it, served as the test image
         def train_image(*args, **kwargs):
             return synthesize(*args, **{**kwargs, "seed": [2, 0, 0]})
 
         monkeypatch.setattr(clutter, "synthesize_fbm", train_image)
+        harness._fractal_background.cache_clear()
         fresh = harness._Run(replace(cfg, train_equals_test=False))
 
         def windows(run):
             return run.trials(lambda z, eps: {"z": z}, 300, 2)["z"]
 
         np.testing.assert_array_equal(windows(reused), windows(fresh))
+
+
+def assert_curves_equal(a, b):
+    assert [c.detector for c in a] == [c.detector for c in b]
+    for ca, cb in zip(a, b):
+        np.testing.assert_array_equal(ca.thresholds, cb.thresholds)
+        np.testing.assert_array_equal(ca.pfa, cb.pfa)
+        np.testing.assert_array_equal(ca.pd, cb.pd)
+
+
+class TestFractalBackground:
+    """harness._fractal_background: one build per background per process."""
+
+    BASE = dict(noise="fractal", hurst=0.7, image_size=128, seed=2, w=2, ridge=1e-6,
+                train_equals_test=False)
+    ROC = dict(BASE, alpha=0.3, n_h0=1500, n_h1=1500, detectors=("GPMF", "GLRT"))
+
+    def cold_roc(self, cfg):
+        harness._fractal_background.cache_clear()
+        return run_roc(cfg)
+
+    def test_amplitudes_share_one_background(self, cold_background, synthesized):
+        cfgs = [ExperimentConfig(**{**self.ROC, "alpha": alpha}) for alpha in (0.12, 0.3)]
+        warm = [run_roc(cfg) for cfg in cfgs]
+        assert synthesized == [[2, 0, 0], [2, 1, 0]]
+        for cfg, curves in zip(cfgs, warm):
+            assert_curves_equal(curves, self.cold_roc(cfg))
+        assert not np.array_equal(warm[0][0].pd, warm[1][0].pd)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hurst", 0.6), ("image_size", 64), ("seed", 3), ("w", 1), ("ridge", 1e-5),
+        ("train_equals_test", True)])
+    def test_each_key_field_builds_again(self, cold_background, synthesized, field, value):
+        harness._Run(ExperimentConfig(**self.ROC))
+        harness._Run(ExperimentConfig(**self.ROC))
+        assert len(synthesized) == 2
+        synthesized.clear()
+        cfg = ExperimentConfig(**{**self.ROC, field: value})
+        harness._Run(cfg)
+        seed = cfg.seed
+        assert synthesized == ([[seed, 0, 0]] if cfg.train_equals_test
+                               else [[seed, 0, 0], [seed, 1, 0]])
+
+    def test_cached_arrays_are_read_only(self, cold_background):
+        run = harness._Run(ExperimentConfig(**self.ROC))
+        cov, sigma_eff, image = harness._fractal_background(0.7, 128, 2, 2, 1e-6, False)
+        assert image is run.image and sigma_eff == run.sigma_eff
+        assert run.bound.cov is cov
+        before = image.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            image[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            image -= 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cov._factor[0][0, 0] = 1.0
+        np.testing.assert_array_equal(image, before)
+
+    def test_jobs_on_warm_cache_match_one_job_cold(self, cold_background, synthesized):
+        # H0 spans two chunks, so two threads gather from the shared image
+        cfg = ExperimentConfig(**{**self.ROC, "n_h0": harness._CHUNK + 1, "n_h1": 500})
+        cold = run_roc(cfg)
+        synthesized.clear()
+        assert_curves_equal(run_roc(replace(cfg, jobs=3)), cold)
+        assert synthesized == []
+
+    def test_mse_reuses_the_roc_background(self, cold_background, synthesized):
+        mse_cfg = ExperimentConfig(**self.BASE, snr_sweep=(10.0, 20.0), n_trials=800,
+                                   estimators=("PM", "DEFAULT"))
+        run_roc(ExperimentConfig(**self.ROC))
+        synthesized.clear()
+        warm = run_mse(mse_cfg)
+        assert synthesized == []
+        harness._fractal_background.cache_clear()
+        assert warm == run_mse(mse_cfg)
 
 
 class TestSigmaInvariance:
@@ -435,9 +506,11 @@ class TestWorkingSet:
         assert peak < 16e6
 
     @pytest.mark.parametrize("train_equals_test", [False, True])
-    def test_fractal_run_roc_peak_is_a_few_images(self, train_equals_test):
+    def test_fractal_run_roc_peak_is_a_few_images(self, train_equals_test, cold_background):
         # the set-up holds one image and one half-plane spectrum at a
-        # time: no padded copy, no whole-plane inverse, no second image
+        # time: no padded copy, no whole-plane inverse, no second image.
+        # The cache starts empty, so the run builds its background:
+        # acceptance 7 leaves this key's train_equals_test entry behind.
         cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=1024, alpha=0.12,
                                n_h0=600, n_h1=600, seed=1,
                                train_equals_test=train_equals_test)
