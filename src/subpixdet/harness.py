@@ -261,12 +261,11 @@ def _check_reads(config, kind):
             raise ConfigError(f"{what} does not read {', '.join(given)}")
 
 
-# Fractal backgrounds _fractal_background keeps: the last one built, since
-# each holds a whole image (8 MiB at 1024^2)
-_BACKGROUNDS = 1
+# The fractal background last built, {key: (cov, sigma_eff, image)}: one
+# entry, since each holds a whole image (8 MiB at 1024^2)
+_background = {}
 
 
-@lru_cache(maxsize=_BACKGROUNDS)
 def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
     """(cov, sigma_eff, image) of a fractal run, built once per process
     while it is the last background built.
@@ -275,8 +274,13 @@ def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
     that image's own standard deviation.  image is the mean-removed test
     image: (seed, 1, 0), or the training image itself when
     train_equals_test.  It and the Cholesky factor are read-only, so
-    every run on this background may share them.
+    every run on this background may share them.  A new key drops the
+    old background before it synthesizes, so no two images are held.
     """
+    key = (hurst, image_size, seed, w, ridge, train_equals_test)
+    if key in _background:
+        return _background[key]
+    _background.clear()
     image = clutter.synthesize_fbm(hurst, image_size, seed=[int(seed), _STREAM_TRAIN, 0])
     acf = clutter.estimate_autocovariance(image, 2 * w)
     cov = clutter.assemble_window_covariance(acf, w, lam=ridge)
@@ -288,7 +292,8 @@ def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
     values -= values.mean()
     for array in (values, cov._factor[0]):
         array.flags.writeable = False
-    return cov, sigma_eff, values
+    _background[key] = cov, sigma_eff, values
+    return _background[key]
 
 
 class _Run:

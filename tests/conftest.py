@@ -56,9 +56,9 @@ def rng():
 def cold_background():
     """An empty fractal-background cache before the test and after it, so
     the test builds its own and no entry made under a patch outlives it."""
-    harness._fractal_background.cache_clear()
+    harness._background.clear()
     yield
-    harness._fractal_background.cache_clear()
+    harness._background.clear()
 
 
 @pytest.fixture

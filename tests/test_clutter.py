@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subpixdet import clutter
+from subpixdet import clutter, harness
 from subpixdet.clutter import (
     NoiseField, IndefiniteCovarianceError, synthesize_fbm,
     estimate_autocovariance, assemble_window_covariance,
@@ -222,12 +222,15 @@ def roc_steps(curve, rtol=1e-9):
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_fractal_roc_matches_complex_fft_clutter(monkeypatch, seed):
+def test_fractal_roc_matches_complex_fft_clutter(monkeypatch, cold_background, seed):
     """A fractal ROC run on the whole-plane fBm and the 2x-padded ACF
     takes the same Pfa/Pd steps; only the thresholds move, by rounding."""
     cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=128, alpha=0.3,
                            n_h0=2000, n_h1=2000, seed=seed)
     new = run_roc(cfg)
+    # the reference run builds its own background from the patched
+    # functions, rather than reading the one just cached
+    harness._background.clear()
     monkeypatch.setattr(clutter, "synthesize_fbm", fbm_complex)
     monkeypatch.setattr(clutter, "estimate_autocovariance", acf_padded_2x)
     old = run_roc(cfg)

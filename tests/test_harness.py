@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -280,7 +281,7 @@ class TestRunRoc:
             return synthesize(*args, **{**kwargs, "seed": [2, 0, 0]})
 
         monkeypatch.setattr(clutter, "synthesize_fbm", train_image)
-        harness._fractal_background.cache_clear()
+        harness._background.clear()
         fresh = harness._Run(replace(cfg, train_equals_test=False))
 
         def windows(run):
@@ -305,7 +306,7 @@ class TestFractalBackground:
     ROC = dict(BASE, alpha=0.3, n_h0=1500, n_h1=1500, detectors=("GPMF", "GLRT"))
 
     def cold_roc(self, cfg):
-        harness._fractal_background.cache_clear()
+        harness._background.clear()
         return run_roc(cfg)
 
     def test_amplitudes_share_one_background(self, cold_background, synthesized):
@@ -344,6 +345,22 @@ class TestFractalBackground:
             cov._factor[0][0, 0] = 1.0
         np.testing.assert_array_equal(image, before)
 
+    def test_a_new_key_frees_the_old_image_first(self, cold_background, monkeypatch):
+        # runs on one background after another hold one image at a time,
+        # as cold runs do: the old one is gone before the next is made
+        harness._Run(ExperimentConfig(**self.ROC))
+        old = weakref.ref(harness._fractal_background(0.7, 128, 2, 2, 1e-6, False)[2])
+        alive = []
+        synthesize = clutter.synthesize_fbm
+
+        def checking(*args, **kwargs):
+            alive.append(old() is not None)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(clutter, "synthesize_fbm", checking)
+        harness._Run(ExperimentConfig(**{**self.ROC, "seed": 3}))
+        assert alive == [False, False]
+
     def test_jobs_on_warm_cache_match_one_job_cold(self, cold_background, synthesized):
         # H0 spans two chunks, so two threads gather from the shared image
         cfg = ExperimentConfig(**{**self.ROC, "n_h0": harness._CHUNK + 1, "n_h1": 500})
@@ -359,7 +376,7 @@ class TestFractalBackground:
         synthesized.clear()
         warm = run_mse(mse_cfg)
         assert synthesized == []
-        harness._fractal_background.cache_clear()
+        harness._background.clear()
         assert warm == run_mse(mse_cfg)
 
 
