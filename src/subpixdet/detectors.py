@@ -18,6 +18,13 @@ shifted by its row max in place, as in the ELRT.  The default estimator
 always answers the pixel center, whose per-axis MSE against a uniform
 true offset is 1/12.
 
+The ratios t^2/d of a call live in one (N, K) buffer.  Each pass of the
+log-sum-exp runs over the whole contiguous buffer, the columns past the
+rule first set to the rule's row max so that they reach exp as 0.  The
+exponents are floored at _EXP_FLOOR, where exp is still normal and
+fast; a floored weight lies below ulp of its row sum, so only PM's
+weighted node sum can move, by a broken rounding tie of at most 2 ulp.
+
 One window is scored or estimated as a batch of one, so a single-window
 score is the statistic the Monte Carlo measured.
 
@@ -38,6 +45,10 @@ __all__ = [
 
 DETECTOR_IDS = ("GPMF", "GLRT", "ELRT", "ALRT", "SM-GLRT")
 ESTIMATOR_IDS = ("ML", "PM", "DEFAULT")
+
+# The log-sum-exp's exponent floor: exp(-700) = 9.9e-305 is still a
+# normal number, and numpy's exp slows down many times below about -708.
+_EXP_FLOOR = -700.0
 
 
 def build_subspace(bank, order=1):
@@ -70,34 +81,52 @@ def _ratios(windows, bound):
     return r
 
 
-def _shifted_exp(ratios, gram, log_weights):
-    """Turn ratios (N, M) into weights in place and return their log scale.
+def _weights(ratios, bound, log_weights, rule_max):
+    """Turn ratios (N, K) into the rule's weights in place; return the
+    rule's (N, M) view of them and their log scale.
 
-    With c_k = log(weight_k) - log(d_k)/2 and m0 the row max of ratio/2,
-    afterwards ratios holds exp(ratio/2 - m0 + c - max(c)), so
+    rule_max is the row max of the rule's ratios.  With
+    c_k = log(weight_k) - log(d_k)/2 and m0 = rule_max/2, afterwards the
+    rule's columns hold exp(ratio/2 - m0 + c - max(c)), so
     log sum_k weight_k exp(ratio_k/2) / sqrt(d_k) is m0 + max(c) +
     log(row sum): the shifted log-sum-exp, accurate without overflow
     (Blanchard, Higham & Higham 2021).  m0 goes off before c goes on, so
     at large t^2/d no exponent is rounded at the scale of ulp(ratio/2).
     An infinite m0 is replaced by 0, as scipy.special.logsumexp does.
+
+    Every pass runs over the whole contiguous buffer: the columns past
+    the rule are first set to rule_max, so they reach exp as 0.  Exponents
+    are floored at _EXP_FLOOR, where exp still returns a normal number;
+    below it numpy's exp leaves its fast path, and a floored weight is
+    below ulp of the row sum, which holds a weight of at least
+    exp(min(c) - max(c)).
     """
+    n = len(bound.bank.log_weights)
+    ratios[:, n:] = rule_max[:, None]
     ratios *= 0.5
-    m = ratios.max(axis=1)
+    m = rule_max * 0.5
     m[~np.isfinite(m)] = 0.0
     ratios -= m[:, None]
-    c = log_weights - 0.5 * np.log(gram)
+    c = log_weights - 0.5 * np.log(bound.gram[:n])
     c_max = c.max()
-    ratios += c - c_max
+    shift = np.zeros(ratios.shape[1])
+    shift[:n] = c - c_max
+    ratios += shift
+    np.maximum(ratios, _EXP_FLOOR, out=ratios)
     np.exp(ratios, out=ratios)
-    return m + c_max
+    return ratios[:, :n], m + c_max
 
 
-def _log_integral(ratios, bound):
+def _rule_max(ratios, bound):
+    """Row max of the ratios over the rule of bound's bank."""
+    return ratios[:, :len(bound.bank.log_weights)].max(axis=1)
+
+
+def _log_integral(ratios, bound, rule_max):
     """log sum_k weight_k exp(ratio_k/2) / sqrt(d_k) per row, over the
-    rule of bound's bank; overwrites the rule's columns of ratios."""
-    rule = ratios[:, :len(bound.bank.log_weights)]
-    m = _shifted_exp(rule, bound.gram[:rule.shape[1]], bound.bank.log_weights)
-    return m + np.log(rule.sum(axis=1))
+    rule of bound's bank; overwrites ratios."""
+    weights, scale = _weights(ratios, bound, bound.bank.log_weights, rule_max)
+    return scale + np.log(weights.sum(axis=1))
 
 
 def batch_scores(windows, bound, bound9=None, subspace=None,
@@ -113,7 +142,8 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
     build_subspace basis passed as subspace.
 
     The full-bank detectors share one (N, K) buffer, which ELRT then
-    overwrites on its rule's leading columns (see SignatureBank).
+    overwrites (see SignatureBank).  GLRT is the larger of the rule's row
+    max and the columns past the rule, the bits of the buffer's row max.
     """
     windows = np.asarray(windows, dtype=float)
     out = {}
@@ -121,14 +151,18 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
         ratios = _ratios(windows, bound)
         if "GPMF" in detectors:
             out["GPMF"] = ratios[:, bound.bank.center_index].copy()
+        if "GLRT" in detectors or "ELRT" in detectors:
+            rule_max = _rule_max(ratios, bound)
         if "GLRT" in detectors:
-            out["GLRT"] = ratios.max(axis=1)
+            past = ratios[:, len(bound.bank.log_weights):].max(axis=1, initial=-np.inf)
+            out["GLRT"] = np.maximum(rule_max, past)
         if "ELRT" in detectors:
-            out["ELRT"] = _log_integral(ratios, bound)
+            out["ELRT"] = _log_integral(ratios, bound, rule_max)
     if "ALRT" in detectors:
         if bound9 is None or len(bound9.bank.log_weights) != 9:
             raise ValueError("ALRT selected but no 9-node bank supplied")
-        out["ALRT"] = _log_integral(_ratios(windows, bound9), bound9)
+        ratios9 = _ratios(windows, bound9)
+        out["ALRT"] = _log_integral(ratios9, bound9, _rule_max(ratios9, bound9))
     if "SM-GLRT" in detectors:
         if subspace is None:
             raise ValueError("SM-GLRT selected but no subspace supplied")
@@ -157,12 +191,18 @@ def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
     out = {}
     if "ML" in estimators or "PM" in estimators:
         ratios = _ratios(windows, bound)
+        best = np.argmax(ratios, axis=1)
     if "ML" in estimators:
-        out["ML"] = bound.bank.offsets[np.argmax(ratios, axis=1)]
+        out["ML"] = bound.bank.offsets[best]
     if "PM" in estimators:
+        # the argmax's value is the rule's row max unless the argmax lies
+        # past the rule
         n = len(bound.bank.log_weights)
-        weights = ratios[:, :n]
-        _shifted_exp(weights, bound.gram[:n], 0.0)
+        rule_max = np.take_along_axis(ratios, best[:, None], axis=1)[:, 0]
+        past = best >= n
+        if past.any():
+            rule_max[past] = ratios[past, :n].max(axis=1)
+        weights, _ = _weights(ratios, bound, 0.0, rule_max)
         out["PM"] = (weights @ bound.bank.offsets[:n]) / weights.sum(axis=1)[:, None]
     if "DEFAULT" in estimators:
         out["DEFAULT"] = np.zeros((len(windows), 2))

@@ -161,3 +161,61 @@ def window_covariance(acf, w, lam):
     dj = pj[:, None] - pj[None, :]
     matrix = acf[di + max_lag, dj + max_lag]
     return matrix + lam * acf[max_lag, max_lag] * np.eye(len(matrix))
+
+
+# The scoring and estimation kernel as it ran before its passes covered
+# the whole (N, K) buffer: each log-sum-exp pass on the rule's strided
+# view, with no exponent floor.  detectors keeps these bits whenever its
+# _EXP_FLOOR is -inf.
+
+def rule_view_ratios(windows, bound):
+    """Per-node amplitude-ML ratios t^2 / gram, t = windows @ (R^{-1}S)^T,
+    of a float (N, n) array, in one fresh (N, K) buffer."""
+    r = windows @ bound.whitened.T
+    r *= r
+    r /= bound.gram
+    return r
+
+
+def rule_view_shifted_exp(ratios, gram, log_weights):
+    """Turn ratios (N, M) into weights in place and return their log scale.
+
+    With c_k = log(weight_k) - log(d_k)/2 and m0 the row max of ratio/2,
+    afterwards ratios holds exp(ratio/2 - m0 + c - max(c)), so
+    log sum_k weight_k exp(ratio_k/2) / sqrt(d_k) is m0 + max(c) +
+    log(row sum).  An infinite m0 is replaced by 0.
+    """
+    ratios *= 0.5
+    m = ratios.max(axis=1)
+    m[~np.isfinite(m)] = 0.0
+    ratios -= m[:, None]
+    c = log_weights - 0.5 * np.log(gram)
+    c_max = c.max()
+    ratios += c - c_max
+    np.exp(ratios, out=ratios)
+    return m + c_max
+
+
+def rule_view_log_integral(ratios, bound):
+    """log sum_k weight_k exp(ratio_k/2) / sqrt(d_k) per row, over the
+    rule of bound's bank; overwrites the rule's columns of ratios."""
+    rule = ratios[:, :len(bound.bank.log_weights)]
+    m = rule_view_shifted_exp(rule, bound.gram[:rule.shape[1]], bound.bank.log_weights)
+    return m + np.log(rule.sum(axis=1))
+
+
+def rule_view_kernel(windows, bound, bound9):
+    """GPMF, GLRT, ELRT and ML on bound, ALRT on bound9 and PM on bound,
+    by the rule-view kernel."""
+    windows = np.asarray(windows, dtype=float)
+    ratios = rule_view_ratios(windows, bound)
+    out = {"GPMF": ratios[:, bound.bank.center_index].copy(),
+           "GLRT": ratios.max(axis=1),
+           "ML": bound.bank.offsets[np.argmax(ratios, axis=1)]}
+    out["ELRT"] = rule_view_log_integral(ratios, bound)
+    out["ALRT"] = rule_view_log_integral(rule_view_ratios(windows, bound9), bound9)
+    n = len(bound.bank.log_weights)
+    weights = rule_view_ratios(windows, bound)[:, :n]
+    rule_view_shifted_exp(weights, bound.gram[:n], 0.0)
+    out["PM"] = (weights @ bound.bank.offsets[:n]) / weights.sum(axis=1)[:, None]
+    return out

@@ -1,11 +1,18 @@
 """Properties of the in-place scoring and estimation kernel.
 
 batch_scores and batch_estimates compute the ELRT/ALRT/PM log-sum-exp in
-one (N, K) buffer.  The oracle here is the textbook formula on the
-ratios t^2/d (helpers.batch_statistics), summed by scipy.special.logsumexp in long
-double precision, so what it measures is the kernel's own rounding.
+one (N, K) buffer, each pass over the whole contiguous buffer, with the
+exponents floored at detectors._EXP_FLOOR.  Two oracles check it:
+
+- the textbook formula on the ratios t^2/d (helpers.batch_statistics),
+  summed by scipy.special.logsumexp in long double precision, so what it
+  measures is the kernel's own rounding (TestOracle);
+- the kernel as it ran on the rule's strided view with no floor
+  (helpers.rule_view_kernel), whose bits every statistic keeps with the
+  floor off and all but PM keep with it on (TestRuleView).
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from subpixdet import clutter
+from subpixdet import clutter, detectors, harness
 from subpixdet.detectors import (
     DETECTOR_IDS, ESTIMATOR_IDS, batch_estimates, batch_scores, build_subspace,
 )
@@ -22,7 +29,7 @@ from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, render_signature_batch,
 )
 
-from helpers import TRAPEZOID, batch_statistics
+from helpers import TRAPEZOID, batch_statistics, rule_view_kernel, rule_view_ratios
 
 PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -80,6 +87,48 @@ def sampled_w5():
     cov = clutter.white_covariance(1.0)
     bank = build_signature_bank(psf, 20)
     return bank.bind(cov), build_alrt_bank(psf).bind(cov), build_subspace(bank)
+
+
+def log_uniform(seed, n, high=3000.0):
+    """(n, 1) amplitudes log-uniform in [1, high]: 3000 is about 70 dB."""
+    return 10.0 ** np.random.default_rng(seed).uniform(0, np.log10(high), (n, 1))
+
+
+@pytest.fixture(scope="module")
+def stack(sampled_w5, bank244, bank9_244, bound244, bound9_244, subspace244):
+    """name -> (windows, bound, bound9, subspace) of the oracle stacks,
+    each built on first use."""
+    def white_w5():
+        bound, bound9, subspace = sampled_w5
+        rng = np.random.default_rng(7)
+        return spots(bound, 7, rng.uniform(0, 20, (2000, 1)), n=2000), bound, bound9, subspace
+
+    def empirical_w2():
+        cov = clutter.assemble_window_covariance(fractal_acf(2, seed=3), 2)
+        return fbm_spots(bank244.psf, 3), bank244.bind(cov), bank9_244.bind(cov), subspace244
+
+    def empirical_w2_large_ratios():
+        # spots in white noise scored against the fBm covariance, whose
+        # whitening takes t^2/d past 1e5: there every exponent of the
+        # log-sum-exp carries an absolute rounding of about ulp(t^2/(2d))
+        cov = clutter.assemble_window_covariance(fractal_acf(2), 2)
+        bound, bound9 = bank244.bind(cov), bank9_244.bind(cov)
+        rng = np.random.default_rng(11)
+        windows = spots(bound, 11, rng.uniform(0, 30, (2000, 1)), n=2000)
+        return windows, bound, bound9, subspace244
+
+    def white_w2_to_70db():
+        return (spots(bound244, 13, log_uniform(13, 2000), n=2000), bound244, bound9_244,
+                subspace244)
+
+    def white_w5_to_70db():
+        bound, bound9, subspace = sampled_w5
+        return spots(bound, 17, log_uniform(17, 2000), n=2000), bound, bound9, subspace
+
+    builders = {"white-w5": white_w5, "empirical-w2": empirical_w2,
+                "empirical-w2-large-ratios": empirical_w2_large_ratios,
+                "white-w2-to-70dB": white_w2_to_70db, "white-w5-to-70dB": white_w5_to_70db}
+    return functools.cache(lambda name: builders[name]())
 
 
 class TestProperties:
@@ -157,27 +206,122 @@ class TestOracle:
         np.testing.assert_allclose(est["PM"], ref["PM"], rtol=0, atol=1e-14)
         assert np.ptp(scores["ELRT"]) > 10       # the stack spans low to high SNR
 
-    def test_white_w5(self, sampled_w5):
-        bound, bound9, subspace = sampled_w5
-        rng = np.random.default_rng(7)
-        windows = spots(bound, 7, rng.uniform(0, 20, (2000, 1)), n=2000)
+    def test_white_w5(self, stack):
+        self.check(*stack("white-w5"))
+
+    def test_empirical_w2(self, stack):
+        self.check(*stack("empirical-w2"))
+
+    def test_empirical_w2_large_ratios(self, stack):
+        windows, bound, bound9, subspace = stack("empirical-w2-large-ratios")
+        assert batch_statistics(windows, bound)[1].max() >= 1e5
         self.check(windows, bound, bound9, subspace)
 
-    def test_empirical_w2(self, bank244, bank9_244, subspace244):
-        cov = clutter.assemble_window_covariance(fractal_acf(2, seed=3), 2)
-        bound, bound9 = bank244.bind(cov), bank9_244.bind(cov)
-        self.check(fbm_spots(bank244.psf, 3), bound, bound9, subspace244)
 
-    def test_empirical_w2_large_ratios(self, bank244, bank9_244, subspace244):
-        # spots in white noise scored against the fBm covariance, whose
-        # whitening takes t^2/d past 1e5: there every exponent of the
-        # log-sum-exp carries an absolute rounding of about ulp(t^2/(2d))
-        cov = clutter.assemble_window_covariance(fractal_acf(2), 2)
-        bound, bound9 = bank244.bind(cov), bank9_244.bind(cov)
-        rng = np.random.default_rng(11)
-        windows = spots(bound, 11, rng.uniform(0, 30, (2000, 1)), n=2000)
-        assert batch_statistics(windows, bound)[1].max() >= 1e5
-        self.check(windows, bound, bound9, subspace244)
+def whole_buffer_kernel(windows, bound, bound9):
+    """The statistics helpers.rule_view_kernel returns, by batch_scores
+    and batch_estimates."""
+    out = batch_scores(windows, bound, bound9, detectors=("GPMF", "GLRT", "ELRT", "ALRT"))
+    out.update(batch_estimates(windows, bound, ("ML", "PM")))
+    return out
+
+
+def assert_rule_view_bits(windows, bound, bound9, floor):
+    """Every statistic has the rule-view kernel's bits, except PM with
+    the floor on.
+
+    A floored weight lies below ulp of its row sum, so only PM's
+    numerator can move: where the weights' products with a dyadic node
+    coordinate (+-0.125, +-0.375) tie exactly in BLAS's accumulation, a
+    floored lane can break the tie, by at most 2 ulp of the numerator."""
+    ref = rule_view_kernel(windows, bound, bound9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detectors, "_EXP_FLOOR", floor)
+        got = whole_buffer_kernel(windows, bound, bound9)
+    assert set(got) == set(ref)
+    for name in ref:
+        if name == "PM" and floor > -np.inf:
+            np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=2.3e-16)
+        else:
+            np.testing.assert_array_equal(got[name], ref[name], err_msg=name)
+    return got
+
+
+FLOORS = pytest.mark.parametrize("floor", [-np.inf, detectors._EXP_FLOOR],
+                                 ids=["no-floor", "floor"])
+
+
+class TestRuleView:
+    @FLOORS
+    @pytest.mark.parametrize("name", ["white-w5", "empirical-w2", "empirical-w2-large-ratios",
+                                      "white-w2-to-70dB", "white-w5-to-70dB"])
+    def test_same_bits(self, stack, name, floor):
+        windows, bound, bound9, _ = stack(name)
+        assert_rule_view_bits(windows, bound, bound9, floor)
+
+    @FLOORS
+    def test_centre_node_is_row_max(self, bound244, bound9_244, psf244, floor):
+        # noiseless centred spots: t^2/d peaks at the exact-center node,
+        # which the grid bank appends past its rule, so the buffer's row
+        # max is not the rule's, which PM must shift by; at the top
+        # amplitudes most rule exponents lie below the floor
+        windows = np.geomspace(1, 3000, 64)[:, None] * render_signature_batch(
+            psf244, [(0.0, 0.0)])
+        ratios = rule_view_ratios(windows, bound244)
+        assert np.all(ratios.argmax(axis=1) == bound244.bank.center_index)
+        got = assert_rule_view_bits(windows, bound244, bound9_244, floor)
+        np.testing.assert_array_equal(got["GLRT"], got["GPMF"])
+
+    @FLOORS
+    def test_bank_with_no_columns_past_its_rule(self, bound9_244, floor):
+        # the 9-node bank's rule is all of it: ELRT is then ALRT
+        windows = spots(bound9_244, 9, log_uniform(9, 500), n=500)
+        got = assert_rule_view_bits(windows, bound9_244, bound9_244, floor)
+        np.testing.assert_array_equal(got["ELRT"], got["ALRT"])
+
+    @FLOORS
+    def test_overflowing_and_nan_rows(self, bound244, bound9_244, floor):
+        windows = spots(bound244, 5, 10.0, n=4)
+        windows[1] = 1e200            # finite, but t^2 overflows
+        windows[2, 3] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = assert_rule_view_bits(windows, bound244, bound9_244, floor)
+        for name, value in got.items():
+            value = value.reshape(4, -1)
+            assert np.all(np.isfinite(value[[0, 3]])), name
+            # ML answers the first NaN's node, as np.argmax does
+            assert name == "ML" or not np.any(np.isfinite(value[2])), name
+        assert np.isinf(got["GLRT"][1]) and np.isinf(got["ELRT"][1])
+
+
+def test_floor_leaves_exp_only_normal_weights(bound244, bound9_244, monkeypatch):
+    """At fig10-left's 40 dB point most of PM's rule exponents lie below
+    -708, where exp returns subnormals or 0; with the floor, every weight
+    the reductions read is exp(_EXP_FLOOR) or above."""
+    alpha = harness.snr_to_alpha(40.0, 1.0, harness.average_energy_cached(2.44))
+    windows = spots(bound244, 40, alpha, n=512)
+    n = len(bound244.bank.log_weights)
+    a = rule_view_ratios(windows, bound244)[:, :n] * 0.5
+    a -= a.max(axis=1)[:, None]
+    c = -0.5 * np.log(bound244.gram[:n])
+    a += c - c.max()
+    assert np.mean(a < -708) >= 0.4
+
+    read = []
+    weights_of = detectors._weights
+
+    def recording(*args):
+        weights, scale = weights_of(*args)
+        read.append(weights.min())
+        return weights, scale
+
+    monkeypatch.setattr(detectors, "_weights", recording)
+    batch_scores(windows, bound244, bound9_244, detectors=("ELRT", "ALRT"))
+    batch_estimates(windows, bound244, ("PM",))
+    assert len(read) == 3                # ELRT, ALRT and PM
+    floor = np.exp(detectors._EXP_FLOOR)
+    assert min(read) >= floor >= np.finfo(float).tiny     # no zero or subnormal
+    assert read[-1] == floor             # PM's floored lanes reached exp
 
 
 @pytest.mark.parametrize("noise", ["white-w5", "fbm-w2"])
