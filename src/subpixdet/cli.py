@@ -320,8 +320,8 @@ def cmd_theoretical_roc(args, cfg):
               for name, eps in specs]
     with _open_out(args.out) as stream:
         stream.write("curve,pfa,pd\n")
-        for name, curve in curves:
-            for pfa, pd in zip(curve.pfa.tolist(), curve.pd.tolist()):
+        for name, (pfa_grid, pd_grid) in curves:
+            for pfa, pd in zip(pfa_grid.tolist(), pd_grid.tolist()):
                 stream.write(f"{name},{pfa!r},{pd!r}\n")
     return 0
 

@@ -152,14 +152,24 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Empirical or theoretical (threshold, Pfa, Pd) triples, threshold-sorted."""
+    """An empirical ROC, thresholds falling from +inf: h0_counts[i] of the
+    n_h0 H0 scores and h1_counts[i] of the n_h1 H1 scores are >=
+    thresholds[i], so the counts run from 0 to n_h0 and n_h1."""
 
     detector: str
     thresholds: np.ndarray
-    pfa: np.ndarray
-    pd: np.ndarray
-    n_h0: int = 0
-    n_h1: int = 0
+    h0_counts: np.ndarray
+    h1_counts: np.ndarray
+    n_h0: int
+    n_h1: int
+
+    @property
+    def pfa(self):
+        return self.h0_counts / self.n_h0
+
+    @property
+    def pd(self):
+        return self.h1_counts / self.n_h1
 
 
 def snr_to_alpha(snr_db, sigma, energy):
@@ -195,22 +205,18 @@ def average_energy_cached(r_c, q=None):
 def empirical_roc_from_scores(scores_h0, scores_h1, detector="custom"):
     """Exact empirical ROC: one threshold per distinct pooled score.
 
-    Pfa(tau) and Pd(tau) are the fractions of H0/H1 scores >= tau.  A
-    sentinel +inf threshold supplies the (0, 0) endpoint; the smallest
-    score supplies (1, 1).
+    The counts at tau are the H0/H1 scores >= tau.  A sentinel +inf
+    threshold supplies the (0, 0) endpoint; the smallest score supplies
+    (n_h0, n_h1).
     """
     s0 = np.sort(np.asarray(scores_h0, dtype=float))
     s1 = np.sort(np.asarray(scores_h1, dtype=float))
     if len(s0) == 0 or len(s1) == 0:
         raise ValueError("both score sets must be nonempty")
     thr = np.unique(np.concatenate([s0, s1]))[::-1]
-    pfa = (len(s0) - np.searchsorted(s0, thr, side="left")) / len(s0)
-    pd = (len(s1) - np.searchsorted(s1, thr, side="left")) / len(s1)
-    thr = np.concatenate([[np.inf], thr])
-    pfa = np.concatenate([[0.0], pfa])
-    pd = np.concatenate([[0.0], pd])
-    return RocCurve(detector=detector, thresholds=thr, pfa=pfa, pd=pd,
-                    n_h0=len(s0), n_h1=len(s1))
+    h0 = np.concatenate([[0], len(s0) - np.searchsorted(s0, thr, side="left")])
+    h1 = np.concatenate([[0], len(s1) - np.searchsorted(s1, thr, side="left")])
+    return RocCurve(detector, np.concatenate([[np.inf], thr]), h0, h1, len(s0), len(s1))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +444,9 @@ def run_mse(config):
 
 
 def theoretical_pmf_roc(snr_db, eps_star, psf, grid_size=20, pfa_grid=None):
-    """Closed-form ROC of the pixel matched filter T0(z) = s0^T z in unit white noise.
+    """Closed-form ROC of the pixel matched filter T0(z) = s0^T z in unit
+    white noise, as (pfa_grid, pd): Pd at each Pfa of pfa_grid (by default
+    161 points log-spaced over [1e-8, 1]).
 
     At a given SNR a white-noise ROC does not depend on sigma.  psf is
     the design's EffectivePsf.  eps_star selects the H1 truth: a fixed
@@ -461,17 +469,13 @@ def theoretical_pmf_roc(snr_db, eps_star, psf, grid_size=20, pfa_grid=None):
         bank = build_signature_bank(psf, grid_size)
         s0 = bank.vectors[bank.center_index]
         cross = bank.vectors[:len(bank.log_weights)] @ s0
-        name = "PMF-mean"
     else:
         s0, sig = render_signature_batch(psf, [(0.0, 0.0), tuple(eps_star)])
         cross = np.array([sig @ s0])
-        name = f"PMF({eps_star[0]},{eps_star[1]})"
-    scale = math.sqrt(s0 @ s0)
-    deflection = alpha * cross / scale
+    deflection = alpha * cross / math.sqrt(s0 @ s0)
     tau_std = -special.ndtri(pfa_grid)                   # Q^{-1}(Pfa)
     pd = special.ndtr(deflection[None, :] - tau_std[:, None]).mean(axis=1)
-    return RocCurve(detector=name, thresholds=tau_std * scale,
-                    pfa=pfa_grid, pd=pd)
+    return pfa_grid, pd
 
 
 # ---------------------------------------------------------------------------
@@ -487,44 +491,23 @@ def _csv_field(text):
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def _rate_counts(curve):
-    """[(n, k)] for the pfa and the pd of a counted curve: each rate is
-    bitwise k/n on its n_h0 or n_h1 scores.  Raises ValueError, naming
-    the detector, for a curve whose rates are not such counts (a
-    closed-form curve, -0.0, a non-finite value)."""
-    counts = []
-    for col, n in ((curve.pfa, curve.n_h0), (curve.pd, curve.n_h1)):
-        col = np.asarray(col, dtype=float)
-        k = np.rint(col * n) if n >= 1 else None
-        if k is None or np.any(np.signbit(col) | ~(k <= n) | (k / n != col)):
-            raise ValueError(f"detector {curve.detector!r}: ROC rates are not counts on "
-                             f"n_h0 = {curve.n_h0} and n_h1 = {curve.n_h1} scores")
-        counts.append((n, k.astype(np.intp)))
-    return counts
-
-
 def write_roc_csv(curves, path):
-    """One detector,threshold,pfa,pd row per point of each counted curve
-    (empirical_roc_from_scores), as csv.writer writes it, with each value
-    as repr of a Python float.
+    """One detector,threshold,pfa,pd row per point of each RocCurve, as
+    csv.writer writes it, with each value as repr of a Python float.
 
-    Every curve is checked before path is opened: a curve whose rates are
-    not counts (see _rate_counts) raises ValueError and no file is
-    written.  A rate counted on n scores is some k/n, so the text of
-    every k/n is formatted once per file, in one table per n, and each
-    rate is read from its table.  Thresholds are formatted per row.  Rows
-    are written _CSV_ROWS at a time, with one % format per slice, so the
-    text of a whole curve is never held at once.
+    A rate is a count k of n scores, read as k/n, so the text of every
+    k/n is formatted once per file, in one table per n, and each rate is
+    read from its table by its count.  Thresholds are formatted per row.
+    Rows are written _CSV_ROWS at a time, with one % format per slice, so
+    the text of a whole curve is never held at once.
     """
-    for curve in curves:
-        _rate_counts(curve)
     tables = {}
     with open(path, "w", newline="") as fh:
         fh.write("detector,threshold,pfa,pd\r\n")
         for curve in curves:
             row = _csv_field(curve.detector).replace("%", "%%") + ",%r,%s,%s\r\n"
             tau = np.asarray(curve.thresholds, dtype=float)
-            counts = _rate_counts(curve)
+            counts = ((curve.n_h0, curve.h0_counts), (curve.n_h1, curve.h1_counts))
             for n, _ in counts:
                 if n not in tables:
                     tables[n] = [repr(k / n) for k in range(n + 1)]

@@ -25,7 +25,7 @@ from subpixdet.optics import (
     render_signature_batch,
 )
 
-from helpers import TRAPEZOID, mse_row, pd_at_pfa, pfa_at_pd, signature, window_covariance
+from helpers import TRAPEZOID, mse_row, pd_at_pfa, signature, window_covariance
 
 JOBS = 4
 
@@ -92,10 +92,10 @@ def test_1_average_spot_energy(capsys):
 
 def test_2_theoretical_pmf_anchor(capsys):
     psf = effective_psf(2.44, 2)
-    ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), psf)
-    mean = theoretical_pmf_roc(15.0, "mean", psf, grid_size=20)
-    pd_ideal = float(pd_at_pfa(ideal, 1e-4))
-    pd_mean = float(pd_at_pfa(mean, 1e-4))
+    pfa, ideal = theoretical_pmf_roc(15.0, (0.0, 0.0), psf)
+    _, mean = theoretical_pmf_roc(15.0, "mean", psf, grid_size=20)
+    pd_ideal = float(np.interp(1e-4, pfa, ideal))
+    pd_mean = float(np.interp(1e-4, pfa, mean))
     ok = pd_ideal >= 0.99 and abs(pd_mean - 0.80) <= 0.05
     report(capsys, 2, "closed-form matched-filter anchor", ok,
            f"Pd(ideal)={pd_ideal:.4f} (want >=0.99), "
@@ -155,7 +155,7 @@ def poisson_interval(count, level=0.95):
 
 def h0_count_at_pd(curve, pd_target):
     """H0 scores at or above the threshold where Pd first reaches target."""
-    return round(pfa_at_pd(curve, pd_target) * curve.n_h0)
+    return int(curve.h0_counts[np.flatnonzero(curve.pd >= pd_target)[0]])
 
 
 def test_6_sensor_design_gain(capsys, roc_15db_both_designs):
@@ -168,9 +168,9 @@ def test_6_sensor_design_gain(capsys, roc_15db_both_designs):
     # the curve's.
     pfa_pmf, gpmf_agree = {}, {}
     for r_c, w in ((2.44, 2), (0.5, 5)):
-        curve = theoretical_pmf_roc(15.0, "mean", effective_psf(r_c, w), grid_size=20,
-                                    pfa_grid=np.logspace(-8, 0, 8001))
-        pfa_pmf[r_c] = 2 * float(np.interp(0.8, curve.pd, curve.pfa))
+        pfa, pd = theoretical_pmf_roc(15.0, "mean", effective_psf(r_c, w), grid_size=20,
+                                      pfa_grid=np.logspace(-8, 0, 8001))
+        pfa_pmf[r_c] = 2 * float(np.interp(0.8, pd, pfa))
         gpmf = roc_15db_both_designs[r_c]["GPMF"]
         lo, hi = poisson_interval(h0_count_at_pd(gpmf, 0.8))
         gpmf_agree[r_c] = lo <= gpmf.n_h0 * pfa_pmf[r_c] <= hi
@@ -287,7 +287,7 @@ def ec_tail(tau, l1, l2):
 def h0_count_at(curve, tau):
     """H0 scores at or above tau."""
     i = np.searchsorted(-curve.thresholds, -tau, side="right") - 1
-    return round(curve.pfa[i] * curve.n_h0)
+    return int(curve.h0_counts[i])
 
 
 def test_6c_glrt_false_alarm_law(capsys, roc_15db_both_designs):

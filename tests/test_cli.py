@@ -564,9 +564,10 @@ class TestTheoreticalRoc:
         lines = ["curve,pfa,pd"]
         for name, eps_star in [("ideal", (0.0, 0.0)), ("worst-corner", (0.5, 0.5)),
                                ("mean", "mean")]:
-            curve = theoretical_pmf_roc(15.0, eps_star, optics.EffectivePsf(PsfModel(2.44), 2))
+            pfa_grid, pd_grid = theoretical_pmf_roc(15.0, eps_star,
+                                                    optics.EffectivePsf(PsfModel(2.44), 2))
             lines += [f"{name},{float(pfa)!r},{float(pd)!r}"
-                      for pfa, pd in zip(curve.pfa, curve.pd)]
+                      for pfa, pd in zip(pfa_grid, pd_grid)]
         assert out == "\n".join(lines) + "\n"
         # every field parses back as a number
         rows = list(csv.reader(out.splitlines()[1:]))
