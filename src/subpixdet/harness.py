@@ -207,10 +207,13 @@ def empirical_roc_from_scores(scores_h0, scores_h1, detector="custom"):
 
     The counts at tau are the H0/H1 scores >= tau.  A sentinel +inf
     threshold supplies the (0, 0) endpoint; the smallest score supplies
-    (n_h0, n_h1).
+    (n_h0, n_h1).  Raises ValueError if a score is not finite.
     """
-    s0 = np.sort(np.asarray(scores_h0, dtype=float))
-    s1 = np.sort(np.asarray(scores_h1, dtype=float))
+    s0, s1 = (np.asarray(s, dtype=float) for s in (scores_h0, scores_h1))
+    for name, s in (("H0", s0), ("H1", s1)):
+        if not np.all(np.isfinite(s)):
+            raise ValueError(f"{detector}: non-finite score among the {name} scores")
+    s0, s1 = np.sort(s0), np.sort(s1)
     if len(s0) == 0 or len(s1) == 0:
         raise ValueError("both score sets must be nonempty")
     thr = np.unique(np.concatenate([s0, s1]))[::-1]
@@ -309,7 +312,8 @@ class _Run:
     run is read from, the bound precomputation of the given detectors
     (bind_detectors), sigma_eff (the noise sigma an SNR refers
     to: the clutter's own for fractal noise) and, for fractal noise, the
-    mean-removed image windows are gathered from.  The fractal
+    mean-removed image and its view of all (2w+1)^2 windows, which the
+    trials gather their windows from.  The fractal
     covariance, sigma_eff and image come from _fractal_background, so
     runs on the same background (any amplitude, trial counts, detectors,
     grid or jobs) share one build of them.
@@ -325,6 +329,9 @@ class _Run:
             cov, self.sigma_eff, self.image = _fractal_background(
                 config.hurst, config.image_size, config.seed, config.w, config.ridge,
                 config.train_equals_test)
+            # window (i, j) is the one whose top-left pixel is image[i, j]
+            self.patches = np.lib.stride_tricks.sliding_window_view(
+                self.image, (2 * config.w + 1,) * 2)
         self.bound, self.bound9, self.subspace = bind_detectors(
             self.psf, cov, config.grid_size, config.subspace_order, detectors)
 
@@ -347,15 +354,14 @@ class _Run:
         """
         cfg = self.config
         n = (2 * cfg.w + 1) ** 2
-        off = np.arange(-cfg.w, cfg.w + 1)
 
         def chunk(i):
             count = min(_CHUNK, total - i * _CHUNK)
             key = first_chunk + i
             rng = _rng(cfg.seed, stream, key)
             if cfg.noise == "fractal":
-                rows = rng.integers(cfg.w, cfg.image_size - cfg.w, count)[:, None, None]
-                cols = rng.integers(cfg.w, cfg.image_size - cfg.w, count)[:, None, None]
+                rows = rng.integers(cfg.w, cfg.image_size - cfg.w, count) - cfg.w
+                cols = rng.integers(cfg.w, cfg.image_size - cfg.w, count) - cfg.w
             eps = None
             if alpha is not None and cfg.eps_fixed:
                 eps = np.tile(np.asarray(cfg.eps_fixed, dtype=float), (count, 1))
@@ -367,8 +373,7 @@ class _Run:
                 if cfg.noise == "white":
                     windows = cfg.sigma * rng.standard_normal((hi - lo, n))
                 else:
-                    windows = self.image[rows[lo:hi] + off[None, :, None],
-                                         cols[lo:hi] + off[None, None, :]].reshape(hi - lo, n)
+                    windows = self.patches[rows[lo:hi], cols[lo:hi]].reshape(hi - lo, n)
                 if eps is None:
                     part = fn(windows, None)
                 else:

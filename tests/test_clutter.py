@@ -71,6 +71,26 @@ class TestSynthesizeFbm:
         ref = fbm_irfft2(0.7, size, seed=[5, 0, 0], crop=crop).values
         assert np.array_equal(got, ref)
 
+    def test_peak_before_standardizing_is_about_one_spectrum(self, monkeypatch):
+        # one (1024, 513) complex spectrum is 8.4 MB; a whole-plane noise
+        # draw, amplitude array or inverse output would add 4-8 MB more
+        standardize = clutter._standardize
+        peaks = []
+
+        def record(x):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return standardize(x)
+
+        monkeypatch.setattr(clutter, "_standardize", record)
+        tracemalloc.start()
+        try:
+            values = synthesize_fbm(0.7, 1024, seed=[1, 0, 0]).values
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < 1.25 * 1024 * 513 * 16
+        assert values.shape == (1024, 1024) and values.dtype == np.float64
+        assert values.flags.c_contiguous
+
     def test_standardized(self):
         f = synthesize_fbm(0.7, size=256, seed=3)
         assert f.values.shape == (256, 256)

@@ -169,6 +169,14 @@ class TestEmpiricalRoc:
         with pytest.raises(ValueError):
             empirical_roc_from_scores([], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("which", ["H0", "H1"])
+    def test_non_finite_score_raises(self, bad, which):
+        scores = {"H0": [1.0, 2.0], "H1": [2.0, 3.0]}
+        scores[which] = [bad, *scores[which]]
+        with pytest.raises(ValueError, match=f"^GLRT: non-finite score among the {which} "):
+            empirical_roc_from_scores(scores["H0"], scores["H1"], "GLRT")
+
     @settings(max_examples=100, deadline=None)
     @given(s0=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
            s1=st.lists(st.integers(-3, 3), min_size=1, max_size=40))
