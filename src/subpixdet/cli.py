@@ -161,9 +161,7 @@ def _open_out(path):
 
 
 def _emit_patch(values, stream):
-    writer = csv.writer(stream)
-    for row in values:
-        writer.writerow([repr(float(v)) for v in row])
+    csv.writer(stream).writerows(values.tolist())
 
 
 # ---------------------------------------------------------------------------

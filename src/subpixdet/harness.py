@@ -270,11 +270,7 @@ def _check_reads(config, kind):
             raise ConfigError(f"{what} does not read {', '.join(given)}")
 
 
-# The fractal background last built, {key: (cov, sigma_eff, image)}: one
-# entry, since each holds a whole image (8 MiB at 1024^2)
-_background = {}
-
-
+@lru_cache(maxsize=1)
 def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
     """(cov, sigma_eff, image) of a fractal run, built once per process
     while it is the last background built.
@@ -283,13 +279,11 @@ def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
     that image's own standard deviation.  image is the mean-removed test
     image: (seed, 1, 0), or the training image itself when
     train_equals_test.  It and the Cholesky factor are read-only, so
-    every run on this background may share them.  A new key drops the
-    old background before it synthesizes, so no two images are held.
+    every run on this background may share them.  A new key clears the
+    cache before it synthesizes, so no two images (8 MiB each at 1024^2)
+    are held.
     """
-    key = (hurst, image_size, seed, w, ridge, train_equals_test)
-    if key in _background:
-        return _background[key]
-    _background.clear()
+    _fractal_background.cache_clear()
     image = clutter.synthesize_fbm(hurst, image_size, seed=[int(seed), _STREAM_TRAIN, 0])
     acf = clutter.estimate_autocovariance(image, 2 * w)
     cov = clutter.assemble_window_covariance(acf, w, lam=ridge)
@@ -301,8 +295,7 @@ def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
     values -= values.mean()
     for array in (values, cov._factor[0]):
         array.flags.writeable = False
-    _background[key] = cov, sigma_eff, values
-    return _background[key]
+    return cov, sigma_eff, values
 
 
 class _Run:
@@ -360,8 +353,8 @@ class _Run:
             key = first_chunk + i
             rng = _rng(cfg.seed, stream, key)
             if cfg.noise == "fractal":
-                rows = rng.integers(cfg.w, cfg.image_size - cfg.w, count) - cfg.w
-                cols = rng.integers(cfg.w, cfg.image_size - cfg.w, count) - cfg.w
+                rows = rng.integers(cfg.image_size - 2 * cfg.w, size=count)
+                cols = rng.integers(cfg.image_size - 2 * cfg.w, size=count)
             eps = None
             if alpha is not None and cfg.eps_fixed:
                 eps = np.tile(np.asarray(cfg.eps_fixed, dtype=float), (count, 1))
@@ -532,6 +525,4 @@ def write_mse_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[k] if k in ("estimator", "n_trials")
-                             else repr(row[k]) for k in header])
+        writer.writerows([row[k] for k in header] for row in rows)

@@ -18,13 +18,13 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_package_exports_come_from_module_all():
-    # the package re-exports only names its modules declare public
-    public = {attr for name in MODULES
-              for attr in importlib.import_module(f"subpixdet.{name}").__all__}
-    exported = {attr for attr, value in vars(subpixdet).items()
-                if not attr.startswith("_") and not isinstance(value, type(subpixdet))}
-    assert exported <= public
+def test_package_root_binds_only_submodules():
+    # names are imported from their modules; the root holds __version__
+    # and the submodules imported so far, and nothing else public
+    public = [attr for attr, value in vars(subpixdet).items()
+              if not attr.startswith("_") and not isinstance(value, type(subpixdet))]
+    assert public == []
+    assert subpixdet.__version__
 
 
 def test_bench_calls_resolve(tmp_path):

@@ -195,6 +195,15 @@ class TestScore:
                                   build_subspace(bank, 1), DETECTOR_IDS)
             assert got == {det: expect[det][0] for det in DETECTOR_IDS}
 
+    def test_blank_rows_are_skipped(self, capsys, tmp_path):
+        path = tmp_path / "win.csv"
+        write_window(path, alpha=3.0, noise=np.random.default_rng(0).standard_normal((5, 5)))
+        plain = run_cli(capsys, "score", "--window", str(path))
+        assert plain[0] == 0
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n\n".join(lines) + "\n\n")
+        assert run_cli(capsys, "score", "--window", str(path)) == plain
+
     def test_acf_covariance_path(self, capsys, tmp_path):
         path = tmp_path / "win.csv"
         write_window(path, alpha=3.0)
@@ -385,6 +394,23 @@ class TestRocCommand:
         assert code == 0
         assert ((tmp_path / "a" / "roc.csv").read_bytes()
                 == (tmp_path / "b" / "roc.csv").read_bytes())
+
+    @pytest.mark.parametrize("text, value", [
+        ("yes", True), ("true", True), ("1", True), ("no", False), ("false", False),
+        ("0", False), ("maybe", None)])
+    def test_train_equals_test_flag(self, capsys, tmp_path, text, value):
+        code, _, err = run_cli(
+            capsys, "roc", "--noise", "fractal", "--image-size", "32", "--alpha", "0.3",
+            "--n-h0", "100", "--n-h1", "100", "--detectors", "GPMF",
+            "--train-equals-test", text, "--out", str(tmp_path))
+        if value is None:
+            assert code == 1
+            assert "invalid bool value: 'maybe'" in err
+            assert not (tmp_path / "meta.json").exists()
+        else:
+            assert code == 0
+            manifest = json.loads((tmp_path / "meta.json").read_text())
+            assert manifest["config"]["train_equals_test"] is value
 
     def test_fractal_replay_in_a_fresh_process(self, capsys, tmp_path, cold_background):
         # a cold and a warm background in this process, and a replay of

@@ -250,7 +250,7 @@ def test_fractal_roc_matches_complex_fft_clutter(monkeypatch, cold_background, s
     new = run_roc(cfg)
     # the reference run builds its own background from the patched
     # functions, rather than reading the one just cached
-    harness._background.clear()
+    harness._fractal_background.cache_clear()
     monkeypatch.setattr(clutter, "synthesize_fbm", fbm_complex)
     monkeypatch.setattr(clutter, "estimate_autocovariance", acf_padded_2x)
     old = run_roc(cfg)
@@ -322,6 +322,13 @@ class TestAssembleWindowCovariance:
         acf[1, 1] = acf[3, 3] = acf[1, 3] = acf[3, 1] = -0.8
         with pytest.raises(IndefiniteCovarianceError):
             assemble_window_covariance(acf, w=1, lam=1e-9)
+
+    @pytest.mark.parametrize("lam", [-1e-6, np.nan, np.inf, -np.inf])
+    def test_ridge_not_finite_and_non_negative_rejected(self, lam):
+        acf = np.zeros((5, 5))
+        acf[2, 2] = 1.0
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            assemble_window_covariance(acf, w=1, lam=lam)
 
     def test_short_acf_rejected(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,10 @@ class TestSnrConversion:
             snr_to_alpha(10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             snr_to_alpha(10.0, 1.0, -1.0)
+        for value in (math.nan, math.inf, -math.inf):
+            for snr_db, sigma in ((value, 1.0), (10.0, value)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    snr_to_alpha(snr_db, sigma, 1.0)
 
 
 class TestAverageEnergy:
@@ -293,7 +297,7 @@ class TestRunRoc:
             return synthesize(*args, **{**kwargs, "seed": [2, 0, 0]})
 
         monkeypatch.setattr(clutter, "synthesize_fbm", train_image)
-        harness._background.clear()
+        harness._fractal_background.cache_clear()
         fresh = harness._Run(replace(cfg, train_equals_test=False))
 
         def windows(run):
@@ -318,7 +322,7 @@ class TestFractalBackground:
     ROC = dict(BASE, alpha=0.3, n_h0=1500, n_h1=1500, detectors=("GPMF", "GLRT"))
 
     def cold_roc(self, cfg):
-        harness._background.clear()
+        harness._fractal_background.cache_clear()
         return run_roc(cfg)
 
     def test_amplitudes_share_one_background(self, cold_background, synthesized):
@@ -388,7 +392,7 @@ class TestFractalBackground:
         synthesized.clear()
         warm = run_mse(mse_cfg)
         assert synthesized == []
-        harness._background.clear()
+        harness._fractal_background.cache_clear()
         assert warm == run_mse(mse_cfg)
 
 

@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0, j1
 
+from subpixdet.clutter import CovarianceModel
 from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, effective_psf, psf_value,
     render_signature_batch, average_energy, build_signature_bank,
@@ -369,6 +370,10 @@ class TestSignatureBank:
 
     def test_design_is_the_table(self, bank244, psf244):
         assert (bank244.w, bank244.r_c) == (psf244.w, psf244.r_c) == (2, 2.44)
+
+    def test_bind_refuses_a_non_positive_quadratic_form(self, bank244):
+        with pytest.raises(ValueError, match="non-positive signature quadratic form"):
+            bank244.bind(CovarianceModel("white", -1.0, None))
 
     def test_row_major_ordering(self, bank244):
         # eps1 is the slow axis
