@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -160,10 +161,6 @@ def _open_out(path):
     return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
-def _emit_patch(values, stream):
-    csv.writer(stream).writerows(values.tolist())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -175,8 +172,8 @@ def cmd_signature(args, cfg):
     with _open_out(args.out) as stream:
         for eps, patch in zip(offsets, patches):
             if args.sweep:
-                stream.write(f"# eps={eps[0]},{eps[1]}\n")
-            _emit_patch(patch.reshape(2 * cfg.w + 1, -1), stream)
+                stream.write(f"# eps={eps[0]},{eps[1]}\r\n")
+            csv.writer(stream).writerows(patch.reshape(2 * cfg.w + 1, -1).tolist())
     return 0
 
 
@@ -191,31 +188,23 @@ def cmd_clutter(args, cfg):
     out_dir.mkdir(parents=True, exist_ok=True)
     clutter.write_pgm(field, out_dir / "clutter.pgm")
     with open(out_dir / "clutter.csv", "w", newline="") as fh:
-        _emit_patch(field.values, fh)
+        csv.writer(fh).writerows(field.values.tolist())
     if args.acf:
         with open(out_dir / "acf.csv", "w", newline="") as fh:
-            _emit_patch(table, fh)
+            csv.writer(fh).writerows(table.tolist())
     return 0
 
 
 def _load_table(path, what):
     """A square, odd-sized CSV table of finite numbers; anything else is a
     ConfigError that names the file."""
-    rows = []
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append([float(tok) for tok in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
-    lengths = sorted({len(row) for row in rows})
-    if len(lengths) > 1:
-        raise ConfigError(f"{path}: rows differ in length ({lengths})")
-    arr = np.array(rows)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 == 0:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)     # numpy's "no data"
+            arr = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    except (ValueError, UserWarning) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 == 0:
         raise ConfigError(f"{path}: expected a square odd-sized {what}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}: {what} entries must be finite")
@@ -241,6 +230,7 @@ def _read_window(args):
     return z[None, :], (window.shape[0] - 1) // 2
 
 
+@np.errstate(over="ignore")     # t^2 can overflow: _check_finite refuses it
 def _amplitude_fit(windows, bound):
     """ML amplitude t_k / d_k and offset of the GPMF node (the center) and
     of the GLRT/ML node (the argmax of t_k^2 / d_k), t = windows @ (R^{-1}S)^T."""

@@ -129,6 +129,8 @@ def _log_integral(ratios, bound, rule_max):
     return scale + np.log(weights.sum(axis=1))
 
 
+# t^2 can overflow, without a warning: the callers refuse non-finite results
+@np.errstate(over="ignore", invalid="ignore")
 def batch_scores(windows, bound, bound9=None, subspace=None,
                  detectors=DETECTOR_IDS):
     """Score a stack of windows with the selected detectors.
@@ -176,6 +178,7 @@ def batch_scores(windows, bound, bound9=None, subspace=None,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_estimates(windows, bound, estimators=ESTIMATOR_IDS):
     """Offset estimates for a stack of windows.
 

@@ -8,7 +8,6 @@ number of worker threads.
 """
 
 import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -482,16 +481,11 @@ def theoretical_pmf_roc(snr_db, eps_star, psf, grid_size=20, pfa_grid=None):
 _CSV_ROWS = 4096
 
 
-def _csv_field(text):
-    """text quoted as csv.writer quotes a field of a row."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([text, ""])
-    return buf.getvalue()[:-len(",\r\n")]
-
-
 def write_roc_csv(curves, path):
     """One detector,threshold,pfa,pd row per point of each RocCurve, as
     csv.writer writes it, with each value as repr of a Python float.
+    The detector is written as it is: a DETECTOR_IDS name, which csv
+    does not quote and which holds no %.
 
     A rate is a count k of n scores, read as k/n, so the text of every
     k/n is formatted once per file, in one table per n, and each rate is
@@ -503,7 +497,7 @@ def write_roc_csv(curves, path):
     with open(path, "w", newline="") as fh:
         fh.write("detector,threshold,pfa,pd\r\n")
         for curve in curves:
-            row = _csv_field(curve.detector).replace("%", "%%") + ",%r,%s,%s\r\n"
+            row = curve.detector + ",%r,%s,%s\r\n"
             tau = np.asarray(curve.thresholds, dtype=float)
             counts = ((curve.n_h0, curve.h0_counts), (curve.n_h1, curve.h1_counts))
             for n, _ in counts:

@@ -69,6 +69,9 @@ class TestSignature:
         assert code == 0
         text = out.read_text()
         assert text.count("# eps=") == 5
+        # the comment lines end as csv.writer's rows do
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert all(line.endswith(b"\r\n") for line in lines)
         # one batch render gives each offset's single-offset patch, bit for bit
         blocks = text.split("# eps=")[1:]
         psf = optics.EffectivePsf(PsfModel(2.44), 2)
@@ -292,10 +295,10 @@ class TestNonFiniteWindow:
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(np.full((5, 5), 1e200).tolist())
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")      # one message, no numpy warning before it
             code, out, err = run_cli(capsys, command, "--window", str(path))
         assert code == 2
-        assert "numerical error" in err and str(path) in err
+        assert err.startswith(f"numerical error: {path}") and err.count("\n") == 1
         assert out == ""
 
 
@@ -303,6 +306,8 @@ BAD_TABLES = {
     "text": "0,0,0\n0,abc,0\n0,0,0\n",
     "ragged": "0,0,0\n0,0\n0,0,0\n",
     "non-square": "0,0,0\n" * 2 + "0,1,0\n" + "0,0,0\n" * 2,   # 5 x 3
+    "empty": "",
+    "trailing-comma": "0,0,0,\n0,1,0,\n0,0,0,\n",
 }
 
 
@@ -318,7 +323,7 @@ def test_bad_input_file_exits_1_naming_it(capsys, tmp_path, which, defect):
         argv = ["score", "--window", str(bad)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {bad}")
+    assert err.startswith(f"error: {bad}") and err.count("\n") == 1
 
 
 class TestEstimate:
@@ -824,16 +829,25 @@ class TestConfigHelpers:
         (("mse", "--snr-db", "6000", "--n-trials", "50"), 2, "numerical error: non-finite PM"),
         (("mse", "--snr-db", "15", "--sigma", "1e-170", "--n-trials", "50"), 1,
          "subpixdet: error: unrecognized arguments: --sigma 1e-170"),
-    ], ids=["roc-snr-db", "roc-sigma", "mse-snr-db", "mse-sigma"])
+        (("roc", "--alpha", "1e200", "--n-h0", "600", "--n-h1", "600", "--jobs", "1"), 2,
+         "numerical error: non-finite GPMF"),
+        (("roc", "--alpha", "1e200", "--n-h0", "600", "--n-h1", "600", "--jobs", "2"), 2,
+         "numerical error: non-finite GPMF"),
+    ], ids=["roc-snr-db", "roc-sigma", "mse-snr-db", "mse-sigma", "roc-alpha-jobs-1",
+            "roc-alpha-jobs-2"])
     def test_non_finite_run_exits_without_csv(self, capsys, tmp_path, argv, code, message):
         # a finite but extreme amplitude overflows t^2; a sigma whose square
         # underflows makes R singular, and mse takes no --sigma at all
-        # (argparse's message is the last line, after the usage)
+        # (argparse's message is the last line, after the usage).  The
+        # message is the only line: no numpy warning, in any worker thread,
+        # comes before it.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             got, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
         assert got == code
-        assert err.splitlines()[-1].startswith(message)
+        lines = err.splitlines()
+        assert lines[-1].startswith(message)
+        assert len(lines) == 1 or message.startswith("subpixdet: error: unrecognized")
         assert out == ""
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
