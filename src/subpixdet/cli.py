@@ -202,7 +202,9 @@ def _load_table(path, what):
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)     # numpy's "no data"
             arr = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, quotechar='"')
-    except (ValueError, UserWarning) as exc:
+    except UserWarning:
+        raise ConfigError(f"{path}: {what} holds no data") from None
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 == 0:
         raise ConfigError(f"{path}: expected a square odd-sized {what}, got {arr.shape}")
@@ -216,7 +218,10 @@ def _window_context(args, cfg, w, detectors):
         raise ConfigError("--sigma applies without --acf-file, and --ridge with it")
     if args.acf_file:
         table = _load_table(args.acf_file, "autocovariance table")
-        cov = clutter.assemble_window_covariance(table, w, lam=cfg.ridge)
+        try:
+            cov = clutter.assemble_window_covariance(table, w, lam=cfg.ridge)
+        except (ValueError, IndefiniteCovarianceError) as exc:     # too few lags, indefinite
+            raise type(exc)(f"{args.acf_file}: {exc}") from None
     else:
         cov = clutter.white_covariance(cfg.sigma)
     return harness.bind_detectors(optics.effective_psf(cfg.r_c, w), cov, cfg.grid_size,

@@ -5,12 +5,13 @@ cloud clutter synthesized as fractional Brownian motion by spectral
 shaping of white noise.  For correlated backgrounds the detector window
 covariance is assembled from the empirical autocovariance of the image,
 giving a block-Toeplitz matrix with Toeplitz blocks.
+
+scipy.fft and scipy.linalg are imported inside the functions that use
+them, so that a white-noise process never loads either.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
 __all__ = [
     "NoiseField",
@@ -57,6 +58,7 @@ def synthesize_fbm(hurst, size=256, seed=None, crop=None):
         raise ValueError(f"Hurst parameter must be in (0, 1), got {hurst}")
     if size & (size - 1) != 0:
         raise ValueError(f"size must be a power of two, got {size}")
+    from scipy.fft import fft, ifft, irfft, rfft
     rng = np.random.default_rng(seed)
     # the shaped spectrum is Hermitian, so its half plane carries it all
     spec = np.empty((size, size // 2 + 1), dtype=complex)
@@ -106,6 +108,7 @@ def estimate_autocovariance(field, max_lag):
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     if not (max_lag < min(h, wdt) / 2):
         raise ValueError(f"max_lag {max_lag} too large for a {h}x{wdt} field")
+    from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
     # Linear correlation by a zero-padded FFT.  With at least max_lag
     # zeros after each axis, the circular wrap-around reaches no lag in
     # [-max_lag, max_lag].  These are rfft2's and irfft2's 1-D passes,
@@ -167,6 +170,7 @@ def assemble_window_covariance(acf, w, lam=1e-6):
     dj = pj[:, None] - pj[None, :]
     matrix = acf[di + max_lag, dj + max_lag]
     matrix = matrix + lam * acf[max_lag, max_lag] * np.eye(len(matrix))
+    from scipy.linalg import cho_factor, eigvalsh
     try:
         factor = cho_factor(matrix, lower=True)
     except np.linalg.LinAlgError:
@@ -195,6 +199,7 @@ class CovarianceModel:
         y = np.asarray(y, dtype=float)
         if self.form == "white":
             return y / self.sigma2
+        from scipy.linalg import cho_solve
         return cho_solve(self._factor, y)
 
 

@@ -230,10 +230,19 @@ class TestScore:
         acf_path = tmp_path / "acf.csv"
         with open(acf_path, "w", newline="") as fh:
             csv.writer(fh).writerows(acf.tolist())
-        code, _, err = run_cli(capsys, "score", "--window", str(path),
-                               "--acf-file", str(acf_path), "--ridge", "1e-9")
-        assert code == 2
-        assert "numerical error" in err
+        code, out, err = run_cli(capsys, "score", "--window", str(path),
+                                 "--acf-file", str(acf_path), "--ridge", "1e-9")
+        assert code == 2 and out == ""
+        assert err.startswith(f"numerical error: {acf_path}: window covariance not "
+                              "positive definite") and err.count("\n") == 1
+
+    def test_acf_of_too_few_lags_exits_1_naming_it(self, capsys, tmp_path):
+        # a 3 x 3 table covers lags up to 1; a w = 1 window needs 2
+        path = tmp_path / "w3.csv"
+        write_window(path, w=1)
+        code, out, err = run_cli(capsys, "score", "--window", str(path), "--acf-file", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: acf covers lags up to 1, need 2\n"
 
     def test_negative_ridge_exits_1(self, capsys, tmp_path):
         path = tmp_path / "win.csv"
@@ -324,6 +333,19 @@ def test_bad_input_file_exits_1_naming_it(capsys, tmp_path, which, defect):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {bad}") and err.count("\n") == 1
+    assert err.count(str(bad)) == 1
+
+
+@pytest.mark.parametrize("which, what", [("--window", "window"),
+                                         ("--acf-file", "autocovariance table")])
+def test_empty_input_file_is_one_clean_line(capsys, tmp_path, which, what):
+    window = tmp_path / "win.csv"
+    write_window(window, w=1)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    argv = {"--window": ["--window", str(empty)],
+            "--acf-file": ["--window", str(window), "--acf-file", str(empty)]}[which]
+    assert run_cli(capsys, "score", *argv) == (1, "", f"error: {empty}: {what} holds no data\n")
 
 
 class TestEstimate:
@@ -999,4 +1021,49 @@ def test_cli_import_loads_only_known_scipy_subpackages():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert res.stdout.strip() == str(["fft", "linalg", "ndimage", "special"])
+    assert res.stdout.strip() == str(["ndimage", "special"])
+
+
+def _scipy_loaded_after(cwd, *argvs):
+    """Exit codes of cli.main on each argv, run in one fresh process, and
+    which of scipy.fft and scipy.linalg that process has loaded after them."""
+    code = ("import json, sys; from subpixdet.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted({'scipy.fft', 'scipy.linalg'} & set(sys.modules))]))")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=cwd,
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def tables(tmp_path):
+    """A w = 1 window and a white 9 x 9 autocovariance table, as CSV files."""
+    write_window(tmp_path / "win.csv", w=1)
+    acf = np.zeros((9, 9))
+    acf[4, 4] = 1.0
+    with open(tmp_path / "acf.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(acf.tolist())
+    return tmp_path
+
+
+def test_white_runs_load_neither_fft_nor_linalg(tables):
+    # clutter imports them only where a fractal image, an autocovariance
+    # or a Cholesky factor is made
+    argvs = (["roc", "--snr-db", "15", "--n-h0", "200", "--n-h1", "20", "--out", "r"],
+             ["mse", "--snr-db", "15", "--n-trials", "20", "--out", "m"],
+             ["signature", "--out", "s.csv"],
+             ["theoretical-roc", "--snr-db", "15", "--out", "t.csv"],
+             ["score", "--window", "win.csv"],
+             ["estimate", "--window", "win.csv"])
+    assert _scipy_loaded_after(tables, *argvs) == [[0] * len(argvs), []]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["roc", "--preset", "fig7", "--image-size", "128", "--n-h0", "200", "--n-h1", "200",
+      "--out", "r"], ["scipy.fft", "scipy.linalg"]),
+    (["clutter", "--size", "64", "--acf", "--out", "c"], ["scipy.fft"]),
+    (["score", "--window", "win.csv", "--acf-file", "acf.csv"], ["scipy.linalg"]),
+], ids=["roc-fractal", "clutter-acf", "score-acf-file"])
+def test_fractal_runs_load_what_they_use(tables, argv, loaded):
+    assert _scipy_loaded_after(tables, argv) == [[0], loaded]
