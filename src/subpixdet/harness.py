@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from . import clutter, optics
 from .detectors import (
@@ -456,7 +455,11 @@ def theoretical_pmf_roc(snr_db, eps_star, psf, grid_size=20, pfa_grid=None):
     t^2/d = T0^2 / d00, a two-sided test, so at a given threshold its
     Pfa is twice this curve's: read the GPMF Pd at Pfa off this curve
     at Pfa/2 (the lower tail under H1 is negligible).
+
+    The first call loads scipy.special, which no other run needs.
     """
+    from scipy import special
+
     if pfa_grid is None:
         pfa_grid = np.logspace(-8, 0, 161)
     alpha = snr_to_alpha(snr_db, 1.0, average_energy_cached(psf.r_c))

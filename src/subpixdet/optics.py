@@ -12,6 +12,11 @@ process by effective_psf; the renderer and the banks take that table,
 and each bank carries the quadrature rule its integrating statistics
 read.  build_alrt_bank's PsfModel branch and the constant q are bench
 residue: bench/run.py calls build_alrt_bank(PsfModel, w, q).
+
+The table build runs on numpy alone, so that a white-noise process
+loads no scipy subpackage: J1 is Cephes' algorithm and the spline
+prefilter scipy.ndimage's recursion, both bit-equal to scipy's where
+measured (tests/test_optics.py).
 """
 
 import itertools
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
 from numpy.polynomial.legendre import leggauss
-from scipy import ndimage, special
 
 __all__ = [
     "PsfModel",
@@ -60,21 +64,86 @@ class PsfModel:
             raise ValueError(f"r_c must be finite and > 0, got {self.r_c}")
 
 
+# Cephes' J1 (Moshier 1989, Methods and Programs for Mathematical
+# Functions; j1.c): a rational approximation on [0, 5], and above it
+# the asymptotic form in w = 5/x with P/Q ratios in w^2.  Coefficients
+# highest power first; RQ and QQ carry Cephes' implicit leading 1.
+_J1_RP = (-8.99971225705559398224E8, 4.52228297998194034323E11,
+          -7.27494245221818276015E13, 3.68295732863852883286E15)
+_J1_RQ = (1.0, 6.20836478118054335476E2, 2.56987256757748830383E5,
+          8.35146791431949253037E7, 2.21511595479792499675E10,
+          4.74914122079991414898E12, 7.84369607876235854894E14,
+          8.95222336184627338078E16, 5.32278620332680085395E18)
+_J1_Z1, _J1_Z2 = 1.46819706421238932572E1, 4.92184563216946036703E1   # j_{1,1}^2, j_{1,2}^2
+_J1_PP = (7.62125616208173112003E-4, 7.31397056940917570436E-2,
+          1.12719608129684925192E0, 5.11207951146807644818E0,
+          8.42404590141772420927E0, 5.21451598682361504063E0,
+          1.00000000000000000254E0)
+_J1_PQ = (5.71323128072548699714E-4, 6.88455908754495404082E-2,
+          1.10514232634061696926E0, 5.07386386128601488557E0,
+          8.39985554327604159757E0, 5.20982848682361821619E0,
+          9.99999999999999997461E-1)
+_J1_QP = (5.10862594750176621635E-2, 4.98213872951233449420E0,
+          7.58238284132545283818E1, 3.66779609360150777800E2,
+          7.10856304998926107277E2, 5.97489612400613639965E2,
+          2.11688757100572135698E2, 2.52070205858023719784E1)
+_J1_QQ = (1.0, 7.42373277035675149943E1, 1.05644886038262816351E3,
+          4.98641058337653607651E3, 9.56231892404756170795E3,
+          7.99704160447350683650E3, 2.82619278517639096600E3,
+          3.36093607810698293419E2)
+_THREE_PI_4 = 2.35619449019234492885
+_SQRT_2_PI = 7.9788456080286535587989E-1
+# Elements of x one pass of _j1 evaluates, so its temporaries stay in cache.
+_J1_BLOCK = 8192
+
+
+def _polevl(z, coefs):
+    """Horner's rule in Cephes' order of operations."""
+    out = coefs[0] * z
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _j1(x):
+    """Bessel J1 at x >= 0, elementwise, as a new float array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat, res = x.ravel(), out.reshape(-1)
+    for lo in range(0, flat.size, _J1_BLOCK):
+        xb, rb = flat[lo:lo + _J1_BLOCK], res[lo:lo + _J1_BLOCK]
+        near = xb <= 5.0
+        far = ~near
+        s = xb[near]
+        z = s * s
+        rb[near] = _polevl(z, _J1_RP) / _polevl(z, _J1_RQ) * s * (z - _J1_Z1) * (z - _J1_Z2)
+        s = xb[far]
+        w = 5.0 / s
+        z = w * w
+        p = _polevl(z, _J1_PP) / _polevl(z, _J1_PQ)
+        q = _polevl(z, _J1_QP) / _polevl(z, _J1_QQ)
+        xn = s - _THREE_PI_4
+        rb[far] = (p * np.cos(xn) - w * q * np.sin(xn)) * _SQRT_2_PI / np.sqrt(s)
+    return out
+
+
 def psf_value(model, u, v):
     """Airy PSF h(u, v) = (1/pi) * [J1(pi*rho*r_c)/rho]^2, rho = |(u,v)|.
 
     Vectorized over u, v; scalar u and v give an np.float64.  The
     removable singularity at rho = 0 takes its analytic limit
-    pi * r_c**2 / 4.  J1 is scipy.special.j1 (absolute error <= 1e-10
-    over |x| <= 500, checked against a power-series oracle in the test
-    suite).
+    pi * r_c**2 / 4.  J1 is _j1, Cephes' algorithm, bit-equal to
+    scipy.special.j1 on the measured grid over [0, 500] (absolute error
+    <= 1e-10 there against a power-series oracle in the test suite).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     rho = np.hypot(u, v)
     t = np.pi * rho * model.r_c
     # J1(t)/t -> 1/2 as t -> 0; divide only where safe.
-    ratio = np.divide(special.j1(t), t, out=np.full_like(t, 0.5), where=t > 0)
+    ratio = np.divide(_j1(t), t, out=np.full_like(t, 0.5), where=t > 0)
     return np.pi * model.r_c**2 * ratio**2
 
 
@@ -127,6 +196,43 @@ def _quintic_weights(t):
     return out
 
 
+# Poles of the quintic B-spline's direct filter to the digits
+# scipy.ndimage writes them; their closed forms sqrt(135/2 -+
+# sqrt(17745/4)) +- sqrt(105/4) - 13/2 round differently and move the
+# coefficients by up to about 1e-12.
+_QUINTIC_POLES = (-0.430575347099973791851434783493520110,
+                  -0.043096288203264653822712376822550182)
+
+
+def _prefilter(g):
+    """Quintic B-spline coefficients of the 2-D samples g, with mirror
+    boundaries, as a new array (Unser 1999, IEEE Signal Process. Mag.
+    16(6):22).  Along axis 0, then axis 1: the gain, then per pole a
+    causal and an anticausal recursion from their mirror-boundary
+    initial values, in scipy.ndimage.spline_filter's order of operations."""
+    c = np.array(g, dtype=float, order="C")
+    gain = 1.0
+    for z in _QUINTIC_POLES:
+        gain *= (1.0 - z) * (1.0 - 1.0 / z)
+    for _ in range(2):
+        n = len(c)
+        c *= gain
+        for z in _QUINTIC_POLES:
+            z_n = z ** (n - 1)
+            c0, z_i = c[0] + z_n * c[n - 1], z
+            for i in range(1, n - 1):
+                c0 += z_i * (c[i] + z_n * c[n - 1 - i])
+                z_i *= z
+            c[0] = c0 / (1 - z_n * z_n)
+            for i in range(1, n):
+                c[i] += z * c[i - 1]
+            c[n - 1] = (z * c[n - 2] + c[n - 1]) * z / (z * z - 1)
+            for i in range(n - 2, -1, -1):
+                c[i] = z * (c[i + 1] - c[i])
+        c = np.ascontiguousarray(c.T)      # next along axis 1; two passes restore g's axes
+    return c
+
+
 def _cell_sums(h, row_wts, col_wts):
     """Weight a block of node values of h in place and sum each lattice
     cell's _CELL_ORDER x _CELL_ORDER nodes."""
@@ -175,7 +281,7 @@ class EffectivePsf:
             cells[lo:hi, lo:] = _cell_sums(h, wts[lo * p:hi * p], wts[lo * p:])
             cells[hi:, lo:hi] = _cell_sums(below, wts[hi * p:], wts[lo * p:hi * p])
         g = self._pixel_sums(self._pixel_sums(cells).T).T
-        quadrant = ndimage.spline_filter(g, order=5, mode="mirror")
+        quadrant = _prefilter(g)
         m = len(quadrant)
         plane = self._plane = np.empty((2 * m - 1, 2 * m - 1))
         plane[m - 1:, m - 1:] = quadrant

@@ -18,6 +18,15 @@ from subpixdet.optics import effective_psf, render_signature_batch
 TRAPEZOID = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]).ravel()
 
 
+def airy_psf(model, u, v):
+    """psf_value's Airy PSF pi r_c^2 [J1(t)/t]^2, t = pi r_c |(u, v)|, on
+    scipy.special.j1, so that the quadrature oracles do not share the
+    package's J1."""
+    t = np.pi * np.hypot(u, v) * model.r_c
+    ratio = np.divide(special.j1(t), t, out=np.full_like(t, 0.5), where=t > 0)
+    return np.pi * model.r_c**2 * ratio**2
+
+
 def signature(model, eps, w):
     """One offset's (2w+1, 2w+1) signature patch: render_signature_batch
     on a batch of one, from the table of design (model.r_c, w)."""
@@ -131,7 +140,7 @@ def render_map_coordinates(psf, offsets):
 def effective_psf_coeffs_rowblocks(psf):
     """EffectivePsf's spline coefficients, with h evaluated on the whole
     node grid (no symmetry), one block of cell rows at a time."""
-    r_c, order, k = psf.r_c, optics._CELL_ORDER, psf.lattice
+    order, k = optics._CELL_ORDER, psf.lattice
     n_cells = k * (psf.w + 1) + optics._SPLINE_MARGIN
     nodes, weights = leggauss(order)
     pts = ((np.arange(n_cells)[:, None] + 0.5 * (nodes + 1)) / k).ravel()
@@ -140,10 +149,7 @@ def effective_psf_coeffs_rowblocks(psf):
     rows = max(1, 2**20 // (len(pts) * order))
     for lo in range(0, n_cells, rows):
         sl = slice(lo * order, min(n_cells, lo + rows) * order)
-        t = np.pi * np.hypot(pts[sl, None], pts[None, :]) * r_c
-        safe = np.where(t > 0, t, 1.0)
-        ratio = np.where(t > 0, special.j1(safe) / safe, 0.5)
-        h = np.pi * r_c**2 * ratio**2 * wts[sl, None] * wts
+        h = airy_psf(psf.model, pts[sl, None], pts[None, :]) * wts[sl, None] * wts
         cells[lo:lo + rows] = h.reshape(-1, order, n_cells, order).sum(axis=(1, 3))
     g = psf._pixel_sums(psf._pixel_sums(cells).T).T
     return ndimage.spline_filter(g, order=5, mode="mirror")

@@ -21,11 +21,11 @@ from subpixdet.harness import (
     run_mse, run_roc, theoretical_pmf_roc,
 )
 from subpixdet.optics import (
-    EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, effective_psf, psf_value,
+    EffectivePsf, PsfModel, build_alrt_bank, build_signature_bank, effective_psf,
     render_signature_batch,
 )
 
-from helpers import TRAPEZOID, mse_row, pd_at_pfa, signature, window_covariance
+from helpers import TRAPEZOID, airy_psf, mse_row, pd_at_pfa, signature, window_covariance
 
 JOBS = 4
 
@@ -368,8 +368,8 @@ def test_8_oracle_suites(capsys):
             for n in (1024, 2048):
                 u = i - 0.5 + (np.arange(n) + 0.5) / n
                 v = j - 0.5 + (np.arange(n) + 0.5) / n
-                refs[n] = psf_value(model, (u - eps[0])[:, None],
-                                    (v - eps[1])[None, :]).sum() / n**2
+                refs[n] = airy_psf(model, (u - eps[0])[:, None],
+                                   (v - eps[1])[None, :]).sum() / n**2
             ref = (4 * refs[2048] - refs[1024]) / 3
             worst = max(worst, abs(sig[i + 1, j + 1] - ref) / ref)
     quad_ok = worst <= 1e-6

@@ -1014,22 +1014,25 @@ def test_model_flags_are_config_fields():
 
 def test_cli_import_loads_only_known_scipy_subpackages():
     # each scipy subpackage adds to every run's set-up (scipy.stats about
-    # half a second); a new one must be a deliberate change of this set
+    # half a second, scipy.special with scipy's array-API chain about
+    # 0.15 s); a new one must be a deliberate change of this empty set
     code = ("import sys, scipy, subpixdet.cli; "
             "print(sorted({m.split('.')[1] for m in sys.modules "
             "if m.startswith('scipy.')} & set(scipy.__all__)))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert res.stdout.strip() == str(["ndimage", "special"])
+    assert res.stdout.strip() == str([])
 
 
 def _scipy_loaded_after(cwd, *argvs):
     """Exit codes of cli.main on each argv, run in one fresh process, and
-    which of scipy.fft and scipy.linalg that process has loaded after them."""
+    which of scipy.fft, scipy.linalg, scipy.ndimage and scipy.special that
+    process has loaded after them."""
     code = ("import json, sys; from subpixdet.cli import main; "
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-            "print(json.dumps([codes, sorted({'scipy.fft', 'scipy.linalg'} & set(sys.modules))]))")
+            "print(json.dumps([codes, sorted({'scipy.fft', 'scipy.linalg', 'scipy.ndimage', "
+            "'scipy.special'} & set(sys.modules))]))")
     res = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=cwd,
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -1049,20 +1052,27 @@ def tables(tmp_path):
 
 def test_white_runs_load_neither_fft_nor_linalg(tables):
     # clutter imports them only where a fractal image, an autocovariance
-    # or a Cholesky factor is made
+    # or a Cholesky factor is made, and the effective-PSF table needs no
+    # scipy at all, so a white run loads none of the four
     argvs = (["roc", "--snr-db", "15", "--n-h0", "200", "--n-h1", "20", "--out", "r"],
              ["mse", "--snr-db", "15", "--n-trials", "20", "--out", "m"],
              ["signature", "--out", "s.csv"],
-             ["theoretical-roc", "--snr-db", "15", "--out", "t.csv"],
              ["score", "--window", "win.csv"],
              ["estimate", "--window", "win.csv"])
     assert _scipy_loaded_after(tables, *argvs) == [[0] * len(argvs), []]
 
 
+def test_theoretical_roc_loads_only_special(tables):
+    # the closed-form Pd needs scipy.special's ndtr and ndtri
+    argv = ["theoretical-roc", "--snr-db", "15", "--out", "t.csv"]
+    assert _scipy_loaded_after(tables, argv) == [[0], ["scipy.special"]]
+
+
+# scipy.fft imports scipy.special itself
 @pytest.mark.parametrize("argv, loaded", [
     (["roc", "--preset", "fig7", "--image-size", "128", "--n-h0", "200", "--n-h1", "200",
-      "--out", "r"], ["scipy.fft", "scipy.linalg"]),
-    (["clutter", "--size", "64", "--acf", "--out", "c"], ["scipy.fft"]),
+      "--out", "r"], ["scipy.fft", "scipy.linalg", "scipy.special"]),
+    (["clutter", "--size", "64", "--acf", "--out", "c"], ["scipy.fft", "scipy.special"]),
     (["score", "--window", "win.csv", "--acf-file", "acf.csv"], ["scipy.linalg"]),
 ], ids=["roc-fractal", "clutter-acf", "score-acf-file"])
 def test_fractal_runs_load_what_they_use(tables, argv, loaded):

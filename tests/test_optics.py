@@ -6,21 +6,26 @@ import numpy as np
 import mpmath
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy import ndimage
 from scipy.special import j0, j1
 
+from subpixdet import optics
 from subpixdet.clutter import CovarianceModel
 from subpixdet.optics import (
     EffectivePsf, PsfModel, build_alrt_bank, effective_psf, psf_value,
     render_signature_batch, average_energy, build_signature_bank,
 )
 
-from helpers import effective_psf_coeffs_rowblocks, quadrant, render_map_coordinates, signature
+from helpers import (
+    airy_psf, effective_psf_coeffs_rowblocks, quadrant, render_map_coordinates, signature,
+)
 
 
 # ---------------------------------------------------------------------------
 # Test-local oracles, independent of the effective-PSF table and of the
 # Parseval energy: direct per-pixel Gauss-Legendre integration of the
-# PSF, and the spot energy averaged over a grid of offsets.
+# PSF (helpers.airy_psf, on scipy's J1), and the spot energy averaged
+# over a grid of offsets.
 
 def direct_signature_batch(model, offsets, w, q=16):
     """Tensor-product Gauss-Legendre (order q per axis per pixel) pixel
@@ -38,7 +43,7 @@ def direct_signature_batch(model, offsets, w, q=16):
         eps = offsets[lo:lo + chunk]
         du = coords - eps[:, :1]
         dv = coords - eps[:, 1:]
-        h = psf_value(model, du[:, :, None], dv[:, None, :])
+        h = airy_psf(model, du[:, :, None], dv[:, None, :])
         h = h.reshape(len(eps), n_pix, q, n_pix, q)
         out[lo:lo + chunk] = np.einsum("a,b,niajb->nij", wts, wts, h).reshape(len(eps), -1)
     return out
@@ -73,14 +78,14 @@ def j1_series(x, dps=400):
 
 
 class TestBesselJ1:
-    # psf_value evaluates J1 with scipy.special.j1
+    # psf_value evaluates J1 with optics._j1 on t = pi rho r_c >= 0
 
     def test_zero(self):
-        assert j1(0.0) == 0.0
+        assert optics._j1(0.0) == 0.0
 
     def test_value_at_one(self):
-        assert j1(1.0) == pytest.approx(0.4400505857, abs=1e-10)
-        assert j1(1.0) == pytest.approx(j1_series(1.0), abs=1e-12)
+        assert optics._j1(1.0) == pytest.approx(0.4400505857, abs=1e-10)
+        assert optics._j1(1.0) == pytest.approx(j1_series(1.0), abs=1e-12)
 
     def test_first_zero(self):
         # first positive zero of J1, bracketed by bisection on the series
@@ -93,17 +98,36 @@ class TestBesselJ1:
                 lo = mid
         root = (lo + hi) / 2
         assert root == pytest.approx(3.8317059702, abs=1e-9)
-        assert j1(3.8317059702) == pytest.approx(0.0, abs=1e-9)
+        assert optics._j1(3.8317059702) == pytest.approx(0.0, abs=1e-9)
 
     def test_accuracy_sweep(self):
-        xs = np.linspace(-500, 500, 2001)
+        xs = np.linspace(0, 500, 2001)
         with mpmath.workdps(60):
             ref = np.array([float(mpmath.besselj(1, float(x))) for x in xs])
-        assert np.max(np.abs(j1(xs) - ref)) <= 1e-10
+        assert np.max(np.abs(optics._j1(xs) - ref)) <= 1e-10
 
     def test_series_agrees_at_moderate_x(self):
         for x in (0.5, 2.0, 7.9, 15.0):
-            assert j1(x) == pytest.approx(j1_series(x), abs=1e-12)
+            assert optics._j1(x) == pytest.approx(j1_series(x), abs=1e-12)
+
+    def test_bits_of_scipy(self):
+        # the algorithm of scipy.special.j1: both sides of its x = 5
+        # switch and the switch itself, and a 2-D array whose rows its
+        # blocks cross
+        xs = np.concatenate([np.linspace(0, 500, 1_000_001),
+                             np.random.default_rng(13).uniform(0, 500, 500_000),
+                             [5.0, np.nextafter(5.0, 6.0), np.nextafter(5.0, 4.0)]])
+        assert np.array_equal(optics._j1(xs), j1(xs))
+        grid = xs[:3 * 7001].reshape(3, 7001)
+        assert np.array_equal(optics._j1(grid), j1(grid))
+
+
+class TestQuinticPrefilter:
+    @pytest.mark.parametrize("n", [33, 120, 192, 705])
+    def test_bits_of_scipy(self, n):
+        g = np.random.default_rng(n).standard_normal((n, n))
+        assert np.array_equal(optics._prefilter(g),
+                              ndimage.spline_filter(g, order=5, mode="mirror"))
 
 
 class TestPsfValue:
@@ -127,6 +151,10 @@ class TestPsfValue:
             assert psf_value(m, u, v) == psf_value(m, -u, v)
             assert psf_value(m, u, v) == psf_value(m, u, -v)
 
+    def test_scalar_offsets_give_a_float64(self):
+        for u, v in [(0.3, -0.2), (0.0, 0.0), (2, 1)]:
+            assert type(psf_value(PsfModel(2.44), u, v)) is np.float64
+
     def test_rc_validation(self):
         with pytest.raises(ValueError):
             PsfModel(0.0)
@@ -149,7 +177,7 @@ def midpoint_pixel_integral(model, i, j, eps, n=2048):
     """Brute-force midpoint rule on an n x n subgrid of the unit square."""
     u = i - 0.5 + (np.arange(n) + 0.5) / n
     v = j - 0.5 + (np.arange(n) + 0.5) / n
-    h = psf_value(model, (u - eps[0])[:, None], (v - eps[1])[None, :])
+    h = airy_psf(model, (u - eps[0])[:, None], (v - eps[1])[None, :])
     return h.sum() / n**2
 
 
