@@ -120,7 +120,7 @@ def resolve_config(args, kind):
     for key in _CONFIG_FIELDS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)
 
 
 def _libraries():
@@ -395,11 +395,12 @@ def main(argv=None):
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # bad input (a ConfigError is a ValueError), file errors, out of
+        # memory; a LinAlgError reaches neither clause (clutter converts it)
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
-    except (IndefiniteCovarianceError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (IndefiniteCovarianceError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

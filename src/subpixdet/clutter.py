@@ -179,6 +179,7 @@ def assemble_window_covariance(acf, w, lam=1e-6):
             f"window covariance not positive definite after ridge {lam} "
             f"(smallest eigenvalue {smallest:.3e})"
         )
+    factor[0].flags.writeable = False
     return CovarianceModel(form="empirical", sigma2=None, _factor=factor)
 
 
@@ -186,8 +187,8 @@ def assemble_window_covariance(acf, w, lam=1e-6):
 class CovarianceModel:
     """Window noise covariance with a solve service.
 
-    Immutable after construction; the Cholesky factor is stored so every
-    statistic shares numerically identical solves.
+    Immutable after construction; the Cholesky factor is stored, read-only,
+    so every statistic shares numerically identical solves.
     """
 
     form: str            # "white" | "empirical"

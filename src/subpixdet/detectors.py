@@ -56,11 +56,12 @@ def build_subspace(bank, order=1):
 
     Returns the (n, P) basis of the leading singular subspace, P = order,
     with orthonormal columns; each column's largest-magnitude entry is
-    positive.  The subspace is noise-independent; whitening enters only
-    through the SM-GLRT quadratic form.
+    positive.  P is at most min(K, n), the thin SVD's column count.  The
+    subspace is noise-independent; whitening enters only through the
+    SM-GLRT quadratic form.
     """
-    if not 1 <= order <= len(bank.offsets):
-        raise ValueError(f"subspace order must be in [1, {len(bank.offsets)}]")
+    if not 1 <= order <= min(bank.vectors.shape):
+        raise ValueError(f"subspace order must be in [1, {min(bank.vectors.shape)}]")
     u = np.linalg.svd(bank.vectors.T, full_matrices=False)[0]
     basis = u[:, :order].copy()
     for p in range(order):

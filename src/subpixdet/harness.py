@@ -68,11 +68,12 @@ class ExperimentConfig:
     """Everything a ROC or MSE run needs, with paper-style defaults.
 
     The CLI derives each flag and config-file key from a field and
-    parses its value as the field's annotated type.
+    parses its value as the field's annotated type.  Building a config
+    (replace included) raises ConfigError on any bad field.
     """
 
-    # not a field (no flag, config key or manifest entry); see DEFAULT_QUAD_ORDER
-    q: ClassVar[int] = optics.DEFAULT_QUAD_ORDER
+    # not a field (no flag, config key or manifest entry); see SignatureBank.q
+    q: ClassVar[int] = optics.SignatureBank.q
 
     r_c: float = 2.44
     w: int = 2
@@ -96,7 +97,7 @@ class ExperimentConfig:
     train_equals_test: bool = False  # fractal: reuse the training image
     jobs: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("snr_db", "alpha", "sigma"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -145,7 +146,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimators {sorted(unknown)}")
         if self.grid_size % 2 != 0 or self.grid_size < 2:
             raise ConfigError("grid_size must be even and >= 2")
-        return self
 
 
 @dataclass(frozen=True)
@@ -291,8 +291,7 @@ def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
         image = clutter.synthesize_fbm(hurst, image_size, seed=[int(seed), _STREAM_TEST, 0])
     values = image.values
     values -= values.mean()
-    for array in (values, cov._factor[0]):
-        array.flags.writeable = False
+    values.flags.writeable = False
     return cov, sigma_eff, values
 
 
@@ -393,7 +392,7 @@ def run_roc(config):
     a fresh uniform offset per trial (or eps_fixed), alpha given or set
     by snr_db (not both).  Thresholds sweep every distinct score.
     """
-    _check_reads(config.validate(), "roc")
+    _check_reads(config, "roc")
     run = _Run(config, config.detectors)
     alpha = run.alpha(config.snr_db) if config.alpha is None else config.alpha
 
@@ -409,12 +408,13 @@ def run_roc(config):
 def run_mse(config):
     """Estimator MSE/bias at each snr_sweep point, or at snr_db alone.
 
-    Returns a tuple of per-(estimator, SNR) row dicts, keyed as the
-    mse.csv header.  Rows are labelled by SNR, so alpha is refused.  The
-    true offset is eps_fixed, or else continuous-uniform per trial (never
-    grid-snapped), so grid quantization of ML/PM is honestly penalized.
+    Returns a tuple of per-(estimator, SNR) row dicts, whose keys are
+    mse.csv's header in order.  Rows are labelled by SNR, so alpha is
+    refused.  The true offset is eps_fixed, or else continuous-uniform
+    per trial (never grid-snapped), so grid quantization of ML/PM is
+    honestly penalized.
     """
-    _check_reads(config.validate(), "mse")
+    _check_reads(config, "mse")
     run = _Run(config)
     sweep = config.snr_sweep or (config.snr_db,)
     alphas = [run.alpha(snr_db) for snr_db in sweep]
@@ -517,9 +517,8 @@ def write_roc_csv(curves, path):
 
 
 def write_mse_csv(rows, path):
-    header = ["estimator", "snr_db", "mse_eps1", "mse_eps2", "mse_total",
-              "bias_eps1", "bias_eps2", "n_trials"]
+    """run_mse's rows under a header of the first row's keys."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([row[k] for k in header] for row in rows)
+        writer = csv.DictWriter(fh, rows[0])
+        writer.writeheader()
+        writer.writerows(rows)

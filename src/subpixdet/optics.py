@@ -10,8 +10,8 @@ the target *signature*.  Signatures are read off one table of the
 pixel-integrated PSF (EffectivePsf), built once per design (r_c, w) and
 process by effective_psf; the renderer and the banks take that table,
 and each bank carries the quadrature rule its integrating statistics
-read.  build_alrt_bank's PsfModel branch and the constant q are bench
-residue: bench/run.py calls build_alrt_bank(PsfModel, w, q).
+read.  build_alrt_bank's PsfModel branch is bench residue: bench/run.py
+calls build_alrt_bank(PsfModel, w, q).
 
 The table build runs on numpy alone, so that a white-noise process
 loads no scipy subpackage: J1 is Cephes' algorithm and the spline
@@ -34,20 +34,12 @@ __all__ = [
     "BoundBank",
     "EffectivePsf",
     "effective_psf",
-    "DEFAULT_QUAD_ORDER",
     "psf_value",
     "render_signature_batch",
     "average_energy",
     "build_signature_bank",
     "build_alrt_bank",
 ]
-
-# Per-pixel Gauss-Legendre order of the retired direct renderer, kept as
-# the constant ExperimentConfig.q and SignatureBank.q only because
-# bench/run.py and bench/selftest.py read them.  Rendering and the spot
-# energy do not depend on it.
-DEFAULT_QUAD_ORDER = 16
-
 
 @dataclass(frozen=True)
 class PsfModel:
@@ -255,7 +247,8 @@ class EffectivePsf:
     summing whole pixels out of the cells with a summed-area table, and
     spline-filtering the result; g is even in x and in y, so the
     quadrant's quintic B-spline coefficients are mirrored into a
-    whole-plane table once, and windows are read off that plane.
+    whole-plane table once, and windows are read off that plane.  The
+    table's arrays are read-only once built, so any caller may share it.
     """
 
     def __init__(self, model, w):
@@ -297,6 +290,8 @@ class EffectivePsf:
         flat = (taps[:, None] * len(plane) + taps).reshape(n_pix, 6, n_pix, 6)
         self._gather = flat.transpose(0, 2, 1, 3).reshape(n_pix * n_pix, 36)
         self._origin = m - 1 - k * w - 2
+        for table in (plane, self._gather):
+            table.flags.writeable = False
 
     def _pixel_sums(self, cells):
         """Sum the k cells of a unit pixel centred on each node, along axis 0.
@@ -354,12 +349,9 @@ render_signature_batch = EffectivePsf.render
 @lru_cache(maxsize=_TABLES)
 def effective_psf(r_c, w):
     """The EffectivePsf of the design (r_c, w), built once per process
-    while it stays among the _TABLES most recently used designs.  Its
-    arrays are read-only, so every caller may share it."""
-    psf = EffectivePsf(PsfModel(r_c), w)
-    for table in (psf._plane, psf._gather):
-        table.flags.writeable = False
-    return psf
+    while it stays among the _TABLES most recently used designs; every
+    caller may share it, as its arrays are read-only."""
+    return EffectivePsf(PsfModel(r_c), w)
 
 
 def average_energy(model):
@@ -403,7 +395,7 @@ class SignatureBank:
     log_weights: np.ndarray      # (M,), M <= K; exp sums to 1
     center_index: int
     psf: EffectivePsf = field(compare=False, repr=False)   # the table rendered from
-    q: ClassVar[int] = DEFAULT_QUAD_ORDER       # a constant; see DEFAULT_QUAD_ORDER
+    q: ClassVar[int] = 16    # the retired renderer's quadrature order: bench/ reads it
 
     @property
     def w(self):

@@ -940,6 +940,16 @@ class TestConfigHelpers:
         assert built == []
         assert not (tmp_path / "out").exists()
 
+    def test_subspace_order_above_pixel_count_exits_1(self, capsys, tmp_path):
+        # at w = 2 the subspace has at most 25 columns, however many nodes
+        code, out, err = run_cli(capsys, "roc", "--snr-db", "15", "--detectors", "SM-GLRT",
+                                 "--subspace-order", "26", "--n-h0", "50", "--n-h1", "50",
+                                 "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == "error: subspace order must be in [1, 25]\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 14.9 TiB"), MemoryError()],
                              ids=["message", "bare"])
     def test_memory_error_exits_1(self, capsys, monkeypatch, tmp_path, exc):

@@ -305,6 +305,12 @@ class TestAssembleWindowCovariance:
                     expect = expect + 0.05 * acf[2 * w, 2 * w]
                 assert factored(cov)[a, b] == pytest.approx(expect, rel=1e-12)
 
+    def test_factor_is_read_only_from_birth(self):
+        acf = np.zeros((9, 9))
+        acf[4, 4] = 1.0
+        cov = assemble_window_covariance(acf, 2)
+        assert not cov._factor[0].flags.writeable
+
     def test_solve_inverts(self, rng):
         acf = np.zeros((5, 5))
         acf[2, 2] = 1.0

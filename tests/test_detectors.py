@@ -197,6 +197,14 @@ class TestSubspace:
         with pytest.raises(ValueError):
             build_subspace(bank244, order=402)
 
+    def test_order_bounded_by_thin_svd_columns(self, bank244):
+        # the thin SVD of 401 signatures of 25 pixels has 25 columns
+        n = bank244.vectors.shape[1]
+        basis = build_subspace(bank244, order=n)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-12)
+        with pytest.raises(ValueError, match=rf"^subspace order must be in \[1, {n}\]$"):
+            build_subspace(bank244, order=n + 1)
+
 
 class TestSmGlrt:
     def test_order_one_reduces_to_matched_form(self, bound244, subspace244, rng):

@@ -23,26 +23,31 @@ from helpers import energy_cache, mse_row, pd_at_pfa, pfa_at_pd
 
 class TestConfig:
     def test_defaults_validate(self):
-        cfg = ExperimentConfig(snr_db=15.0)
-        assert cfg.validate() is cfg
+        # a config checks its fields when it is built
+        ExperimentConfig(snr_db=15.0)
         # the amplitude rule is each run's (TestRunRoc, TestRunMse)
-        ExperimentConfig().validate()
+        ExperimentConfig()
+
+    def test_replace_validates(self):
+        # an invalid config cannot exist, not even one made by replace
+        with pytest.raises(ConfigError, match="trial counts"):
+            replace(ExperimentConfig(), n_h0=0)
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_db=15.0, noise="pink").validate()
+            ExperimentConfig(snr_db=15.0, noise="pink")
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_db=15.0, noise="fractal", hurst=1.5).validate()
+            ExperimentConfig(snr_db=15.0, noise="fractal", hurst=1.5)
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_db=15.0, sigma=-1.0).validate()
+            ExperimentConfig(snr_db=15.0, sigma=-1.0)
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_db=15.0, n_h0=0).validate()
+            ExperimentConfig(snr_db=15.0, n_h0=0)
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_db=15.0, detectors=("GLRT", "XYZ")).validate()
+            ExperimentConfig(snr_db=15.0, detectors=("GLRT", "XYZ"))
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_db=15.0, estimators=("MAP",)).validate()
+            ExperimentConfig(snr_db=15.0, estimators=("MAP",))
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_db=15.0, grid_size=7).validate()
+            ExperimentConfig(snr_db=15.0, grid_size=7)
 
     @pytest.mark.parametrize("field, value", [
         ("snr_db", float("nan")), ("snr_db", float("inf")), ("alpha", float("nan")),
@@ -52,7 +57,7 @@ class TestConfig:
     def test_rejects_non_finite_and_negative_ridge(self, field, value):
         fields = {"snr_db": 15.0, field: value}
         with pytest.raises(ConfigError, match=field):
-            ExperimentConfig(**fields).validate()
+            ExperimentConfig(**fields)
 
     @pytest.mark.parametrize("eps_fixed", [
         (0.1, 0.2, 0.3), (0.1,), (0.0, 0.6), (0.6, 0.0), (0.0, -0.51), (0.0, float("nan")),
@@ -60,25 +65,25 @@ class TestConfig:
     ])
     def test_rejects_bad_eps_fixed(self, eps_fixed):
         with pytest.raises(ConfigError, match="eps_fixed"):
-            ExperimentConfig(snr_db=15.0, eps_fixed=eps_fixed).validate()
+            ExperimentConfig(snr_db=15.0, eps_fixed=eps_fixed)
 
     def test_eps_fixed_closed_square(self):
-        ExperimentConfig(snr_db=15.0, eps_fixed=(-0.5, 0.5)).validate()
+        ExperimentConfig(snr_db=15.0, eps_fixed=(-0.5, 0.5))
         # empty: each trial draws its offset uniformly
-        ExperimentConfig(snr_db=15.0, eps_fixed=()).validate()
+        ExperimentConfig(snr_db=15.0, eps_fixed=())
 
     @pytest.mark.parametrize("field", ["detectors", "estimators"])
     def test_rejects_empty_selection(self, field):
         with pytest.raises(ConfigError, match=field):
-            ExperimentConfig(snr_db=15.0, **{field: ()}).validate()
+            ExperimentConfig(snr_db=15.0, **{field: ()})
 
     def test_n_trials_bounded_by_substream_keys(self):
         # run_mse keys chunk i of sweep point si as si * _SWEEP_STRIDE + i:
         # one more chunk per point would reuse the next point's substream
         limit = harness._SWEEP_STRIDE * harness._CHUNK
-        ExperimentConfig(snr_db=15.0, n_trials=limit).validate()
+        ExperimentConfig(snr_db=15.0, n_trials=limit)
         with pytest.raises(ConfigError, match="n_trials"):
-            ExperimentConfig(snr_db=15.0, n_trials=limit + 1).validate()
+            ExperimentConfig(snr_db=15.0, n_trials=limit + 1)
 
     # a value away from the default for every field UNREAD names
     AWAY = {"n_trials": 7, "estimators": ("ML",), "n_h0": 5, "n_h1": 9, "detectors": ("GLRT",),

@@ -327,6 +327,12 @@ class TestEffectivePsfCache:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
 
+    def test_table_is_read_only_from_birth(self):
+        # the table guards its own arrays, not only effective_psf's copy
+        psf = EffectivePsf(PsfModel(2.44), 2)
+        for table in (psf._plane, psf._gather):
+            assert not table.flags.writeable
+
     @pytest.mark.parametrize("r_c, w", [(2.44, 2), (0.5, 5), (2.44, 1)])
     def test_renders_as_a_fresh_table(self, r_c, w):
         offsets = np.vstack([np.random.default_rng(3).uniform(-0.5, 0.5, (500, 2)),
