@@ -56,8 +56,8 @@ def synthesize_fbm(hurst, size=256, seed=None, crop=None):
     """
     if not 0 < hurst < 1:
         raise ValueError(f"Hurst parameter must be in (0, 1), got {hurst}")
-    if size & (size - 1) != 0:
-        raise ValueError(f"size must be a power of two, got {size}")
+    if size < 2 or size & (size - 1) != 0:
+        raise ValueError(f"size must be a power of two >= 2, got {size}")
     from scipy.fft import fft, ifft, irfft, rfft
     rng = np.random.default_rng(seed)
     # the shaped spectrum is Hermitian, so its half plane carries it all
@@ -145,7 +145,7 @@ def white_covariance(sigma):
         raise ValueError(f"sigma**2 overflows, got sigma = {sigma}") from None
     if sigma2 < np.finfo(float).tiny:
         raise ValueError(f"sigma**2 underflows the normal floats, got sigma = {sigma}")
-    return CovarianceModel(form="white", sigma2=sigma2, _factor=None)
+    return CovarianceModel(sigma2=sigma2, _factor=None)
 
 
 def assemble_window_covariance(acf, w, lam=1e-6):
@@ -180,25 +180,23 @@ def assemble_window_covariance(acf, w, lam=1e-6):
             f"(smallest eigenvalue {smallest:.3e})"
         )
     factor[0].flags.writeable = False
-    return CovarianceModel(form="empirical", sigma2=None, _factor=factor)
+    return CovarianceModel(sigma2=None, _factor=factor)
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Window noise covariance with a solve service.
-
-    Immutable after construction; the Cholesky factor is stored, read-only,
-    so every statistic shares numerically identical solves.
+    """Window noise covariance with a solve service: sigma2 I (white
+    noise, no _factor) or a stored, read-only Cholesky factor (sigma2
+    None), so every statistic shares numerically identical solves.
     """
 
-    form: str            # "white" | "empirical"
     sigma2: float
     _factor: tuple
 
     def solve(self, y):
         """R^{-1} y for a vector or a (n, k) stack of columns."""
         y = np.asarray(y, dtype=float)
-        if self.form == "white":
+        if self._factor is None:
             return y / self.sigma2
         from scipy.linalg import cho_solve
         return cho_solve(self._factor, y)

@@ -270,29 +270,28 @@ def _check_reads(config, kind):
 
 @lru_cache(maxsize=1)
 def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
-    """(cov, sigma_eff, image) of a fractal run, built once per process
-    while it is the last background built.
+    """(cov, patches) of a fractal run, built once per process while it
+    is the last background built.
 
-    The covariance is trained on image (seed, 0, 0), and sigma_eff is
-    that image's own standard deviation.  image is the mean-removed test
-    image: (seed, 1, 0), or the training image itself when
-    train_equals_test.  It and the Cholesky factor are read-only, so
-    every run on this background may share them.  A new key clears the
-    cache before it synthesizes, so no two images (8 MiB each at 1024^2)
-    are held.
+    The covariance is trained on image (seed, 0, 0).  patches, the view
+    of all (2w+1)^2 windows of the mean-removed test image (seed, 1, 0),
+    or of the training image when train_equals_test, has window (i, j)
+    at top-left pixel image[i, j].  It and the Cholesky factor are
+    read-only, so every run on this background may share them.  A new
+    key clears the cache before it synthesizes, so no two images (8 MiB
+    each at 1024^2) are held.
     """
     _fractal_background.cache_clear()
     image = clutter.synthesize_fbm(hurst, image_size, seed=[int(seed), _STREAM_TRAIN, 0])
-    acf = clutter.estimate_autocovariance(image, 2 * w)
-    cov = clutter.assemble_window_covariance(acf, w, lam=ridge)
-    sigma_eff = math.sqrt(acf[2 * w, 2 * w])
+    cov = clutter.assemble_window_covariance(
+        clutter.estimate_autocovariance(image, 2 * w), w, lam=ridge)
     if not train_equals_test:
         del image                            # one image in memory at a time
         image = clutter.synthesize_fbm(hurst, image_size, seed=[int(seed), _STREAM_TEST, 0])
     values = image.values
     values -= values.mean()
     values.flags.writeable = False
-    return cov, sigma_eff, values
+    return cov, np.lib.stride_tricks.sliding_window_view(values, (2 * w + 1,) * 2)
 
 
 class _Run:
@@ -300,13 +299,12 @@ class _Run:
 
     Holds the design's effective-PSF table, which every signature of the
     run is read from, the bound precomputation of the given detectors
-    (bind_detectors), sigma_eff (the noise sigma an SNR refers
-    to: the clutter's own for fractal noise) and, for fractal noise, the
-    mean-removed image and its view of all (2w+1)^2 windows, which the
-    trials gather their windows from.  The fractal
-    covariance, sigma_eff and image come from _fractal_background, so
-    runs on the same background (any amplitude, trial counts, detectors,
-    grid or jobs) share one build of them.
+    (bind_detectors) and, for fractal noise, the view of the windows the
+    trials gather from.  The fractal covariance and view come from
+    _fractal_background, so runs on the same background (any amplitude,
+    trial counts, detectors, grid or jobs) share one build of them.  An
+    SNR refers to sigma for white noise and to 1 for fractal clutter,
+    the unit sigma synthesize_fbm gives every image.
     """
 
     def __init__(self, config, detectors=()):
@@ -314,19 +312,16 @@ class _Run:
         self.psf = effective_psf(config.r_c, config.w)
         if config.noise == "white":
             cov = clutter.white_covariance(config.sigma)
-            self.sigma_eff = config.sigma
         else:
-            cov, self.sigma_eff, self.image = _fractal_background(
+            cov, self.patches = _fractal_background(
                 config.hurst, config.image_size, config.seed, config.w, config.ridge,
                 config.train_equals_test)
-            # window (i, j) is the one whose top-left pixel is image[i, j]
-            self.patches = np.lib.stride_tricks.sliding_window_view(
-                self.image, (2 * config.w + 1,) * 2)
         self.bound, self.bound9, self.subspace = bind_detectors(
             self.psf, cov, config.grid_size, config.subspace_order, detectors)
 
     def alpha(self, snr_db):
-        return snr_to_alpha(snr_db, self.sigma_eff, average_energy_cached(self.config.r_c))
+        sigma = self.config.sigma if self.config.noise == "white" else 1.0
+        return snr_to_alpha(snr_db, sigma, average_energy_cached(self.config.r_c))
 
     def trials(self, fn, total, stream, alpha=None, first_chunk=0):
         """fn(windows, eps) over total trials, in chunks of _CHUNK.

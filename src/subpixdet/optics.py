@@ -410,7 +410,9 @@ class SignatureBank:
         whitened = cov.solve(self.vectors.T).T          # R^{-1} s_k, per row
         gram = np.einsum("kn,kn->k", self.vectors, whitened)
         if np.any(gram <= 0):
-            raise ValueError("non-positive signature quadratic form; covariance not PD")
+            bad = self.vectors[gram <= 0]
+            why = "its signatures vanish" if not np.any(bad * bad) else "covariance not PD"
+            raise ValueError(f"non-positive signature quadratic form at r_c = {self.r_c}; {why}")
         return BoundBank(bank=self, cov=cov, whitened=whitened, gram=gram)
 
 

@@ -805,6 +805,22 @@ class TestConfigHelpers:
         assert "r_c must be finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, r_c", [("roc", "1e-170"), ("score", "1e-300")])
+    def test_vanishing_signatures_exit_1_naming_r_c(self, capsys, tmp_path, command, r_c):
+        # the signatures underflow to 0; the white covariance is positive definite
+        if command == "roc":
+            argv = ("roc", "--alpha", "1", "--n-h0", "50", "--n-h1", "50",
+                    "--out", str(tmp_path / "out"))
+        else:
+            write_window(tmp_path / "w.csv")
+            argv = ("score", "--window", str(tmp_path / "w.csv"))
+        code, out, err = run_cli(capsys, *argv, "--r-c", r_c)
+        assert code == 1
+        assert err == (f"error: non-positive signature quadratic form at r_c = {r_c}; "
+                       "its signatures vanish\n")
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, field", [
         (("roc", "--snr-db", "15", "--n-h0", "50", "--n-h1", "50", "--detectors", ""),
          "detectors"),

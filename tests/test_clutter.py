@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -127,6 +129,14 @@ class TestSynthesizeFbm:
                 synthesize_fbm(hurst, size=64, seed=0)
         with pytest.raises(ValueError):
             synthesize_fbm(0.7, size=100, seed=0)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_size_below_2_is_refused(self, size):
+        # a 1x1 spectrum is its zeroed DC term alone: 0 / 0 when standardized
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"size must be a power of two >= 2, got {size}"):
+                synthesize_fbm(0.7, size=size, seed=0)
 
 
 def acf_direct(x, max_lag):
@@ -261,6 +271,14 @@ def test_fractal_roc_matches_complex_fft_clutter(monkeypatch, cold_background, s
         np.testing.assert_array_equal(pd_a, pd_b)
         # scores cross 0, so the relative check needs an absolute floor
         np.testing.assert_allclose(ta, tb, rtol=1e-9, atol=1e-9)
+
+
+def test_covariance_model_is_its_sigma2_or_its_factor():
+    assert [f.name for f in fields(clutter.CovarianceModel)] == ["sigma2", "_factor"]
+    assert white_covariance(2.0)._factor is None
+    acf = np.zeros((9, 9))
+    acf[4, 4] = 1.0
+    assert assemble_window_covariance(acf, 2).sigma2 is None
 
 
 class TestWhiteCovariance:

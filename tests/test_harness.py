@@ -354,33 +354,53 @@ class TestFractalBackground:
 
     def test_cached_arrays_are_read_only(self, cold_background):
         run = harness._Run(ExperimentConfig(**self.ROC))
-        cov, sigma_eff, image = harness._fractal_background(0.7, 128, 2, 2, 1e-6, False)
-        assert image is run.image and sigma_eff == run.sigma_eff
+        background = harness._fractal_background(0.7, 128, 2, 2, 1e-6, False)
+        assert len(background) == 2
+        cov, patches = background
+        assert patches is run.patches and not patches.flags.writeable
         assert run.bound.cov is cov
-        before = image.copy()
+        before = patches.copy()
         with pytest.raises(ValueError, match="read-only"):
-            image[0, 0] = 1.0
+            patches[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            image -= 1.0
+            patches -= 1.0
         with pytest.raises(ValueError, match="read-only"):
             cov._factor[0][0, 0] = 1.0
-        np.testing.assert_array_equal(image, before)
+        np.testing.assert_array_equal(patches, before)
 
     def test_a_new_key_frees_the_old_image_first(self, cold_background, monkeypatch):
         # runs on one background after another hold one image at a time,
-        # as cold runs do: the old one is gone before the next is made
+        # as cold runs do: the old view and the buffer that holds its
+        # pixels are gone before the next image is made
         harness._Run(ExperimentConfig(**self.ROC))
-        old = weakref.ref(harness._fractal_background(0.7, 128, 2, 2, 1e-6, False)[2])
+        patches = harness._fractal_background(0.7, 128, 2, 2, 1e-6, False)[1]
+        buffer = patches
+        while getattr(buffer, "base", None) is not None:
+            buffer = buffer.base
+        old = [weakref.ref(patches), weakref.ref(buffer)]
+        del patches, buffer
         alive = []
         synthesize = clutter.synthesize_fbm
 
         def checking(*args, **kwargs):
-            alive.append(old() is not None)
+            alive.append(any(ref() is not None for ref in old))
             return synthesize(*args, **kwargs)
 
         monkeypatch.setattr(clutter, "synthesize_fbm", checking)
         harness._Run(ExperimentConfig(**{**self.ROC, "seed": 3}))
         assert alive == [False, False]
+
+    def test_snr_refers_to_unit_sigma(self, cold_background):
+        # the training image's sample sigma reads 0.9999999999999998 at
+        # 256^2, seed 0; an SNR refers to the unit sigma the synthesis
+        # gives every image
+        run = harness._Run(ExperimentConfig(**{**self.BASE, "image_size": 256, "seed": 0}))
+        assert run.alpha(15.0) == snr_to_alpha(15.0, 1.0, average_energy_cached(2.44))
+
+    def test_run_keeps_only_the_view(self, cold_background):
+        for cfg in (ExperimentConfig(**self.ROC), ExperimentConfig()):
+            run = harness._Run(cfg)
+            assert not hasattr(run, "sigma_eff") and not hasattr(run, "image")
 
     def test_jobs_on_warm_cache_match_one_job_cold(self, cold_background, synthesized):
         # H0 spans two chunks, so two threads gather from the shared image

@@ -406,8 +406,9 @@ class TestSignatureBank:
         assert (bank244.w, bank244.r_c) == (psf244.w, psf244.r_c) == (2, 2.44)
 
     def test_bind_refuses_a_non_positive_quadratic_form(self, bank244):
-        with pytest.raises(ValueError, match="non-positive signature quadratic form"):
-            bank244.bind(CovarianceModel("white", -1.0, None))
+        with pytest.raises(ValueError, match="non-positive signature quadratic form at "
+                                             "r_c = 2.44; covariance not PD"):
+            bank244.bind(CovarianceModel(-1.0, None))
 
     def test_row_major_ordering(self, bank244):
         # eps1 is the slow axis
