@@ -180,9 +180,7 @@ def cmd_signature(args, cfg):
 def cmd_clutter(args, cfg):
     if args.size < 2:
         raise ConfigError(f"--size must be >= 2, got {args.size}")
-    size = 1 << (args.size - 1).bit_length()     # the next power of two
-    crop = args.size if args.size != size else None
-    field = clutter.synthesize_fbm(cfg.hurst, size, seed=cfg.seed, crop=crop)
+    field = clutter.synthesize_fbm(cfg.hurst, args.size, seed=cfg.seed)
     table = clutter.estimate_autocovariance(field, args.max_lag) if args.acf else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,6 +229,8 @@ def _window_context(args, cfg, w, detectors):
 def _read_window(args):
     """The window as a batch of one row vector, and its half-width."""
     window = _load_table(args.window, "window")
+    if len(window) < 3:
+        raise ConfigError(f"{args.window}: expected a window of at least 3x3, got {window.shape}")
     z = window.ravel() - (window.mean() if args.remove_mean else 0.0)
     return z[None, :], (window.shape[0] - 1) // 2
 

@@ -36,54 +36,55 @@ class NoiseField:
     values: np.ndarray
 
 
-def synthesize_fbm(hurst, size=256, seed=None, crop=None):
+def synthesize_fbm(hurst, size, seed):
     """Fractional-Brownian-motion clutter by spectral synthesis.
 
     White Gaussian noise is shaped in the Fourier domain by the
     power-law amplitude (f1^2 + f2^2)^(-(H+1)/2), i.e. power spectral
     density proportional to f^-(2H+2), the DC coefficient is zeroed, and
-    the inverse FFT is standardized to zero mean and unit variance.
-    Optionally cropped to crop x crop pixels (the paper-style cloud
-    image is 256 cropped to 200).
+    the inverse FFT is standardized to zero mean and unit variance.  A
+    size that is not a power of two is cropped from the next one, n, and
+    standardized again (the paper-style cloud image is 256 cropped to 200).
 
-    The whole synthesis holds one (size, size // 2 + 1) half-plane
-    spectrum: the noise is drawn and transformed into it in row blocks,
-    shaped and inverted along the columns in place, and the image is
-    written over the spectrum's own storage.  At 1024^2 its traced peak
-    before standardizing is 1.13 spectra (9.5 MB), not the 2.00 (16.8
-    MB) of a whole noise draw, amplitude array and separate output.
-    The bits are those of rfft2 and irfft2 on the whole plane.
+    The whole synthesis holds one (n, n // 2 + 1) half-plane spectrum:
+    the noise is drawn and transformed into it in row blocks, shaped and
+    inverted along the columns in place, and the image is written over
+    the spectrum's own storage.  At 1024^2 its traced peak before
+    standardizing is 1.13 spectra (9.5 MB), not the 2.00 (16.8 MB) of a
+    whole noise draw, amplitude array and separate output.  The bits are
+    those of rfft2 and irfft2 on the whole plane.
     """
     if not 0 < hurst < 1:
         raise ValueError(f"Hurst parameter must be in (0, 1), got {hurst}")
-    if size < 2 or size & (size - 1) != 0:
-        raise ValueError(f"size must be a power of two >= 2, got {size}")
+    if size < 2:
+        raise ValueError(f"size must be >= 2, got {size}")
+    n = 1 << (int(size) - 1).bit_length()    # the FFT grid, a power of two
     from scipy.fft import fft, ifft, irfft, rfft
     rng = np.random.default_rng(seed)
     # the shaped spectrum is Hermitian, so its half plane carries it all
-    spec = np.empty((size, size // 2 + 1), dtype=complex)
-    step = max(1, 2**16 // size)             # rows per 512 KiB of noise
-    for lo in range(0, size, step):
-        spec[lo:lo + step] = rfft(rng.standard_normal((min(step, size - lo), size)), axis=1)
+    spec = np.empty((n, n // 2 + 1), dtype=complex)
+    step = max(1, 2**16 // n)                # rows per 512 KiB of noise
+    for lo in range(0, n, step):
+        spec[lo:lo + step] = rfft(rng.standard_normal((min(step, n - lo), n)), axis=1)
     spec = fft(spec, axis=0, overwrite_x=True)
-    fy, fx = np.fft.fftfreq(size) ** 2, np.fft.rfftfreq(size) ** 2
-    for lo in range(0, size, step):
+    fy, fx = np.fft.fftfreq(n) ** 2, np.fft.rfftfreq(n) ** 2
+    for lo in range(0, n, step):
         amp = fy[lo:lo + step, None] + fx[None, :]
         with np.errstate(divide="ignore"):
             amp **= -(hurst + 1) / 2
         if lo == 0:
             amp[0, 0] = 0.0                  # the DC term, the only zero radius
         spec[lo:lo + step] *= amp
-    # irfft2 split into its two passes.  Each scales by 1/size, which is
+    # irfft2 split into its two passes.  Each scales by 1/n, which is
     # exact for a power of two, so the bits are irfft2's.  Image row i
-    # ends at byte 8 * size * (i + 1), before spectrum row i ends, so each
+    # ends at byte 8 * n * (i + 1), before spectrum row i ends, so each
     # block of the last pass overwrites only spectrum rows it has read.
     spec = ifft(spec, axis=0, overwrite_x=True)
-    field = spec.view(float).reshape(-1)[:size * size].reshape(size, size)
-    for lo in range(0, size, step):
-        field[lo:lo + step] = irfft(spec[lo:lo + step], n=size, axis=1)
-    if crop is not None:
-        field = _standardize(field)[:crop, :crop].copy()
+    field = spec.view(float).reshape(-1)[:n * n].reshape(n, n)
+    for lo in range(0, n, step):
+        field[lo:lo + step] = irfft(spec[lo:lo + step], n=n, axis=1)
+    if n > size:
+        field = _standardize(field)[:size, :size].copy()
     return NoiseField(values=_standardize(field))
 
 
@@ -163,12 +164,8 @@ def assemble_window_covariance(acf, w, lam=1e-6):
     max_lag = (acf.shape[0] - 1) // 2
     if max_lag < 2 * w:
         raise ValueError(f"acf covers lags up to {max_lag}, need {2 * w}")
-    coords = np.arange(-w, w + 1)
-    ii, jj = np.meshgrid(coords, coords, indexing="ij")
-    pi, pj = ii.ravel(), jj.ravel()
-    di = pi[:, None] - pi[None, :]
-    dj = pj[:, None] - pj[None, :]
-    matrix = acf[di + max_lag, dj + max_lag]
+    pi, pj = np.indices((2 * w + 1,) * 2).reshape(2, -1)     # row-major pixel coordinates
+    matrix = acf[pi[:, None] - pi + max_lag, pj[:, None] - pj + max_lag]
     matrix = matrix + lam * acf[max_lag, max_lag] * np.eye(len(matrix))
     from scipy.linalg import cho_factor, eigvalsh
     try:

@@ -111,10 +111,9 @@ class ExperimentConfig:
         if self.noise == "fractal" and not (0 < self.hurst < 1):
             raise ConfigError(f"fractal noise needs Hurst in (0, 1), got {self.hurst}")
         # the covariance reads lags up to 2w, which must stay below half the image
-        if self.noise == "fractal" and not (
-                self.image_size > 4 * self.w and self.image_size & (self.image_size - 1) == 0):
-            raise ConfigError("fractal noise needs image_size a power of two greater than "
-                              f"4w = {4 * self.w}, got {self.image_size}")
+        if self.noise == "fractal" and not self.image_size > 4 * self.w:
+            raise ConfigError(f"fractal noise needs image_size greater than 4w = {4 * self.w}, "
+                              f"got {self.image_size}")
         if self.noise == "white" and not self.sigma > 0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
         if self.n_h0 < 1 or self.n_h1 < 1 or self.n_trials < 1:
@@ -138,12 +137,10 @@ class ExperimentConfig:
             names = getattr(self, name)
             if len(set(names)) < len(names):
                 raise ConfigError(f"{name} must not repeat a name, got {names}")
-        unknown = set(self.detectors) - set(DETECTOR_IDS)
-        if unknown:
-            raise ConfigError(f"unknown detectors {sorted(unknown)}")
-        unknown = set(self.estimators) - set(ESTIMATOR_IDS)
-        if unknown:
-            raise ConfigError(f"unknown estimators {sorted(unknown)}")
+        for name, known in (("detectors", DETECTOR_IDS), ("estimators", ESTIMATOR_IDS)):
+            unknown = set(getattr(self, name)) - set(known)
+            if unknown:
+                raise ConfigError(f"unknown {name} {sorted(unknown)}")
         if self.grid_size % 2 != 0 or self.grid_size < 2:
             raise ConfigError("grid_size must be even and >= 2")
 
@@ -188,7 +185,10 @@ def snr_to_alpha(snr_db, sigma, energy):
 
 @lru_cache(maxsize=None)
 def _average_energy(r_c):
-    return optics.average_energy(PsfModel(r_c))
+    energy = optics.average_energy(PsfModel(r_c))
+    if not energy > 0:
+        raise ValueError(f"spot energy underflows to 0 at r_c = {r_c}")
+    return energy
 
 
 def average_energy_cached(r_c, q=None):
@@ -300,11 +300,12 @@ class _Run:
     Holds the design's effective-PSF table, which every signature of the
     run is read from, the bound precomputation of the given detectors
     (bind_detectors) and, for fractal noise, the view of the windows the
-    trials gather from.  The fractal covariance and view come from
-    _fractal_background, so runs on the same background (any amplitude,
-    trial counts, detectors, grid or jobs) share one build of them.  An
-    SNR refers to sigma for white noise and to 1 for fractal clutter,
-    the unit sigma synthesize_fbm gives every image.
+    trials gather from: they draw its positions below its own extent.
+    The fractal covariance and view come from _fractal_background, so
+    runs on the same background (any amplitude, trial counts, detectors,
+    grid or jobs) share one build of them.  An SNR refers to sigma for
+    white noise and to 1 for fractal clutter, the unit sigma
+    synthesize_fbm gives every image of any image_size.
     """
 
     def __init__(self, config, detectors=()):
@@ -345,8 +346,8 @@ class _Run:
             key = first_chunk + i
             rng = _rng(cfg.seed, stream, key)
             if cfg.noise == "fractal":
-                rows = rng.integers(cfg.image_size - 2 * cfg.w, size=count)
-                cols = rng.integers(cfg.image_size - 2 * cfg.w, size=count)
+                rows = rng.integers(len(self.patches), size=count)
+                cols = rng.integers(len(self.patches), size=count)
             eps = None
             if alpha is not None and cfg.eps_fixed:
                 eps = np.tile(np.asarray(cfg.eps_fixed, dtype=float), (count, 1))

@@ -97,22 +97,31 @@ def acf_rfft2(field, max_lag):
     return corr[np.ix_(lags % fh, lags % fw)] / (h * wdt)
 
 
-def fbm_irfft2(hurst, size=256, seed=None, crop=None):
-    """synthesize_fbm with the shaped half-plane spectrum inverted by one
-    two-axis irfft2."""
-    spec = rfft2(np.random.default_rng(seed).standard_normal((size, size)))
-    amp = np.fft.fftfreq(size)[:, None] ** 2 + np.fft.rfftfreq(size)[None, :] ** 2
+def next_power_of_two(size):
+    """The FFT grid synthesize_fbm draws an image of this size on."""
+    n = 1
+    while n < size:
+        n *= 2
+    return n
+
+
+def fbm_irfft2(hurst, size, seed):
+    """synthesize_fbm with the shaped half-plane spectrum of the next power
+    of two inverted by one two-axis irfft2, and cropped to size x size."""
+    n = next_power_of_two(size)
+    spec = rfft2(np.random.default_rng(seed).standard_normal((n, n)))
+    amp = np.fft.fftfreq(n)[:, None] ** 2 + np.fft.rfftfreq(n)[None, :] ** 2
     with np.errstate(divide="ignore"):
         amp **= -(hurst + 1) / 2
     amp[0, 0] = 0.0
-    field = irfft2(spec * amp, s=(size, size))
+    field = irfft2(spec * amp, s=(n, n))
 
     def standardize(x):
         mean, std = x.mean(), x.std()
         return (x - mean) / std
 
-    if crop is not None:
-        field = standardize(field)[:crop, :crop].copy()
+    if n > size:
+        field = standardize(field)[:size, :size].copy()
     return NoiseField(values=standardize(field))
 
 

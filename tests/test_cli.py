@@ -122,6 +122,16 @@ class TestClutter:
             acf = list(csv.reader(fh))
         assert len(acf) == 7
 
+    def test_size_that_is_not_a_power_of_two_is_the_synthesis(self, capsys, tmp_path):
+        # the command passes --size through; the synthesis picks its grid
+        code, _, _ = run_cli(capsys, "clutter", "--size", "200", "--seed", "3",
+                             "--out", str(tmp_path))
+        assert code == 0
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            csv.writer(fh).writerows(clutter.synthesize_fbm(0.7, 200, seed=3).values.tolist())
+        assert (tmp_path / "clutter.csv").read_bytes() == want.read_bytes()
+
     def test_negative_max_lag_exits_1_without_output(self, capsys, tmp_path):
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, "clutter", "--size", "40", "--acf",
@@ -317,6 +327,7 @@ BAD_TABLES = {
     "non-square": "0,0,0\n" * 2 + "0,1,0\n" + "0,0,0\n" * 2,   # 5 x 3
     "empty": "",
     "trailing-comma": "0,0,0,\n0,1,0,\n0,0,0,\n",
+    "1x1": "1\n",      # a window of half-width 0; an autocovariance of max lag 0
 }
 
 
@@ -577,6 +588,15 @@ class TestTheoreticalRoc:
         assert code == 1 and out == ""
         assert err == "error: theoretical-roc takes --grid-size or --eps-fixed, not both\n"
         assert not grid_path.exists()
+
+    def test_underflowed_spot_energy_exits_1_naming_r_c(self, capsys, tmp_path):
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "theoretical-roc", "--snr-db", "15",
+                                 "--r-c", "1e-170", "--out", str(out_path))
+        assert code == 1
+        assert err == "error: spot energy underflows to 0 at r_c = 1e-170\n"
+        assert out == ""
+        assert not out_path.exists()
 
     # the subcommand has no --sigma, so argparse refuses a non-finite one
     # as it refuses any other value, before any model code
@@ -924,20 +944,18 @@ class TestConfigHelpers:
         # only SM-GLRT reads subspace_order
         (("roc", "--snr-db", "15", "--detectors", "GPMF,GLRT", "--subspace-order", "3"), None,
          "roc without SM-GLRT does not read subspace_order"),
-        # the covariance reads lags up to 2w, below half a power-of-two image
+        # the covariance reads lags up to 2w, below half the image
         (("roc", "--noise", "fractal", "--alpha", "1", "--image-size", "1"), None,
-         "fractal noise needs image_size a power of two greater than 4w = 8, got 1"),
+         "fractal noise needs image_size greater than 4w = 8, got 1"),
         (("roc", "--noise", "fractal", "--alpha", "1", "--image-size", "0"), None,
-         "fractal noise needs image_size a power of two greater than 4w = 8, got 0"),
+         "fractal noise needs image_size greater than 4w = 8, got 0"),
         (("roc", "--noise", "fractal", "--alpha", "1", "--image-size", "8", "--w", "2"), None,
-         "fractal noise needs image_size a power of two greater than 4w = 8, got 8"),
-        (("roc", "--noise", "fractal", "--alpha", "1", "--image-size", "1000"), None,
-         "fractal noise needs image_size a power of two greater than 4w = 8, got 1000"),
+         "fractal noise needs image_size greater than 4w = 8, got 8"),
     ], ids=["roc-sweep-only", "mse-alpha", "roc-alpha-sweep", "roc-sweep-flag",
             "mse-alpha-flag", "roc-alpha-sweep-flag", "roc-none", "mse-none", "mse-both",
             "roc-both", "roc-preset-both", "white-hurst", "fractal-sigma", "mse-n-h0",
             "mse-subspace-order", "mse-sigma", "roc-n-trials", "roc-subspace-order",
-            "image-size-1", "image-size-0", "image-size-8-w-2", "image-size-1000"])
+            "image-size-1", "image-size-0", "image-size-8-w-2"])
     def test_amplitude_rule_exits_1_before_set_up(self, capsys, monkeypatch, tmp_path,
                                                   argv, config, message):
         built = []

@@ -13,7 +13,9 @@ from subpixdet.clutter import (
 )
 from subpixdet.harness import ExperimentConfig, run_roc
 
-from helpers import acf_padded_2x, acf_rfft2, fbm_irfft2, window_covariance
+from helpers import (
+    acf_padded_2x, acf_rfft2, fbm_irfft2, next_power_of_two, window_covariance,
+)
 
 
 def factored(cov):
@@ -40,37 +42,45 @@ def radial_psd_slope(field):
     return np.polyfit(logr, logp, 1)[0]
 
 
-def fbm_complex(hurst, size=256, seed=None, crop=None):
-    """synthesize_fbm with the whole-plane spectrum: the same noise draw,
-    shaped by the full complex FFT, and the real part of its inverse."""
-    noise = np.random.default_rng(seed).standard_normal((size, size))
-    f = np.fft.fftfreq(size)
+def fbm_complex(hurst, size, seed):
+    """synthesize_fbm with the whole-plane spectrum: the same noise draw on
+    the next power of two, shaped by the full complex FFT, the real part
+    of its inverse, and its crop to size x size."""
+    n = next_power_of_two(size)
+    noise = np.random.default_rng(seed).standard_normal((n, n))
+    f = np.fft.fftfreq(n)
     radius2 = f[:, None] ** 2 + f[None, :] ** 2
     with np.errstate(divide="ignore"):
         amp = np.where(radius2 > 0, radius2 ** (-(hurst + 1) / 2), 0.0)
     field = np.fft.ifft2(np.fft.fft2(noise) * amp).real
     field = (field - field.mean()) / field.std()
-    if crop is not None:
-        field = field[:crop, :crop]
+    if n > size:
+        field = field[:size, :size]
         field = (field - field.mean()) / field.std()
     return NoiseField(values=field)
 
 
 class TestSynthesizeFbm:
-    @pytest.mark.parametrize("size, crop", [(2, None), (4, None), (64, None),
+    # each case names the power-of-two grid the image is synthesized on
+    # and the size cropped from it (None: the whole grid)
+    @pytest.mark.parametrize("grid, crop", [(2, None), (4, None), (64, None),
                                             (256, None), (256, 200)])
-    def test_matches_complex_fft(self, size, crop):
-        got = synthesize_fbm(0.7, size, seed=[5, 0, 0], crop=crop).values
-        ref = fbm_complex(0.7, size, seed=[5, 0, 0], crop=crop).values
+    def test_matches_complex_fft(self, grid, crop):
+        size = crop or grid
+        got = synthesize_fbm(0.7, size, seed=[5, 0, 0]).values
+        ref = fbm_complex(0.7, size, seed=[5, 0, 0]).values
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("size, crop", [(2, None), (4, None), (4, 3), (64, None),
+    @pytest.mark.parametrize("grid, crop", [(2, None), (4, None), (4, 3), (64, None),
                                             (64, 48), (256, None), (256, 200),
                                             (1024, None), (1024, 768)])
-    def test_bits_match_irfft2(self, size, crop):
-        # the split inverse scales by 1/size twice, exact for a power of two
-        got = synthesize_fbm(0.7, size, seed=[5, 0, 0], crop=crop).values
-        ref = fbm_irfft2(0.7, size, seed=[5, 0, 0], crop=crop).values
+    def test_bits_match_irfft2(self, grid, crop):
+        # the split inverse scales by 1/grid twice, exact for a power of two
+        size = crop or grid
+        assert next_power_of_two(size) == grid
+        got = synthesize_fbm(0.7, size, seed=[5, 0, 0]).values
+        ref = fbm_irfft2(0.7, size, seed=[5, 0, 0]).values
+        assert got.shape == (size, size)
         assert np.array_equal(got, ref)
 
     def test_peak_before_standardizing_is_about_one_spectrum(self, monkeypatch):
@@ -100,10 +110,16 @@ class TestSynthesizeFbm:
         assert f.values.std() == pytest.approx(1.0, rel=1e-12)
 
     def test_crop(self):
-        f = synthesize_fbm(0.7, size=256, seed=3, crop=200)
+        # 200 is cropped from a 256^2 synthesis and standardized again
+        f = synthesize_fbm(0.7, 200, seed=3)
         assert f.values.shape == (200, 200)
         assert f.values.mean() == pytest.approx(0.0, abs=1e-12)
         assert f.values.std() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [200, 256])
+    def test_numpy_integer_size(self, size):
+        got = synthesize_fbm(0.7, np.int64(size), seed=3).values
+        assert np.array_equal(got, synthesize_fbm(0.7, size, seed=3).values)
 
     def test_reproducible(self):
         a = synthesize_fbm(0.5, size=64, seed=11)
@@ -127,15 +143,18 @@ class TestSynthesizeFbm:
         for hurst in (0.0, 1.0, -0.3):
             with pytest.raises(ValueError):
                 synthesize_fbm(hurst, size=64, seed=0)
-        with pytest.raises(ValueError):
-            synthesize_fbm(0.7, size=100, seed=0)
+
+    def test_seed_is_required(self):
+        # an unseeded draw could not be reproduced
+        with pytest.raises(TypeError):
+            synthesize_fbm(0.7, 64)
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_size_below_2_is_refused(self, size):
         # a 1x1 spectrum is its zeroed DC term alone: 0 / 0 when standardized
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"size must be a power of two >= 2, got {size}"):
+            with pytest.raises(ValueError, match=f"size must be >= 2, got {size}"):
                 synthesize_fbm(0.7, size=size, seed=0)
 
 

@@ -338,6 +338,23 @@ class TestFractalBackground:
             assert_curves_equal(curves, self.cold_roc(cfg))
         assert not np.array_equal(warm[0][0].pd, warm[1][0].pd)
 
+    def test_any_image_size_is_synthesized_at_that_size(self, cold_background, monkeypatch,
+                                                        synthesized):
+        sizes = []
+        synthesize = clutter.synthesize_fbm
+
+        def sized(hurst, size, seed):
+            sizes.append(size)
+            return synthesize(hurst, size, seed=seed)
+
+        monkeypatch.setattr(clutter, "synthesize_fbm", sized)
+        cfg = ExperimentConfig(**{**self.ROC, "image_size": 96})
+        curves = run_roc(cfg)
+        assert sizes == [96, 96] and synthesized == [[2, 0, 0], [2, 1, 0]]
+        patches = harness._Run(cfg).patches
+        assert patches.shape == (92, 92, 5, 5)
+        assert [c.detector for c in curves] == ["GPMF", "GLRT"]
+
     @pytest.mark.parametrize("field, value", [
         ("hurst", 0.6), ("image_size", 64), ("seed", 3), ("w", 1), ("ridge", 1e-5),
         ("train_equals_test", True)])
