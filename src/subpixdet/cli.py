@@ -25,7 +25,6 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 try:
     import resource
@@ -129,7 +128,6 @@ def _libraries():
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {name: os.environ.get(name)
                     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},

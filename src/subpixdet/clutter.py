@@ -6,8 +6,9 @@ shaping of white noise.  For correlated backgrounds the detector window
 covariance is assembled from the empirical autocovariance of the image,
 giving a block-Toeplitz matrix with Toeplitz blocks.
 
-scipy.fft and scipy.linalg are imported inside the functions that use
-them, so that a white-noise process never loads either.
+numpy.fft, which runs scipy.fft's pocketfft code and so gives its bits,
+is imported inside the functions that use it, so that a white-noise
+process never loads it; the window covariance is numpy.linalg's.
 """
 
 import numpy as np
@@ -59,14 +60,14 @@ def synthesize_fbm(hurst, size, seed):
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
     n = 1 << (int(size) - 1).bit_length()    # the FFT grid, a power of two
-    from scipy.fft import fft, ifft, irfft, rfft
+    from numpy.fft import fft, ifft, irfft, rfft
     rng = np.random.default_rng(seed)
     # the shaped spectrum is Hermitian, so its half plane carries it all
     spec = np.empty((n, n // 2 + 1), dtype=complex)
     step = max(1, 2**16 // n)                # rows per 512 KiB of noise
     for lo in range(0, n, step):
         spec[lo:lo + step] = rfft(rng.standard_normal((min(step, n - lo), n)), axis=1)
-    spec = fft(spec, axis=0, overwrite_x=True)
+    spec = fft(spec, axis=0, out=spec)
     fy, fx = np.fft.fftfreq(n) ** 2, np.fft.rfftfreq(n) ** 2
     for lo in range(0, n, step):
         amp = fy[lo:lo + step, None] + fx[None, :]
@@ -79,7 +80,7 @@ def synthesize_fbm(hurst, size, seed):
     # exact for a power of two, so the bits are irfft2's.  Image row i
     # ends at byte 8 * n * (i + 1), before spectrum row i ends, so each
     # block of the last pass overwrites only spectrum rows it has read.
-    spec = ifft(spec, axis=0, overwrite_x=True)
+    spec = ifft(spec, axis=0, out=spec)
     field = spec.view(float).reshape(-1)[:n * n].reshape(n, n)
     for lo in range(0, n, step):
         field[lo:lo + step] = irfft(spec[lo:lo + step], n=n, axis=1)
@@ -109,31 +110,43 @@ def estimate_autocovariance(field, max_lag):
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     if not (max_lag < min(h, wdt) / 2):
         raise ValueError(f"max_lag {max_lag} too large for a {h}x{wdt} field")
-    from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
+    from numpy.fft import fft, ifft, irfft, rfft
     # Linear correlation by a zero-padded FFT.  With at least max_lag
     # zeros after each axis, the circular wrap-around reaches no lag in
     # [-max_lag, max_lag].  These are rfft2's and irfft2's 1-D passes,
     # run on one half-plane spectrum: the rows are transformed in blocks
     # with their padding, and the inverse of the second pass is taken on
     # the returned lags only.
-    fh, fw = (next_fast_len(n + max_lag, real=True) for n in (h, wdt))
+    fh, fw = (_fast_len(n + max_lag) for n in (h, wdt))
     mean = field.values.mean()
     spec = np.zeros((fh, fw // 2 + 1), dtype=complex)
     step = max(1, 2**16 // fw)               # rows per 1 MiB of spectrum
     for lo in range(0, h, step):
         rows = field.values[lo:lo + step]
         spec[lo:lo + len(rows)] = rfft(rows - mean, n=fw, axis=1)
-    spec = fft(spec, axis=0, overwrite_x=True)
+    spec = fft(spec, axis=0, out=spec)
     # |spec|^2 in spec's own storage
     np.square(spec.real, out=spec.real)
     np.square(spec.imag, out=spec.imag)
     spec.real += spec.imag
     spec.imag = 0.0
-    spec = ifft(spec, axis=0, norm="forward", overwrite_x=True)
+    spec = ifft(spec, axis=0, norm="forward", out=spec)
     lags = np.arange(-max_lag, max_lag + 1)
     # irfft2's one 1/(fh*fw) scale, after its last pass
     corr = irfft(spec[lags % fh], n=fw, axis=1, norm="forward")[:, lags % fw]
     return corr * (1.0 / (fh * fw)) / (h * wdt)
+
+
+def _fast_len(n):
+    """The least 2^a 3^b 5^c >= n, scipy.fft.next_fast_len(n, real=True)."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:                    # p35 times the least power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def white_covariance(sigma):
@@ -167,36 +180,39 @@ def assemble_window_covariance(acf, w, lam=1e-6):
     pi, pj = np.indices((2 * w + 1,) * 2).reshape(2, -1)     # row-major pixel coordinates
     matrix = acf[pi[:, None] - pi + max_lag, pj[:, None] - pj + max_lag]
     matrix = matrix + lam * acf[max_lag, max_lag] * np.eye(len(matrix))
-    from scipy.linalg import cho_factor, eigvalsh
+    if not np.isfinite(matrix).all():
+        raise ValueError("window covariance entries must be finite")
     try:
-        factor = cho_factor(matrix, lower=True)
+        lower = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
-        smallest = eigvalsh(matrix)[0]
+        smallest = np.linalg.eigvalsh(matrix)[0]
         raise IndefiniteCovarianceError(
             f"window covariance not positive definite after ridge {lam} "
             f"(smallest eigenvalue {smallest:.3e})"
         )
-    factor[0].flags.writeable = False
+    factor = np.linalg.inv(lower)
+    factor.flags.writeable = False
     return CovarianceModel(sigma2=None, _factor=factor)
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
     """Window noise covariance with a solve service: sigma2 I (white
-    noise, no _factor) or a stored, read-only Cholesky factor (sigma2
-    None), so every statistic shares numerically identical solves.
+    noise, no _factor) or a stored, read-only whitening factor
+    W = L^{-1} of its Cholesky factor L (sigma2 None), so that
+    R^{-1} = W^T W and every statistic shares numerically identical
+    solves.
     """
 
     sigma2: float
-    _factor: tuple
+    _factor: np.ndarray
 
     def solve(self, y):
         """R^{-1} y for a vector or a (n, k) stack of columns."""
         y = np.asarray(y, dtype=float)
         if self._factor is None:
             return y / self.sigma2
-        from scipy.linalg import cho_solve
-        return cho_solve(self._factor, y)
+        return self._factor.T @ (self._factor @ y)
 
 
 def write_pgm(field, path):

@@ -276,7 +276,7 @@ def _fractal_background(hurst, image_size, seed, w, ridge, train_equals_test):
     The covariance is trained on image (seed, 0, 0).  patches, the view
     of all (2w+1)^2 windows of the mean-removed test image (seed, 1, 0),
     or of the training image when train_equals_test, has window (i, j)
-    at top-left pixel image[i, j].  It and the Cholesky factor are
+    at top-left pixel image[i, j].  It and the whitening factor are
     read-only, so every run on this background may share them.  A new
     key clears the cache before it synthesizes, so no two images (8 MiB
     each at 1024^2) are held.

@@ -2,11 +2,13 @@
 never makes."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import ndimage, special
+from scipy import fft as sfft, ndimage, special
 from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.linalg import cho_factor, cho_solve
 
 from subpixdet import harness, optics
 from subpixdet.clutter import NoiseField
@@ -97,6 +99,18 @@ def acf_rfft2(field, max_lag):
     return corr[np.ix_(lags % fh, lags % fw)] / (h * wdt)
 
 
+def acf_scipy_fft(field, max_lag):
+    """estimate_autocovariance's 1-D passes run by scipy.fft, each on the
+    whole zero-padded plane, with scipy's pad length."""
+    h, wdt = field.values.shape
+    fh, fw = (next_fast_len(n + max_lag, real=True) for n in (h, wdt))
+    spec = sfft.fft(sfft.rfft(field.values - field.values.mean(), n=fw, axis=1), n=fh, axis=0)
+    spec = sfft.ifft(spec.real ** 2 + spec.imag ** 2 + 0j, axis=0, norm="forward")
+    lags = np.arange(-max_lag, max_lag + 1)
+    corr = sfft.irfft(spec[lags % fh], n=fw, axis=1, norm="forward")[:, lags % fw]
+    return corr * (1.0 / (fh * fw)) / (h * wdt)
+
+
 def next_power_of_two(size):
     """The FFT grid synthesize_fbm draws an image of this size on."""
     n = 1
@@ -105,24 +119,43 @@ def next_power_of_two(size):
     return n
 
 
-def fbm_irfft2(hurst, size, seed):
-    """synthesize_fbm with the shaped half-plane spectrum of the next power
-    of two inverted by one two-axis irfft2, and cropped to size x size."""
-    n = next_power_of_two(size)
-    spec = rfft2(np.random.default_rng(seed).standard_normal((n, n)))
+def fbm_amplitude(hurst, n):
+    """synthesize_fbm's half-plane amplitude on an n x n grid, DC zeroed."""
     amp = np.fft.fftfreq(n)[:, None] ** 2 + np.fft.rfftfreq(n)[None, :] ** 2
     with np.errstate(divide="ignore"):
         amp **= -(hurst + 1) / 2
     amp[0, 0] = 0.0
-    field = irfft2(spec * amp, s=(n, n))
+    return amp
+
+
+def fbm_crop(field, size):
+    """synthesize_fbm's standardized crop of its n x n field."""
 
     def standardize(x):
         mean, std = x.mean(), x.std()
         return (x - mean) / std
 
-    if n > size:
+    if len(field) > size:
         field = standardize(field)[:size, :size].copy()
     return NoiseField(values=standardize(field))
+
+
+def fbm_irfft2(hurst, size, seed):
+    """synthesize_fbm with the shaped half-plane spectrum of the next power
+    of two inverted by one two-axis irfft2, and cropped to size x size."""
+    n = next_power_of_two(size)
+    spec = rfft2(np.random.default_rng(seed).standard_normal((n, n)))
+    return fbm_crop(irfft2(spec * fbm_amplitude(hurst, n), s=(n, n)), size)
+
+
+def fbm_scipy_fft(hurst, size, seed):
+    """synthesize_fbm's 1-D passes run by scipy.fft, each on the whole
+    plane: the row rfft, the column fft, the shaping, the column ifft and
+    the row irfft."""
+    n = next_power_of_two(size)
+    spec = sfft.rfft(np.random.default_rng(seed).standard_normal((n, n)), axis=1)
+    spec = sfft.fft(spec, axis=0) * fbm_amplitude(hurst, n)
+    return fbm_crop(sfft.irfft(sfft.ifft(spec, axis=0), n=n, axis=1), size)
 
 
 def quadrant(psf):
@@ -176,6 +209,25 @@ def window_covariance(acf, w, lam):
     dj = pj[:, None] - pj[None, :]
     matrix = acf[di + max_lag, dj + max_lag]
     return matrix + lam * acf[max_lag, max_lag] * np.eye(len(matrix))
+
+
+@dataclass(frozen=True)
+class CholeskyCovariance:
+    """A window covariance model solved by scipy.linalg.cho_solve on its
+    stored cho_factor."""
+
+    factor: tuple
+    sigma2 = None
+
+    def solve(self, y):
+        return cho_solve(self.factor, np.asarray(y, dtype=float))
+
+
+def covariance_cho(acf, w, lam=1e-6):
+    """assemble_window_covariance on scipy.linalg: cho_factor of the same
+    window covariance (which is positive definite here), solved by
+    cho_solve."""
+    return CholeskyCovariance(cho_factor(window_covariance(acf, w, lam), lower=True))
 
 
 # The scoring and estimation kernel as it ran before its passes covered

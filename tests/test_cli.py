@@ -10,7 +10,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-import scipy
 
 from subpixdet import clutter, harness, optics
 from subpixdet.cli import (
@@ -265,6 +264,20 @@ class TestScore:
         assert code == 1
         assert "ridge" in err
 
+    def test_overflowing_ridge_exits_1_naming_the_table(self, capsys, tmp_path):
+        # ridge * acf(0, 0) overflows, and numpy's Cholesky factor of the
+        # non-finite matrix would be NaN without an error
+        path = tmp_path / "win.csv"
+        write_window(path, w=1)
+        acf_path = tmp_path / "acf.csv"
+        with open(acf_path, "w", newline="") as fh:
+            csv.writer(fh).writerows((10 * np.eye(5)).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "score", "--window", str(path),
+                                     "--acf-file", str(acf_path), "--ridge", "1e308")
+        assert code == 1 and out == ""
+        assert err == f"error: {acf_path}: window covariance entries must be finite\n"
+
     @pytest.mark.parametrize("command", ["score", "estimate"])
     @pytest.mark.parametrize("flags", [("--acf-file", "ACF", "--sigma", "3"), ("--ridge", "0.5")],
                              ids=["sigma-with-acf", "ridge-without-acf"])
@@ -421,7 +434,7 @@ class TestRocCommand:
         # what the bits depend on besides the config, also read past
         libraries = manifest["libraries"]
         assert libraries["numpy"] == np.__version__
-        assert libraries["scipy"] == scipy.__version__
+        assert "scipy" not in libraries     # no roc or mse bit depends on it
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert libraries["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert libraries["threads"] == {
@@ -1059,10 +1072,10 @@ def test_model_flags_are_config_fields():
 def test_cli_import_loads_only_known_scipy_subpackages():
     # each scipy subpackage adds to every run's set-up (scipy.stats about
     # half a second, scipy.special with scipy's array-API chain about
-    # 0.15 s); a new one must be a deliberate change of this empty set
-    code = ("import sys, scipy, subpixdet.cli; "
-            "print(sorted({m.split('.')[1] for m in sys.modules "
-            "if m.startswith('scipy.')} & set(scipy.__all__)))")
+    # 0.15 s), and scipy's top level about 15 ms and 1.2 MB; a new one
+    # must be a deliberate change of this empty set
+    code = ("import sys, subpixdet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -1071,12 +1084,12 @@ def test_cli_import_loads_only_known_scipy_subpackages():
 
 def _scipy_loaded_after(cwd, *argvs):
     """Exit codes of cli.main on each argv, run in one fresh process, and
-    which of scipy.fft, scipy.linalg, scipy.ndimage and scipy.special that
-    process has loaded after them."""
+    which of scipy, scipy.fft, scipy.linalg, scipy.ndimage and
+    scipy.special that process has loaded after them."""
     code = ("import json, sys; from subpixdet.cli import main; "
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-            "print(json.dumps([codes, sorted({'scipy.fft', 'scipy.linalg', 'scipy.ndimage', "
-            "'scipy.special'} & set(sys.modules))]))")
+            "print(json.dumps([codes, sorted({'scipy', 'scipy.fft', 'scipy.linalg', "
+            "'scipy.ndimage', 'scipy.special'} & set(sys.modules))]))")
     res = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=cwd,
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -1095,9 +1108,8 @@ def tables(tmp_path):
 
 
 def test_white_runs_load_neither_fft_nor_linalg(tables):
-    # clutter imports them only where a fractal image, an autocovariance
-    # or a Cholesky factor is made, and the effective-PSF table needs no
-    # scipy at all, so a white run loads none of the four
+    # no module of the package imports scipy, so a white run loads none
+    # of the five
     argvs = (["roc", "--snr-db", "15", "--n-h0", "200", "--n-h1", "20", "--out", "r"],
              ["mse", "--snr-db", "15", "--n-trials", "20", "--out", "m"],
              ["signature", "--out", "s.csv"],
@@ -1109,15 +1121,16 @@ def test_white_runs_load_neither_fft_nor_linalg(tables):
 def test_theoretical_roc_loads_only_special(tables):
     # the closed-form Pd needs scipy.special's ndtr and ndtri
     argv = ["theoretical-roc", "--snr-db", "15", "--out", "t.csv"]
-    assert _scipy_loaded_after(tables, argv) == [[0], ["scipy.special"]]
+    assert _scipy_loaded_after(tables, argv) == [[0], ["scipy", "scipy.special"]]
 
 
-# scipy.fft imports scipy.special itself
-@pytest.mark.parametrize("argv, loaded", [
-    (["roc", "--preset", "fig7", "--image-size", "128", "--n-h0", "200", "--n-h1", "200",
-      "--out", "r"], ["scipy.fft", "scipy.linalg", "scipy.special"]),
-    (["clutter", "--size", "64", "--acf", "--out", "c"], ["scipy.fft", "scipy.special"]),
-    (["score", "--window", "win.csv", "--acf-file", "acf.csv"], ["scipy.linalg"]),
+# the fBm, its autocovariance and the window covariance's whitening
+# factor are numpy.fft's and numpy.linalg's, so no fractal run loads scipy
+@pytest.mark.parametrize("argv", [
+    ["roc", "--preset", "fig7", "--image-size", "128", "--n-h0", "200", "--n-h1", "200",
+     "--out", "r"],
+    ["clutter", "--size", "64", "--acf", "--out", "c"],
+    ["score", "--window", "win.csv", "--acf-file", "acf.csv"],
 ], ids=["roc-fractal", "clutter-acf", "score-acf-file"])
-def test_fractal_runs_load_what_they_use(tables, argv, loaded):
-    assert _scipy_loaded_after(tables, argv) == [[0], loaded]
+def test_fractal_runs_load_what_they_use(tables, argv):
+    assert _scipy_loaded_after(tables, argv) == [[0], []]

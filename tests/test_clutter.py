@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from subpixdet import clutter, harness
 from subpixdet.clutter import (
@@ -11,16 +12,20 @@ from subpixdet.clutter import (
     estimate_autocovariance, assemble_window_covariance,
     white_covariance, write_pgm,
 )
-from subpixdet.harness import ExperimentConfig, run_roc
+from subpixdet.harness import ExperimentConfig, bind_detectors, run_roc
+from subpixdet.detectors import batch_scores
+from subpixdet.optics import effective_psf, render_signature_batch
 
 from helpers import (
-    acf_padded_2x, acf_rfft2, fbm_irfft2, next_power_of_two, window_covariance,
+    acf_padded_2x, acf_rfft2, acf_scipy_fft, covariance_cho, fbm_irfft2, fbm_scipy_fft,
+    next_power_of_two, window_covariance,
 )
 
 
 def factored(cov):
-    """L L^T of the stored Cholesky factor: the matrix cov.solve inverts."""
-    lower = np.tril(cov._factor[0])
+    """L L^T, with L the inverse of the stored whitening factor W = L^{-1}:
+    the matrix cov.solve inverts."""
+    lower = np.linalg.inv(cov._factor)
     return lower @ lower.T
 
 
@@ -158,6 +163,23 @@ class TestSynthesizeFbm:
                 synthesize_fbm(0.7, size=size, seed=0)
 
 
+# numpy.fft runs scipy.fft's pocketfft code: the same bits, pass for pass
+@pytest.mark.parametrize("hurst, size", [(0.7, 1024), (0.3, 200), (0.9, 96), (0.7, 513),
+                                         (0.5, 2)])
+def test_fbm_and_acf_bits_are_scipy_ffts(hurst, size):
+    field = synthesize_fbm(hurst, size, seed=[5, 0, 0])
+    assert np.array_equal(field.values, fbm_scipy_fft(hurst, size, seed=[5, 0, 0]).values)
+    for max_lag in (0, 2, 4, 10):
+        if max_lag < size / 2:
+            assert np.array_equal(estimate_autocovariance(field, max_lag),
+                                  acf_scipy_fft(field, max_lag))
+
+
+def test_pad_length_is_scipy_next_fast_len():
+    sizes = range(1, 20_001)
+    assert [clutter._fast_len(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
+
+
 def acf_direct(x, max_lag):
     """Brute-force biased autocovariance oracle."""
     x = x - x.mean()
@@ -272,8 +294,9 @@ def roc_steps(curve, rtol=1e-9):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_fractal_roc_matches_complex_fft_clutter(monkeypatch, cold_background, seed):
-    """A fractal ROC run on the whole-plane fBm and the 2x-padded ACF
-    takes the same Pfa/Pd steps; only the thresholds move, by rounding."""
+    """A fractal ROC run on the whole-plane fBm, the 2x-padded ACF and
+    scipy's Cholesky solve takes the same Pfa/Pd steps; only the
+    thresholds move, by rounding."""
     cfg = ExperimentConfig(noise="fractal", hurst=0.7, image_size=128, alpha=0.3,
                            n_h0=2000, n_h1=2000, seed=seed)
     new = run_roc(cfg)
@@ -282,6 +305,7 @@ def test_fractal_roc_matches_complex_fft_clutter(monkeypatch, cold_background, s
     harness._fractal_background.cache_clear()
     monkeypatch.setattr(clutter, "synthesize_fbm", fbm_complex)
     monkeypatch.setattr(clutter, "estimate_autocovariance", acf_padded_2x)
+    monkeypatch.setattr(clutter, "assemble_window_covariance", covariance_cho)
     old = run_roc(cfg)
     assert [c.detector for c in new] == [c.detector for c in old]
     for a, b in zip(new, old):
@@ -297,7 +321,65 @@ def test_covariance_model_is_its_sigma2_or_its_factor():
     assert white_covariance(2.0)._factor is None
     acf = np.zeros((9, 9))
     acf[4, 4] = 1.0
-    assert assemble_window_covariance(acf, 2).sigma2 is None
+    acf[4, 3] = acf[4, 5] = acf[3, 4] = acf[5, 4] = 0.2
+    cov = assemble_window_covariance(acf, 2)
+    assert cov.sigma2 is None
+    # the whitening factor W = L^{-1}: lower triangular, and W R W^T = I
+    whitener = cov._factor
+    assert whitener.shape == (25, 25) and np.array_equal(whitener, np.tril(whitener))
+    np.testing.assert_allclose(whitener @ window_covariance(acf, 2, 1e-6) @ whitener.T,
+                               np.eye(25), rtol=0, atol=1e-14)
+
+
+@pytest.fixture(scope="module")
+def fig7_training_image():
+    """The image fig7 trains its covariance on: seed 1, stream 0."""
+    return synthesize_fbm(0.7, 1024, seed=[1, 0, 0])
+
+
+# measured on fig7's image: 2.5e-12 at w = 2 and 1.8e-11 at w = 5, from
+# the two libraries' Cholesky factors, which differ by up to 2.8e-14 and
+# 9.9e-14
+@pytest.mark.parametrize("w, rtol", [(2, 1e-11), (5, 1e-10)])
+def test_whitening_solve_is_cho_solve_within_rounding(fig7_training_image, w, rtol):
+    acf = estimate_autocovariance(fig7_training_image, 2 * w)
+    cov, cho = assemble_window_covariance(acf, w), covariance_cho(acf, w)
+    n = (2 * w + 1) ** 2
+    y = np.hstack([np.eye(n), np.random.default_rng(0).standard_normal((n, 64))])
+    got, ref = cov.solve(y), cho.solve(y)
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+    # and as accurate: the forward errors against a solution refined with
+    # long-double residuals agree to within a factor 2 (measured 1.02)
+    matrix = window_covariance(acf, w, 1e-6).astype(np.longdouble)
+    exact = ref
+    for _ in range(3):
+        exact = exact + cho.solve((y - matrix @ exact).astype(float))
+    assert np.linalg.norm(got - exact) <= 2 * np.linalg.norm(ref - exact)
+
+
+def test_transposed_fbm_gives_the_same_scores():
+    """Transposition maps the image, its ACF, the windows and the
+    covariance trained on the image to their transposes, and every
+    detector's score must follow it."""
+    image = synthesize_fbm(0.7, 256, seed=[3, 0, 0]).values
+    acf = estimate_autocovariance(NoiseField(image), 4)
+    acf_t = estimate_autocovariance(NoiseField(image.T.copy()), 4)
+    np.testing.assert_allclose(acf_t, acf.T, rtol=0, atol=1e-14)    # measured 5.6e-16
+    rng = np.random.default_rng(0)
+    psf = effective_psf(2.44, 2)
+    patches = np.lib.stride_tricks.sliding_window_view(image - image.mean(), (5, 5))
+    pos = rng.integers(0, len(patches), size=(200, 2))
+    spots = render_signature_batch(psf, rng.uniform(-0.5, 0.5, (200, 2))).reshape(200, 5, 5)
+    windows = patches[pos[:, 0], pos[:, 1]] + rng.uniform(0, 0.3, (200, 1, 1)) * spots
+    scores = batch_scores(windows.reshape(200, 25),
+                          *bind_detectors(psf, assemble_window_covariance(acf, 2), 20))
+    scores_t = batch_scores(windows.transpose(0, 2, 1).reshape(200, 25),
+                            *bind_detectors(psf, assemble_window_covariance(acf_t, 2), 20))
+    for det, ref in scores.items():
+        # measured at most 8.0e-13 of the largest score: the covariance's
+        # conditioning amplifies the rounding (a score near 0 moves by up
+        # to 3.9e-10 of itself)
+        assert np.abs(scores_t[det] - ref).max() <= 1e-11 * np.abs(ref).max(), det
 
 
 class TestWhiteCovariance:
@@ -346,7 +428,7 @@ class TestAssembleWindowCovariance:
         acf = np.zeros((9, 9))
         acf[4, 4] = 1.0
         cov = assemble_window_covariance(acf, 2)
-        assert not cov._factor[0].flags.writeable
+        assert not cov._factor.flags.writeable
 
     def test_solve_inverts(self, rng):
         acf = np.zeros((5, 5))
@@ -372,6 +454,16 @@ class TestAssembleWindowCovariance:
         acf[2, 2] = 1.0
         with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
             assemble_window_covariance(acf, w=1, lam=lam)
+
+    @pytest.mark.parametrize("entry, lam", [(np.nan, 1e-6), (np.inf, 1e-6), (0.1, 1e308)])
+    def test_entries_not_finite_rejected(self, entry, lam):
+        # numpy's Cholesky factor of such a matrix is NaN, with no error
+        acf = np.zeros((5, 5))
+        acf[2, 2] = 10.0
+        acf[2, 1] = acf[2, 3] = entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="window covariance entries must be finite"):
+                assemble_window_covariance(acf, w=1, lam=lam)
 
     def test_short_acf_rejected(self):
         with pytest.raises(ValueError):

@@ -382,7 +382,7 @@ class TestFractalBackground:
         with pytest.raises(ValueError, match="read-only"):
             patches -= 1.0
         with pytest.raises(ValueError, match="read-only"):
-            cov._factor[0][0, 0] = 1.0
+            cov._factor[0, 0] = 1.0
         np.testing.assert_array_equal(patches, before)
 
     def test_a_new_key_frees_the_old_image_first(self, cold_background, monkeypatch):
