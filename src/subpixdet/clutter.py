@@ -6,9 +6,9 @@ shaping of white noise.  For correlated backgrounds the detector window
 covariance is assembled from the empirical autocovariance of the image,
 giving a block-Toeplitz matrix with Toeplitz blocks.
 
-numpy.fft, which runs scipy.fft's pocketfft code and so gives its bits,
-is imported inside the functions that use it, so that a white-noise
-process never loads it; the window covariance is numpy.linalg's.
+The FFTs are numpy.fft's, which from numpy 2.0 runs scipy.fft's
+pocketfft code and so gives its bits; the window covariance is
+numpy.linalg's.
 """
 
 import numpy as np
@@ -60,14 +60,13 @@ def synthesize_fbm(hurst, size, seed):
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
     n = 1 << (int(size) - 1).bit_length()    # the FFT grid, a power of two
-    from numpy.fft import fft, ifft, irfft, rfft
     rng = np.random.default_rng(seed)
     # the shaped spectrum is Hermitian, so its half plane carries it all
     spec = np.empty((n, n // 2 + 1), dtype=complex)
     step = max(1, 2**16 // n)                # rows per 512 KiB of noise
     for lo in range(0, n, step):
-        spec[lo:lo + step] = rfft(rng.standard_normal((min(step, n - lo), n)), axis=1)
-    spec = fft(spec, axis=0, out=spec)
+        spec[lo:lo + step] = np.fft.rfft(rng.standard_normal((min(step, n - lo), n)), axis=1)
+    spec = np.fft.fft(spec, axis=0, out=spec)
     fy, fx = np.fft.fftfreq(n) ** 2, np.fft.rfftfreq(n) ** 2
     for lo in range(0, n, step):
         amp = fy[lo:lo + step, None] + fx[None, :]
@@ -80,10 +79,10 @@ def synthesize_fbm(hurst, size, seed):
     # exact for a power of two, so the bits are irfft2's.  Image row i
     # ends at byte 8 * n * (i + 1), before spectrum row i ends, so each
     # block of the last pass overwrites only spectrum rows it has read.
-    spec = ifft(spec, axis=0, out=spec)
+    spec = np.fft.ifft(spec, axis=0, out=spec)
     field = spec.view(float).reshape(-1)[:n * n].reshape(n, n)
     for lo in range(0, n, step):
-        field[lo:lo + step] = irfft(spec[lo:lo + step], n=n, axis=1)
+        field[lo:lo + step] = np.fft.irfft(spec[lo:lo + step], n=n, axis=1)
     if n > size:
         field = _standardize(field)[:size, :size].copy()
     return NoiseField(values=_standardize(field))
@@ -110,7 +109,6 @@ def estimate_autocovariance(field, max_lag):
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     if not (max_lag < min(h, wdt) / 2):
         raise ValueError(f"max_lag {max_lag} too large for a {h}x{wdt} field")
-    from numpy.fft import fft, ifft, irfft, rfft
     # Linear correlation by a zero-padded FFT.  With at least max_lag
     # zeros after each axis, the circular wrap-around reaches no lag in
     # [-max_lag, max_lag].  These are rfft2's and irfft2's 1-D passes,
@@ -123,17 +121,17 @@ def estimate_autocovariance(field, max_lag):
     step = max(1, 2**16 // fw)               # rows per 1 MiB of spectrum
     for lo in range(0, h, step):
         rows = field.values[lo:lo + step]
-        spec[lo:lo + len(rows)] = rfft(rows - mean, n=fw, axis=1)
-    spec = fft(spec, axis=0, out=spec)
+        spec[lo:lo + len(rows)] = np.fft.rfft(rows - mean, n=fw, axis=1)
+    spec = np.fft.fft(spec, axis=0, out=spec)
     # |spec|^2 in spec's own storage
     np.square(spec.real, out=spec.real)
     np.square(spec.imag, out=spec.imag)
     spec.real += spec.imag
     spec.imag = 0.0
-    spec = ifft(spec, axis=0, norm="forward", out=spec)
+    spec = np.fft.ifft(spec, axis=0, norm="forward", out=spec)
     lags = np.arange(-max_lag, max_lag + 1)
     # irfft2's one 1/(fh*fw) scale, after its last pass
-    corr = irfft(spec[lags % fh], n=fw, axis=1, norm="forward")[:, lags % fw]
+    corr = np.fft.irfft(spec[lags % fh], n=fw, axis=1, norm="forward")[:, lags % fw]
     return corr * (1.0 / (fh * fw)) / (h * wdt)
 
 
@@ -201,7 +199,8 @@ class CovarianceModel:
     noise, no _factor) or a stored, read-only whitening factor
     W = L^{-1} of its Cholesky factor L (sigma2 None), so that
     R^{-1} = W^T W and every statistic shares numerically identical
-    solves.
+    solves.  W is np.linalg.inv's, whose pivoting can leave rounding-size
+    entries above the diagonal.
     """
 
     sigma2: float
